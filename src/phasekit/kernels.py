@@ -26,12 +26,19 @@ with log-space weights w_l.  The alternating inner sums behind C_l lose
 all double-precision significance beyond l of about 20, so they are done
 once in extended precision and cached.
 
+Estimation evaluates tabulated kernels (KernelTable): linear
+interpolation on a uniform grid inside |x| <= x0, the classical tail
+outside.  Because the grid is uniform, the segment of a sample is found
+by direct indexing, j = floor((x - g0) / h) with one +-1 correction,
+not by a binary search; the arithmetic is np.interp's, so the values are
+bit-identical to it.
+
 Two closed single-integral forms (k = 1, 2) are provided as independent
 cross-checks of the series construction.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import mpmath
@@ -118,12 +125,73 @@ class TailRule:
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Tabulated kernel: linear interpolation inside, classical tail outside."""
+    """Tabulated kernel: linear interpolation inside, classical tail outside.
+
+    The grid must be strictly increasing with every node within a
+    quarter step of the uniform lattice g0 + i h through its end
+    points.  Lookup inside |x| <= x0 then indexes the grid directly,
+    j = floor((x - g0) / h), and one +-1 correction against the stored
+    nodes finds the segment grid[j] <= x < grid[j+1]; the value is
+    slope[j] (x - grid[j]) + values[j] with slopes cached at
+    construction.  That is np.interp's own arithmetic on np.interp's
+    own segment, so results are bit-identical to it (up to the sign of
+    a zero table value hit exactly at its node), at O(1) instead of a
+    binary search per sample.
+    """
 
     spec: KernelSpec
     grid: np.ndarray
     values: np.ndarray
     classical_tail: TailRule
+    _lookup: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        grid = np.asarray(self.grid, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if grid.ndim != 1 or grid.size < 2 or values.shape != grid.shape:
+            raise ValueError(
+                "kernel table needs matching 1-d grid and values with at "
+                "least two nodes; got shapes %s and %s"
+                % (grid.shape, values.shape)
+            )
+        origin = grid[0]
+        step = (grid[-1] - origin) / (grid.size - 1)
+        off = np.abs(grid - (origin + step * np.arange(grid.size)))
+        bad = np.flatnonzero(
+            np.concatenate(([False], np.diff(grid) <= 0.0))
+            | ~(off <= 0.25 * step)
+        )
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                "kernel table grid node %d (x = %.9g) is not strictly "
+                "increasing within a quarter step of the uniform lattice "
+                "x = %.9g + i * %.9g" % (i, grid[i], origin, step)
+            )
+        # Segment p = j + 1 holds grid[j] <= x < grid[j+1]; the padded
+        # ends p = 0 and p = size reproduce np.interp's constant
+        # extrapolation with a zero slope.
+        slope = np.diff(values) / np.diff(grid)
+        lookup = (
+            origin - step,
+            1.0 / step,
+            np.concatenate(([-np.inf], grid, [np.inf])),
+            np.concatenate(([grid[0]], grid)),
+            np.concatenate(([0.0], slope, [0.0])),
+            np.concatenate(([values[0]], values)),
+        )
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_lookup", lookup)
+
+    def _interpolate(self, x):
+        base, inv_step, bounds, left, slope, values = self._lookup
+        p = np.clip((x - base) * inv_step, 0.0, self.grid.size).astype(
+            np.intp
+        )
+        p -= x < bounds[p]
+        p += x >= bounds[p + 1]
+        return slope[p] * (x - left[p]) + values[p]
 
     def evaluate(self, x):
         """Kernel value at x (scalar or array)."""
@@ -133,7 +201,7 @@ class KernelTable:
         out = np.empty_like(x)
         inside = np.abs(x) <= self.spec.x0
         if np.any(inside):
-            out[inside] = np.interp(x[inside], self.grid, self.values)
+            out[inside] = self._interpolate(x[inside])
         if np.any(~inside):
             ax = np.abs(x[~inside])
             tail = _tail_value(self.spec.k, ax, self.classical_tail)

@@ -2,10 +2,11 @@
 
 Draws quadrature samples at equidistant local-oscillator phases by
 inverse-CDF sampling from the exact quadrature distribution of a
-truncated state, models detector efficiency eta < 1 as additive
-Gaussian noise of variance (1 - eta) / (2 eta) on the ideal samples
-(the convolution picture of a lossy detector), and persists measurement
-records as plain text.
+truncated state (decomposed once per run into phase harmonics, so each
+phase's density is a single matvec), models detector efficiency
+eta < 1 as additive Gaussian noise of variance (1 - eta) / (2 eta) on
+the ideal samples (the convolution picture of a lossy detector), and
+persists measurement records as plain text.
 """
 
 import math
@@ -13,7 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import CAPTURE_TOL, StateSpec, build_state, quadrature_pdf
+from .states import (
+    CAPTURE_TOL,
+    StateSpec,
+    build_state,
+    harmonic_density,
+    quadrature_harmonics,
+    quadrature_pdf,
+)
 
 GRID_STEP = 1.0e-3
 OUTSIDE_MASS_TOL = 1.0e-9
@@ -81,6 +89,12 @@ class MeasurementSet:
                     "phase %d holds %d records, plan says %d"
                     % (l, arr.size, expected)
                 )
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                raise ValueError(
+                    "phase %d, record %d: non-finite sample %r"
+                    % (l, bad[0], float(arr[bad[0]]))
+                )
             arr.flags.writeable = False
             records.append(arr)
         if len(records) != self.plan.n_phases:
@@ -88,18 +102,23 @@ class MeasurementSet:
         object.__setattr__(self, "records", tuple(records))
 
 
-def _inverse_cdf_table(rho, theta):
-    """Tabulated quantile function of p(x, theta) for rho.
+def _cdf_grid(n_max):
+    """Sampling grid for states truncated at n_max.
 
-    The grid spans the classically allowed region of the highest Fock
-    level plus a generous margin; a state leaking more probability than
-    OUTSIDE_MASS_TOL past the grid edge cannot be sampled faithfully
-    and is rejected.
+    It spans the classically allowed region of the highest Fock level
+    plus a generous margin.
     """
-    x_lim = math.sqrt(2.0 * rho.n_max + 1.0) + 5.0
+    x_lim = math.sqrt(2.0 * n_max + 1.0) + 5.0
     n_pts = int(round(2.0 * x_lim / GRID_STEP)) + 1
-    grid = np.linspace(-x_lim, x_lim, n_pts)
-    pdf = quadrature_pdf(rho, grid, theta)
+    return np.linspace(-x_lim, x_lim, n_pts)
+
+
+def _cdf_table(grid, pdf):
+    """Tabulated quantile function of the density pdf on grid.
+
+    A state leaking more probability than OUTSIDE_MASS_TOL past the
+    grid edge cannot be sampled faithfully and is rejected.
+    """
     cdf = np.concatenate(
         ([0.0], np.cumsum((pdf[1:] + pdf[:-1]) * np.diff(grid) / 2.0))
     )
@@ -107,13 +126,20 @@ def _inverse_cdf_table(rho, theta):
     if abs(total - 1.0) > OUTSIDE_MASS_TOL:
         raise ValueError(
             "quadrature grid too small: %.3e of the probability mass "
-            "lies outside [-%.2f, %.2f]" % (abs(total - 1.0), x_lim, x_lim)
+            "lies outside [-%.2f, %.2f]"
+            % (abs(total - 1.0), grid[-1], grid[-1])
         )
     cdf /= total
     keep = np.empty(cdf.size, dtype=bool)
     keep[0] = True
     keep[1:] = np.diff(cdf) > 0.0
     return cdf[keep], grid[keep]
+
+
+def _inverse_cdf_table(rho, theta):
+    """Tabulated quantile function of p(x, theta) for rho."""
+    grid = _cdf_grid(rho.n_max)
+    return _cdf_table(grid, quadrature_pdf(rho, grid, theta))
 
 
 def sample_quadrature(rho, theta, count, rng_stream):
@@ -133,12 +159,18 @@ def phase_stream(seed, l):
 def run_experiment(plan, capture_tol=CAPTURE_TOL):
     """Simulate the full run described by plan.
 
+    The quadrature distribution is decomposed into phase harmonics once
+    per run (states.quadrature_harmonics, O(n_max^2 G) on the G-point
+    CDF grid), so each phase's density costs one O(n_max G) matvec
+    before it goes through the same CDF table as sample_quadrature.
     Each phase draws from its own deterministic child stream, so the
     set is reproducible and phase results do not depend on execution
     order.  With eta < 1 the stream also supplies the Gaussian detector
     noise added to each ideal sample.
     """
     rho = build_state(plan.state, capture_tol=capture_tol)
+    grid = _cdf_grid(rho.n_max)
+    harmonics = quadrature_harmonics(rho, grid)
     sigma = 0.0
     if plan.eta < 1.0:
         sigma = math.sqrt((1.0 - plan.eta) / (2.0 * plan.eta))
@@ -147,7 +179,8 @@ def run_experiment(plan, capture_tol=CAPTURE_TOL):
         zip(plan.phases, plan.events_per_phase)
     ):
         rng = phase_stream(plan.seed, l)
-        samples = sample_quadrature(rho, theta, count, rng)
+        cdf, xs = _cdf_table(grid, harmonic_density(harmonics, theta))
+        samples = np.interp(rng.random(count), cdf, xs)
         if sigma > 0.0:
             samples = samples + rng.normal(0.0, sigma, size=count)
         records.append(samples)
@@ -244,8 +277,9 @@ def load_records(path):
     """Parse a record file written by save_records.
 
     Raises ValueError with the offending line number on malformed rows,
-    on rows whose phase index or angle disagrees with the plan in the
-    header, and on per-phase counts that do not match the header.
+    on non-finite samples, on rows whose phase index or angle disagrees
+    with the plan in the header, and on per-phase counts that do not
+    match the header.
     """
     header = []
     body = []
@@ -273,6 +307,8 @@ def load_records(path):
             x = float(parts[2])
         except ValueError:
             raise ValueError("line %d: unparsable record %r" % (idx, line))
+        if not math.isfinite(x):
+            raise ValueError("line %d: non-finite sample %r" % (idx, line))
         if not 0 <= l < plan.n_phases:
             raise ValueError(
                 "line %d: phase index %d outside 0..%d"

@@ -6,6 +6,11 @@ are known exactly at the truncated level: the density matrix in the
 number basis fixes the quadrature distribution p(x, theta), the moments
 Psi_k (sums over the k-th subdiagonal), and the phase distribution
 P(phi) in closed form.
+
+The quadrature distribution is a finite Fourier series in theta whose
+coefficients depend on x alone (quadrature_harmonics): building them
+costs O(n_max^2 G) on G points once, after which the density at any
+phase is an O(n_max G) matvec (harmonic_density).
 """
 
 import math
@@ -188,17 +193,26 @@ def build_state(spec, capture_tol=CAPTURE_TOL):
     return DensityMatrix.from_pure(c[: spec.n_max + 1])
 
 
-def quadrature_pdf(rho, x, theta):
-    """Quadrature distribution p(x, theta) of the state.
+def quadrature_harmonics(rho, x):
+    """Phase-harmonic decomposition of p(x, theta) on the points x.
 
-    p(x, theta) = sum_{m,n} psi_m(x) psi_n(x) rho_{mn} e^{i(n-m) theta},
-    a Hermitian quadratic form a^dag rho a with a_n = psi_n(x) e^{i n
-    theta}, hence nonnegative for any positive semidefinite rho; tiny
-    negative round-off is clamped to zero.
+    Grouping p(x, theta) = sum_{m,n} psi_m(x) psi_n(x) rho_{mn}
+    e^{i(n-m) theta} by the offset d = n - m gives a finite Fourier
+    series in theta whose coefficients depend on x alone,
+
+        p(x, theta) = c_0(x) + sum_{d=1}^{n_max} 2 Re[c_d(x) e^{i d theta}],
+        c_d(x) = sum_m rho_{m,m+d} psi_m(x) psi_{m+d}(x),
+
+    the bilinear psi_m psi_n structure of pattern-function tomography.
+    Returns the real (2 n_max + 1) x len(x) matrix W whose rows are c_0,
+    2 Re c_1 .. 2 Re c_{n_max}, -2 Im c_1 .. -2 Im c_{n_max}, so that
+    p(x, theta) = t(theta) @ W with t = (1, cos d theta, sin d theta)
+    for d = 1..n_max (see harmonic_density).  Building W costs
+    O(n_max^2 G) for G points, once; every phase after that is an
+    O(n_max G) matvec instead of a fresh psi recurrence and quadratic
+    form.
     """
     x = np.asarray(x, dtype=float)
-    scalar = not x.ndim
-    x = np.atleast_1d(x)
     n_dim = rho.n_max + 1
     psi = np.empty((n_dim, x.size))
     p_prev = np.zeros_like(x)
@@ -209,11 +223,38 @@ def quadrature_pdf(rho, x, theta):
             (m - 1.0) / m
         ) * p_prev
         psi[m] = p
-    phases = np.exp(1j * theta * np.arange(n_dim))
-    a = psi * phases[:, None]
-    out = np.einsum("mx,mx->x", a.conj(), rho.elements @ a).real
+    harmonics = np.empty((2 * n_dim - 1, x.size))
+    harmonics[0] = np.diagonal(rho.elements).real @ (psi * psi)
+    for d in range(1, n_dim):
+        band = 2.0 * np.diagonal(rho.elements, d)
+        pairs = psi[:-d] * psi[d:]
+        harmonics[d] = band.real @ pairs
+        harmonics[rho.n_max + d] = -band.imag @ pairs
+    return harmonics
+
+
+def harmonic_density(harmonics, theta):
+    """p(x, theta) from the matrix W of quadrature_harmonics.
+
+    p is nonnegative for any positive semidefinite rho; tiny negative
+    round-off is clamped to zero.
+    """
+    d_theta = theta * np.arange(1, harmonics.shape[0] // 2 + 1)
+    t = np.concatenate(([1.0], np.cos(d_theta), np.sin(d_theta)))
+    out = t @ harmonics
     out[(out < 0) & (out > -1.0e-12)] = 0.0
-    return float(out[0]) if scalar else out
+    return out
+
+
+def quadrature_pdf(rho, x, theta):
+    """Quadrature distribution p(x, theta) of the state.
+
+    quadrature_harmonics evaluated at the single phase theta; callers
+    that need many phases on one grid should build the harmonics once.
+    """
+    x = np.asarray(x, dtype=float)
+    out = harmonic_density(quadrature_harmonics(rho, np.atleast_1d(x)), theta)
+    return float(out[0]) if not x.ndim else out
 
 
 def exact_moments(rho, k):

@@ -209,6 +209,23 @@ def test_wrong_input_schema_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_non_finite_record_exits_2_naming_the_line(tmp_path, capsys):
+    cfg = small_config(n_phases=6, events_per_phase=(20,))
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path,
+                 "--output-dir", str(out)]) == 0
+    path = out / "records.txt"
+    lines = path.read_text().splitlines()
+    row = [i for i, ln in enumerate(lines) if not ln.startswith("#")][30]
+    lines[row] = lines[row].rsplit(",", 1)[0] + ", nan"
+    path.write_text("\n".join(lines) + "\n")
+    ret = main(["estimate", "--config", cfg_path, "--output-dir", str(out),
+                str(path)])
+    assert ret == 2
+    assert "line %d: non-finite" % (row + 1) in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     ret = main(["simulate", "--config", str(tmp_path / "absent.cfg")])
     assert ret == 1

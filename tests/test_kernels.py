@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from _oracles import interp_table_value
 from phasekit.kernels import (
     DEFAULT_GRID_STEP,
     KernelSpec,
@@ -265,3 +266,61 @@ def test_build_table_respects_grid_step():
 
 def test_default_grid_step_value():
     assert DEFAULT_GRID_STEP == 0.005
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@given(
+    k=st.integers(1, 8),
+    xs=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=50),
+    nodes=st.lists(st.integers(0, 1600), max_size=20),
+)
+@settings(max_examples=60, deadline=None)
+def test_table_lookup_is_bit_identical_to_interp(k, xs, nodes, default_tables):
+    table = default_tables[k]
+    x0 = table.spec.x0
+    x = np.concatenate([
+        xs,
+        table.grid[nodes],
+        np.nextafter(table.grid[nodes], np.inf),
+        np.nextafter(table.grid[nodes], -np.inf),
+        [x0, -x0, table.grid[-1], table.grid[0], np.nextafter(x0, 0.0),
+         np.nextafter(x0, 9.0), -np.nextafter(x0, 9.0), 7.5, -11.0],
+    ])
+    assert np.array_equal(bits(table.evaluate(x)),
+                          bits(interp_table_value(table, x)))
+
+
+def test_text_round_trip_of_off_uniform_grid_matches_interp():
+    table = build_kernel_table(KernelSpec(k=2), grid_step=0.0013)
+    clone = KernelTable.from_text(table.to_text())
+    # %.6f nodes sit off the uniform lattice by up to 5e-7
+    assert np.max(np.abs(clone.grid - table.grid)) > 1e-8
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.uniform(-4.5, 4.5, 20000), clone.grid,
+                        np.nextafter(clone.grid, np.inf),
+                        np.nextafter(clone.grid, -np.inf)])
+    assert np.array_equal(bits(clone.evaluate(x)),
+                          bits(interp_table_value(clone, x)))
+
+
+def test_table_rejects_grid_off_the_uniform_lattice(default_tables):
+    table = default_tables[1]
+    grid = table.grid.copy()
+    grid[700] += 0.3 * (grid[1] - grid[0])
+    with pytest.raises(ValueError, match="grid node 700"):
+        KernelTable(spec=table.spec, grid=grid, values=table.values,
+                    classical_tail=table.classical_tail)
+    text = table.to_text().replace("%.6f " % table.grid[3],
+                                   "%.6f " % table.grid[2], 1)
+    with pytest.raises(ValueError, match="grid node 3"):
+        KernelTable.from_text(text)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_table_evaluate_of_non_finite_input(k, default_tables):
+    out = default_tables[k].evaluate(np.array([np.nan, np.inf, -np.inf]))
+    assert np.isnan(out[0])
+    assert not np.any(np.isnan(out[1:]))

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import quadratic_form_pdf
 from phasekit.simulator import (
     ExperimentPlan,
     MeasurementSet,
@@ -223,3 +224,56 @@ def test_inverse_cdf_guard_fires_on_leaky_density(monkeypatch):
     rho = build_state(StateSpec(kind="vacuum", n_max=2))
     with pytest.raises(ValueError, match="quadrature grid"):
         sim._inverse_cdf_table(rho, 0.0)
+
+
+def test_run_path_mass_guard_fires_on_leaky_harmonics(monkeypatch):
+    import phasekit.simulator as sim
+
+    real = sim.quadrature_harmonics
+
+    def leaky_harmonics(rho, x):
+        return 0.999 * real(rho, x)
+
+    monkeypatch.setattr(sim, "quadrature_harmonics", leaky_harmonics)
+    plan = ExperimentPlan.uniform(StateSpec(kind="vacuum", n_max=2),
+                                  n_phases=2, events=10)
+    with pytest.raises(ValueError, match="quadrature grid too small"):
+        run_experiment(plan)
+
+
+def test_run_experiment_matches_per_phase_quadratic_form(monkeypatch):
+    import phasekit.simulator as sim
+
+    plan = ExperimentPlan.uniform(SQUEEZED, n_phases=5, events=300,
+                                  eta=0.8, seed=11)
+    ms = run_experiment(plan, capture_tol=0.05)
+    monkeypatch.setattr(sim, "quadrature_pdf", quadratic_form_pdf)
+    rho = build_state(SQUEEZED, capture_tol=0.05)
+    sigma = math.sqrt((1.0 - plan.eta) / (2.0 * plan.eta))
+    for l, theta in enumerate(plan.phases):
+        rng = phase_stream(plan.seed, l)
+        expected = sim.sample_quadrature(rho, theta, 300, rng)
+        expected = expected + rng.normal(0.0, sigma, size=300)
+        assert np.max(np.abs(ms.records[l] - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_measurement_set_rejects_non_finite_samples(bad):
+    plan = ExperimentPlan.uniform(SQUEEZED, n_phases=2, events=3)
+    records = (np.zeros(3), np.array([0.1, bad, 0.2]))
+    with pytest.raises(ValueError, match="phase 1, record 1: non-finite"):
+        MeasurementSet(plan=plan, records=records)
+
+
+def test_load_rejects_non_finite_sample(tmp_path):
+    plan = ExperimentPlan.uniform(SQUEEZED, n_phases=2, events=5, seed=1)
+    ms = run_experiment(plan, capture_tol=0.05)
+    path = tmp_path / "records.txt"
+    save_records(ms, path)
+    lines = path.read_text().splitlines()
+    row = [i for i, ln in enumerate(lines) if not ln.startswith("#")][6]
+    cells = lines[row].split(",")
+    lines[row] = ",".join(cells[:2] + [" nan"])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line %d: non-finite" % (row + 1)):
+        load_records(path)

@@ -14,12 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from _oracles import quadratic_form_pdf
 from phasekit.states import (
     DensityMatrix,
     StateSpec,
     build_state,
     exact_moments,
     exact_phase_dist,
+    harmonic_density,
+    quadrature_harmonics,
     quadrature_pdf,
 )
 
@@ -197,6 +200,37 @@ def test_quadrature_pdf_half_turn_reflection(seed, theta):
     left = quadrature_pdf(rho, x, theta + math.pi)
     right = quadrature_pdf(rho, -x, theta)
     assert np.allclose(left, right, atol=1e-12)
+
+
+amplitudes = st.builds(
+    complex,
+    st.floats(-1.5, 1.5),
+    st.floats(-1.5, 1.5),
+)
+any_state = st.one_of(
+    st.builds(StateSpec, kind=st.just("vacuum")),
+    st.builds(StateSpec, kind=st.just("fock"), fock_n=st.integers(0, 12)),
+    st.builds(StateSpec, kind=st.just("coherent"), alpha=amplitudes),
+    st.builds(StateSpec, kind=st.just("squeezed_vacuum"),
+              squeeze=st.builds(complex, st.floats(-1.0, 1.0),
+                                st.floats(-1.0, 1.0))),
+    st.builds(StateSpec, kind=st.just("displaced_fock"), alpha=amplitudes,
+              fock_n=st.integers(0, 4)),
+)
+
+
+@given(spec=any_state, theta=st.floats(-2.0 * math.pi, 4.0 * math.pi))
+@settings(max_examples=40, deadline=None)
+def test_harmonic_density_matches_quadratic_form(spec, theta):
+    rho = build_state(spec, capture_tol=1.0)
+    x = np.linspace(-11.0, 11.0, 1101)
+    harmonic = harmonic_density(quadrature_harmonics(rho, x), theta)
+    reference = quadratic_form_pdf(rho, x, theta)
+    # values below -1e-12 pass the clamp unchanged, so a nonnegative
+    # result shows the clamp only ever saw round-off
+    assert harmonic.min() >= 0.0
+    assert np.max(np.abs(harmonic - reference)) <= 1e-13 * reference.max()
+    assert np.array_equal(quadrature_pdf(rho, x, theta), harmonic)
 
 
 def test_exact_moments_basics(rho_squeezed):

@@ -23,16 +23,14 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-from scipy.integrate import quad
-
 from .estimator import _KernelQuadrature, estimate_all, save_moments, \
     load_moments
 from .kernels import KernelSpec, build_kernel_table, classical_kernel, \
-    DEFAULT_GRID_STEP
+    DEFAULT_F_TRUNCATION, DEFAULT_GRID_STEP, DEFAULT_L0, DEFAULT_X0
 from .reconstruct import fourier_reconstruct, least_squares_reconstruct, \
     save_distribution
 from .simulator import ExperimentPlan, run_experiment, save_records, \
-    load_records
+    load_records, _format_complex
 from .states import CAPTURE_TOL, StateSpec
 
 OUTPUT_DIR_ENV = "PHASEKIT_OUTPUT_DIR"
@@ -42,11 +40,6 @@ CL_TOL = 1.0e-6
 VERIFY_K_MAX = 5
 VERIFY_N_MAX = 30
 VERIFY_RADII = (0.5, 1.0, 2.0, 5.0, 10.0)
-
-
-def _fmt_complex(z):
-    z = complex(z)
-    return "%.17g%+.17gj" % (z.real, z.imag)
 
 
 def _fmt_bool(b):
@@ -71,9 +64,9 @@ class RunConfig:
     n_phases: int = 120
     events_per_phase: tuple = (10000,)
     eta: float = 1.0
-    kernel_l0: int = 40
-    kernel_x0: float = 4.0
-    kernel_f_truncation: int = 1000
+    kernel_l0: int = DEFAULT_L0
+    kernel_x0: float = DEFAULT_X0
+    kernel_f_truncation: int = DEFAULT_F_TRUNCATION
     kernel_grid_step: float = DEFAULT_GRID_STEP
     compensate: bool = True
     k_max: int = 8
@@ -90,8 +83,8 @@ class RunConfig:
         s = self.state
         pairs = [
             ("state.kind", s.kind),
-            ("state.alpha", _fmt_complex(s.alpha)),
-            ("state.squeeze", _fmt_complex(s.squeeze)),
+            ("state.alpha", _format_complex(s.alpha)),
+            ("state.squeeze", _format_complex(s.squeeze)),
             ("state.fock_n", "%d" % s.fock_n),
             ("state.n_max", "%d" % s.n_max),
             ("state.capture_tol", "%.17g" % self.capture_tol),
@@ -212,16 +205,8 @@ def parse_config(text):
             state_kwargs[attr] = parsed
         else:
             own_kwargs[attr] = parsed
-    base_state = StateSpec(kind="vacuum")
-    merged = {
-        "kind": base_state.kind,
-        "alpha": base_state.alpha,
-        "squeeze": base_state.squeeze,
-        "fock_n": base_state.fock_n,
-        "n_max": base_state.n_max,
-    }
-    merged.update(state_kwargs)
-    return RunConfig(state=StateSpec(**merged), **own_kwargs)
+    state = replace(StateSpec(kind="vacuum"), **state_kwargs)
+    return RunConfig(state=state, **own_kwargs)
 
 
 def load_config(path):
@@ -336,6 +321,14 @@ def cmd_pipeline(args):
     return 0
 
 
+def _report(name, k, worst, tol):
+    """Print one identity check; return 1 if it failed, else 0."""
+    status = "PASS" if worst < tol else "FAIL"
+    print("[%s] %s identity k=%d: max residual %.3e (tol %.0e)"
+          % (status, name, k, worst, tol))
+    return int(status == "FAIL")
+
+
 def _verify_quantum_identities():
     """Moment-kernel identity: 2 pi Int K_k psi_{n+k} psi_n dx = 1."""
     failures = 0
@@ -345,41 +338,30 @@ def _verify_quantum_identities():
         worst = 0.0
         for n in range(VERIFY_N_MAX + 1):
             worst = max(worst, abs(quadrature.q(n + k, n) - 1.0))
-        status = "PASS" if worst < QI_TOL else "FAIL"
-        if status == "FAIL":
-            failures += 1
-        print("[%s] moment identity k=%d: max residual %.3e (tol %.0e)"
-              % (status, k, worst, QI_TOL))
+        failures += _report("moment", k, worst, QI_TOL)
     return failures
 
 
 def _verify_classical_identities():
     """Phase-average identity of the classical kernel on circles."""
+    from scipy.integrate import quad
+
     failures = 0
     for k in range(1, VERIFY_K_MAX + 1):
         worst = 0.0
         for r in VERIFY_RADII:
-            def re_part(phi):
-                return math.cos(k * phi) * classical_kernel(
-                    k, r * math.cos(phi)
-                )
+            def average(part):
+                return quad(
+                    lambda phi: part(k * phi) * classical_kernel(
+                        k, r * math.cos(phi)
+                    ),
+                    0.0, 2.0 * math.pi,
+                    points=[0.5 * math.pi, 1.5 * math.pi], limit=300,
+                )[0]
 
-            def im_part(phi):
-                return math.sin(k * phi) * classical_kernel(
-                    k, r * math.cos(phi)
-                )
-
-            breaks = [0.5 * math.pi, 1.5 * math.pi]
-            re_val = quad(re_part, 0.0, 2.0 * math.pi, points=breaks,
-                          limit=300)[0]
-            im_val = quad(im_part, 0.0, 2.0 * math.pi, points=breaks,
-                          limit=300)[0]
-            worst = max(worst, abs(complex(re_val, im_val) - 1.0))
-        status = "PASS" if worst < CL_TOL else "FAIL"
-        if status == "FAIL":
-            failures += 1
-        print("[%s] classical identity k=%d: max residual %.3e (tol %.0e)"
-              % (status, k, worst, CL_TOL))
+            moment = complex(average(math.cos), average(math.sin))
+            worst = max(worst, abs(moment - 1.0))
+        failures += _report("classical", k, worst, CL_TOL)
     return failures
 
 
@@ -406,9 +388,10 @@ def build_parser():
     p.add_argument("--k", type=int, action="append", required=True,
                    help="moment order (repeatable)")
     p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--l0", type=int, default=40)
-    p.add_argument("--x0", type=float, default=4.0)
-    p.add_argument("--f-truncation", type=int, default=1000)
+    p.add_argument("--l0", type=int, default=DEFAULT_L0)
+    p.add_argument("--x0", type=float, default=DEFAULT_X0)
+    p.add_argument("--f-truncation", type=int,
+                   default=DEFAULT_F_TRUNCATION)
     p.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
     p.add_argument("--output-dir", default=None)
     p.set_defaults(func=cmd_kernel_table)

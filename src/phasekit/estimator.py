@@ -8,12 +8,14 @@ finite number of phases (aliasing), and systematic bias from detector
 smearing when no compensated kernel is used.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import smear_error_kernel
+from .specfun import psi_matrix
 from .states import exact_moments
 
 QUAD_NODES_PER_PANEL = 40
@@ -25,9 +27,10 @@ OUTER_PANELS_PER_UNIT = 2.0
 class MomentEstimate:
     """One estimated moment with its statistical variances.
 
-    value        complex point estimate of Psi_k
+    value        complex point estimate of Psi_k, finite
     var_re       variance of the real part (inf when some phase holds a
-                 single event and contributes an undeterminable spread)
+                 single event and contributes an undeterminable spread;
+                 never NaN)
     var_im       variance of the imaginary part
     compensated  True when a smearing-compensated kernel was used
     eta_assumed  efficiency baked into that kernel (1 when plain)
@@ -44,8 +47,10 @@ class MomentEstimate:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("moment order k must be >= 1")
-        if self.var_re < 0 or self.var_im < 0:
-            raise ValueError("variances must be nonnegative")
+        if not cmath.isfinite(self.value):
+            raise ValueError("moment value %r is not finite" % self.value)
+        if not (self.var_re >= 0 and self.var_im >= 0):
+            raise ValueError("variances must be nonnegative, not NaN")
         if self.n_phases < 1:
             raise ValueError("n_phases must be positive")
 
@@ -160,6 +165,17 @@ def estimate_all(ms, k_max, tables):
     ]
 
 
+def _panel_rule(edges):
+    """Composite Gauss-Legendre rule on the panels between edges (from
+    0 upward), mirrored onto the negative axis: (nodes, weights)."""
+    base_x, base_w = np.polynomial.legendre.leggauss(QUAD_NODES_PER_PANEL)
+    half = 0.5 * np.diff(edges)[:, None]
+    x_pos = (edges[:-1, None] + half * (base_x + 1.0)).ravel()
+    w_pos = (half * base_w).ravel()
+    return (np.concatenate([-x_pos[::-1], x_pos]),
+            np.concatenate([w_pos[::-1], w_pos]))
+
+
 class _KernelQuadrature:
     """Composite Gauss-Legendre rule bound to one kernel table.
 
@@ -180,31 +196,11 @@ class _KernelQuadrature:
             OUTER_PANELS_PER_UNIT * (x_max - x0)
         )))
         edges_out = np.linspace(x0, x_max, n_out + 1)
-        edges = np.concatenate([edges_in, edges_out[1:]])
-        base_x, base_w = np.polynomial.legendre.leggauss(
-            QUAD_NODES_PER_PANEL
+        self.x, self.w = _panel_rule(
+            np.concatenate([edges_in, edges_out[1:]])
         )
-        xs = []
-        ws = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (b - a)
-            xs.append(a + half * (base_x + 1.0))
-            ws.append(half * base_w)
-        x_pos = np.concatenate(xs)
-        w_pos = np.concatenate(ws)
-        self.x = np.concatenate([-x_pos[::-1], x_pos])
-        self.w = np.concatenate([w_pos[::-1], w_pos])
         self.kernel = table.evaluate(self.x)
-        psi = np.empty((order_max + 1, self.x.size))
-        p_prev = np.zeros_like(self.x)
-        p = np.pi ** -0.25 * np.exp(-0.5 * self.x * self.x)
-        psi[0] = p
-        for m in range(1, order_max + 1):
-            p_prev, p = p, self.x * math.sqrt(2.0 / m) * p - math.sqrt(
-                (m - 1.0) / m
-            ) * p_prev
-            psi[m] = p
-        self.psi = psi
+        self.psi = psi_matrix(order_max, self.x)
 
     def q(self, m, n):
         return 2.0 * np.pi * float(
@@ -317,31 +313,12 @@ def smear_bias(rho, k, eta, g_table=None):
     order_max = rho.n_max
     x_max = math.sqrt(2.0 * order_max + 1.0) + 8.0
     n_panels = max(24, int(math.ceil(2.0 * x_max)))
-    edges = np.linspace(0.0, x_max, n_panels + 1)
-    base_x, base_w = np.polynomial.legendre.leggauss(QUAD_NODES_PER_PANEL)
-    xs = []
-    ws = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        xs.append(a + half * (base_x + 1.0))
-        ws.append(half * base_w)
-    x_pos = np.concatenate(xs)
-    w_pos = np.concatenate(ws)
-    x = np.concatenate([-x_pos[::-1], x_pos])
-    w = np.concatenate([w_pos[::-1], w_pos])
+    x, w = _panel_rule(np.linspace(0.0, x_max, n_panels + 1))
     if g_table is None:
         g = smear_error_kernel(k, x, eta)
     else:
         g = np.asarray(g_table(x), dtype=float)
-    psi = np.empty((order_max + 1, x.size))
-    p_prev = np.zeros_like(x)
-    p = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    psi[0] = p
-    for m in range(1, order_max + 1):
-        p_prev, p = p, x * math.sqrt(2.0 / m) * p - math.sqrt(
-            (m - 1.0) / m
-        ) * p_prev
-        psi[m] = p
+    psi = psi_matrix(order_max, x)
     bias = 0.0j
     for n in range(rho.n_max - k + 1):
         overlap = float(np.sum(w * g * psi[n + k] * psi[n]))
@@ -400,13 +377,17 @@ def load_moments(path):
                 eta = float(parts[6])
             except ValueError:
                 raise ValueError("line %d: unparsable moment row" % idx)
-            rows.append((k, re, im, s_re, s_im, compensated, eta))
+            rows.append((idx, k, re, im, s_re, s_im, compensated, eta))
     if n_phases is None:
         raise ValueError("missing '# n_phases:' header line")
-    return [
-        MomentEstimate(
-            k=k, value=complex(re, im), var_re=s_re ** 2, var_im=s_im ** 2,
-            n_phases=n_phases, compensated=compensated, eta_assumed=eta,
-        )
-        for k, re, im, s_re, s_im, compensated, eta in rows
-    ]
+    estimates = []
+    for idx, k, re, im, s_re, s_im, compensated, eta in rows:
+        try:
+            estimates.append(MomentEstimate(
+                k=k, value=complex(re, im), var_re=s_re ** 2,
+                var_im=s_im ** 2, n_phases=n_phases,
+                compensated=compensated, eta_assumed=eta,
+            ))
+        except ValueError as exc:
+            raise ValueError("line %d: %s" % (idx, exc))
+    return estimates

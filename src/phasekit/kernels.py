@@ -43,7 +43,6 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
-from scipy import integrate
 
 from .specfun import bessel_i0, hermite_fn_sum, hermite_poly, kummer_phi
 
@@ -203,11 +202,9 @@ class KernelTable:
         if np.any(inside):
             out[inside] = self._interpolate(x[inside])
         if np.any(~inside):
-            ax = np.abs(x[~inside])
-            tail = _tail_value(self.spec.k, ax, self.classical_tail)
-            if self.spec.k % 2:
-                tail = tail * np.sign(x[~inside])
-            out[~inside] = tail
+            out[~inside] = _tail_value(
+                self.spec.k, x[~inside], self.classical_tail
+            )
         return float(out[0]) if scalar else out
 
     def to_text(self):
@@ -232,17 +229,27 @@ class KernelTable:
 
     @classmethod
     def from_text(cls, text):
-        """Rebuild a table from its to_text() representation."""
+        """Rebuild a table from its to_text() representation.
+
+        Malformed input raises ValueError naming the offending line or
+        the missing header keys.
+        """
+        fields = {"k": int, "eta": float, "l0": int, "x0": float,
+                  "f_truncation": int}
         header = {}
         rows = []
         tail_gap = 0.0
         tail_power = 0
         offset = 0.0
-        for line in text.splitlines():
+        for idx, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#"):
+            try:
+                if not line.startswith("#"):
+                    xs, ks = line.split()
+                    rows.append((float(xs), float(ks)))
+                    continue
                 body = line[1:].strip()
                 if body.startswith("tail:"):
                     parts = body.split()
@@ -251,18 +258,17 @@ class KernelTable:
                 elif body.startswith("offset removed"):
                     offset = float(body.split(":")[1])
                 elif "=" in body:
-                    key, _, val = body.partition("=")
-                    header[key.strip()] = val.strip()
-                continue
-            xs, ks = line.split()
-            rows.append((float(xs), float(ks)))
-        spec = KernelSpec(
-            k=int(header["k"]),
-            eta=float(header["eta"]),
-            l0=int(header["l0"]),
-            x0=float(header["x0"]),
-            f_truncation=int(header["f_truncation"]),
-        )
+                    key, _, val = (s.strip() for s in body.partition("="))
+                    if key in fields:
+                        header[key] = fields[key](val)
+            except (ValueError, IndexError):
+                raise ValueError("line %d: malformed kernel table line %r"
+                                 % (idx, line))
+        missing = [key for key in fields if key not in header]
+        if missing:
+            raise ValueError("kernel table header lacks %s"
+                             % ", ".join("'# %s = ...'" % m for m in missing))
+        spec = KernelSpec(**header)
         grid = np.array([r[0] for r in rows])
         values = np.array([r[1] for r in rows])
         rule = TailRule(
@@ -316,34 +322,6 @@ def _alt_sum(k, l):
         if total == 0:
             return 0.0, -math.inf
         return float(mpmath.sign(total)), float(mpmath.log(abs(total)))
-
-
-def series_coeff(k, l, eta=1.0):
-    """Series coefficient C_l^(k)(eta).
-
-    C_l^(k) = [(l+k)! / (2^{l+k/2} (2l+k)!)] S_l, scaled by
-    eta^{-(l+k/2)} for detection efficiency eta.  The factorial in the
-    denominator makes the weights decay fast enough for l0 = 40 to
-    saturate double precision; log-gamma arithmetic keeps every factor
-    representable.
-    """
-    if k < 1 or int(k) != k:
-        raise ValueError("k must be a positive integer")
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    if not 0.5 < eta <= 1.0:
-        raise ValueError("eta must lie in (1/2, 1]")
-    sign, log_s = _alt_sum(k, l)
-    if sign == 0.0:
-        return 0.0
-    half = l + 0.5 * k
-    log_amp = (
-        math.lgamma(l + k + 1.0)
-        - half * math.log(2.0)
-        - math.lgamma(2 * l + k + 1.0)
-        - half * math.log(eta)
-    )
-    return sign * math.exp(log_amp + log_s)
 
 
 @lru_cache(maxsize=None)
@@ -465,7 +443,7 @@ def _window_value(k, x_abs, eta, l0, f_truncation):
 
 @lru_cache(maxsize=None)
 def _edge_fit(k, eta, l0, x0, f_truncation):
-    """(offset, edge_gap) for the window/tail junction.
+    """TailRule for the window/tail junction.
 
     offset: even-k additive constant separating the series solution from
     the zero-constant classical asymptote, fitted as the mean difference
@@ -492,13 +470,22 @@ def _edge_fit(k, eta, l0, x0, f_truncation):
         (offset, edge), *_ = np.linalg.lstsq(design, diff, rcond=None)
         offset = float(offset)
         edge = float(edge)
-    return offset, edge
+    return TailRule(
+        x0=x0,
+        edge_gap=edge,
+        decay_power=(k + 2) if k % 2 else 2,
+        offset=offset,
+    )
 
 
-def _tail_value(k, x_abs, rule):
-    """Classical limit plus the matched algebraic correction, on |x|."""
-    base = classical_kernel(k, x_abs)
-    return base + rule.edge_gap * (rule.x0 / x_abs) ** rule.decay_power
+def _tail_value(k, x, rule):
+    """Classical limit plus the matched algebraic correction at signed
+    x, odd in x for odd k and even for even k."""
+    ax = np.abs(x)
+    tail = classical_kernel(k, ax) + rule.edge_gap * (
+        rule.x0 / ax
+    ) ** rule.decay_power
+    return tail * np.sign(x) if k % 2 else tail
 
 
 def quantum_kernel(k, x, eta=1.0, l0=DEFAULT_L0, x0=DEFAULT_X0,
@@ -515,24 +502,16 @@ def quantum_kernel(k, x, eta=1.0, l0=DEFAULT_L0, x0=DEFAULT_X0,
     x = np.asarray(x, dtype=float)
     scalar = not x.ndim
     x = np.atleast_1d(x).astype(float)
-    ax = np.abs(x)
-    out = np.empty_like(ax)
-    offset, edge_gap = _edge_fit(k, eta, l0, x0, f_truncation)
-    inside = ax < x0
+    out = np.empty_like(x)
+    rule = _edge_fit(k, eta, l0, x0, f_truncation)
+    inside = np.abs(x) < x0
     if np.any(inside):
-        out[inside] = (
-            _window_value(k, ax[inside], eta, l0, f_truncation) - offset
-        )
+        window = _window_value(
+            k, np.abs(x[inside]), eta, l0, f_truncation
+        ) - rule.offset
+        out[inside] = window * np.sign(x[inside]) if k % 2 else window
     if np.any(~inside):
-        rule = TailRule(
-            x0=x0,
-            edge_gap=edge_gap,
-            decay_power=(k + 2) if k % 2 else 2,
-            offset=offset,
-        )
-        out[~inside] = _tail_value(k, ax[~inside], rule)
-    if k % 2:
-        out = out * np.sign(x)
+        out[~inside] = _tail_value(k, x[~inside], rule)
     return float(out[0]) if scalar else out
 
 
@@ -590,6 +569,8 @@ def integral_kernel_k1(x):
     1/sqrt(t).  Serves as an arbitrary-precision cross-check of the
     series construction.
     """
+    from scipy.integrate import quad
+
     x = float(x)
     if x == 0.0:
         return 0.0
@@ -600,7 +581,7 @@ def integral_kernel_k1(x):
             math.cosh(t) ** 2
         )
 
-    value, err = integrate.quad(integrand, 0.0, 12.0, limit=300)
+    value, err = quad(integrand, 0.0, 12.0, limit=300)
     if err > 1.0e-6:
         raise ArithmeticError(
             "k=1 kernel quadrature reached only %.2e absolute error" % err
@@ -616,6 +597,8 @@ def integral_kernel_k2(x):
     The bracket is combined before dividing by sinh t; both terms tend
     to 1 as t -> 0, so the quotient stays finite (limit 4x^2 - 2).
     """
+    from scipy.integrate import quad
+
     x = float(x)
 
     def integrand(t):
@@ -626,7 +609,7 @@ def integral_kernel_k2(x):
         ) / math.cosh(t) ** 2
         return bessel_i0(t) * bracket / math.sinh(t)
 
-    value, err = integrate.quad(integrand, 0.0, 40.0, limit=300)
+    value, err = quad(integrand, 0.0, 40.0, limit=300)
     if err > 1.0e-6:
         raise ArithmeticError(
             "k=2 kernel quadrature reached only %.2e absolute error" % err
@@ -678,15 +661,7 @@ def build_kernel_table(spec, grid_step=DEFAULT_GRID_STEP):
     values = quantum_kernel(
         spec.k, grid, spec.eta, spec.l0, spec.x0, spec.f_truncation
     )
-    offset, edge_gap = _edge_fit(
-        spec.k, spec.eta, spec.l0, spec.x0, spec.f_truncation
-    )
-    rule = TailRule(
-        x0=spec.x0,
-        edge_gap=edge_gap,
-        decay_power=(spec.k + 2) if spec.k % 2 else 2,
-        offset=offset,
-    )
+    rule = _edge_fit(spec.k, spec.eta, spec.l0, spec.x0, spec.f_truncation)
     return KernelTable(
         spec=spec, grid=grid, values=np.asarray(values), classical_tail=rule
     )

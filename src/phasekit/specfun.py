@@ -71,15 +71,17 @@ def hermite_poly(n, x):
     return h if h.ndim else float(h)
 
 
-def hermite_fn(n, x):
-    """Normalized oscillator eigenfunction psi_n(x).
+def psi_rows(n, x):
+    """Yield the normalized oscillator eigenfunctions psi_0 .. psi_n on x.
 
-    psi_n(x) = (2^n n! sqrt(pi))^{-1/2} exp(-x^2/2) H_n(x), evaluated by
+    psi_n(x) = (2^n n! sqrt(pi))^{-1/2} exp(-x^2/2) H_n(x), walked up by
     the normalized recurrence
 
-        psi_{n+1} = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_{n-1}
+        psi_{m+1} = sqrt(2/(m+1)) x psi_m - sqrt(m/(m+1)) psi_{m-1}
 
-    which keeps every intermediate O(1) and so never overflows.
+    which keeps every intermediate O(1) and so never overflows.  This is
+    the one place the package runs that recurrence; the order checks
+    fire on the first step of the generator.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
@@ -90,10 +92,25 @@ def hermite_fn(n, x):
     x = np.asarray(x, dtype=float)
     p_prev = np.zeros_like(x)
     p = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    yield p
     for m in range(n):
         p_prev, p = p, x * np.sqrt(2.0 / (m + 1)) * p - np.sqrt(
             m / (m + 1.0)
         ) * p_prev
+        yield p
+
+
+def psi_matrix(n_max, x):
+    """psi_0 .. psi_{n_max} on x stacked into an (n_max + 1, *x.shape)
+    array, row m holding psi_m."""
+    return np.array(list(psi_rows(n_max, x)))
+
+
+def hermite_fn(n, x):
+    """Normalized oscillator eigenfunction psi_n(x): the last of
+    psi_rows(n, x)."""
+    for p in psi_rows(n, x):
+        pass
     return p if p.ndim else float(p)
 
 
@@ -102,23 +119,13 @@ def hermite_fn_sum(coeffs_by_order, x):
 
     coeffs_by_order maps order -> coefficient (array-broadcastable).
     A single sweep up to the top order costs the same as one hermite_fn
-    call there, instead of one sweep per term.
+    call there, instead of one sweep per term, and holds only two psi
+    rows at a time however large x is.
     """
     x = np.asarray(x, dtype=float)
-    if not coeffs_by_order:
-        return np.zeros_like(x)
-    n_top = max(coeffs_by_order)
     acc = np.zeros_like(x)
-    p_prev = np.zeros_like(x)
-    p = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    c = coeffs_by_order.get(0)
-    if c is not None:
-        acc = acc + c * p
-    for m in range(n_top):
-        p_prev, p = p, x * np.sqrt(2.0 / (m + 1)) * p - np.sqrt(
-            m / (m + 1.0)
-        ) * p_prev
-        c = coeffs_by_order.get(m + 1)
+    for m, p in enumerate(psi_rows(max(coeffs_by_order, default=0), x)):
+        c = coeffs_by_order.get(m)
         if c is not None:
             acc = acc + c * p
     return acc

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .specfun import hermite_fn
+from .specfun import psi_matrix
 
 DEFAULT_N_MAX = 20
 
@@ -214,15 +214,7 @@ def quadrature_harmonics(rho, x):
     """
     x = np.asarray(x, dtype=float)
     n_dim = rho.n_max + 1
-    psi = np.empty((n_dim, x.size))
-    p_prev = np.zeros_like(x)
-    p = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    psi[0] = p
-    for m in range(1, n_dim):
-        p_prev, p = p, x * np.sqrt(2.0 / m) * p - np.sqrt(
-            (m - 1.0) / m
-        ) * p_prev
-        psi[m] = p
+    psi = psi_matrix(rho.n_max, x)
     harmonics = np.empty((2 * n_dim - 1, x.size))
     harmonics[0] = np.diagonal(rho.elements).real @ (psi * psi)
     for d in range(1, n_dim):

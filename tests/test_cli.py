@@ -7,12 +7,22 @@ produce byte-identical outputs to the one-shot pipeline.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from phasekit.cli import RunConfig, main, parse_config
-from phasekit.kernels import KernelSpec, KernelTable, build_kernel_table
+from phasekit.cli import RunConfig, build_parser, main, parse_config
+from phasekit.kernels import (
+    DEFAULT_F_TRUNCATION,
+    DEFAULT_L0,
+    DEFAULT_X0,
+    KernelSpec,
+    KernelTable,
+    build_kernel_table,
+)
 from phasekit.reconstruct import load_distribution
 from phasekit.simulator import load_records
 from phasekit.states import StateSpec
@@ -239,3 +249,52 @@ def test_verify_command_passes(capsys):
     assert out.count("[PASS]") == 10
     assert "[FAIL]" not in out
     assert "all identity suites passed" in out
+
+
+def test_default_config_hash_is_pinned():
+    assert RunConfig().config_hash() == "027bf3247a68"
+
+
+def test_kernel_defaults_come_from_the_kernel_module():
+    cfg = RunConfig()
+    assert (cfg.kernel_l0, cfg.kernel_x0, cfg.kernel_f_truncation) == (
+        DEFAULT_L0, DEFAULT_X0, DEFAULT_F_TRUNCATION)
+    args = build_parser().parse_args(["kernel-table", "--k", "1"])
+    assert (args.l0, args.x0, args.f_truncation) == (
+        DEFAULT_L0, DEFAULT_X0, DEFAULT_F_TRUNCATION)
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    code = (
+        "import sys, phasekit.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.special', "
+        "'scipy.optimize') if m in sys.modules))"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_non_finite_moment_exits_2_naming_the_line(tmp_path, capsys):
+    cfg = small_config(n_phases=6, events_per_phase=(20,), k_max=2,
+                       recon_K=2)
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", cfg_path,
+                 "--output-dir", str(out)]) == 0
+    path = out / "moments.txt"
+    lines = path.read_text().splitlines()
+    parts = lines[-1].split()
+    parts[1] = "nan"
+    lines[-1] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    ret = main(["reconstruct", "--config", cfg_path, "--output-dir",
+                str(out), str(path)])
+    assert ret == 2
+    assert "line %d: " % len(lines) in capsys.readouterr().err

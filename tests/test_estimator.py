@@ -17,6 +17,7 @@ from _oracles import moment_by_phase_quadrature, panel_rule
 from phasekit.estimator import (
     MomentEstimate,
     _KernelQuadrature,
+    _panel_rule,
     aliasing_bias,
     aliasing_bias_approx,
     estimate_all,
@@ -369,4 +370,46 @@ def test_moment_file_rejects_malformed_row(tmp_path, default_tables):
     lines[-1] = lines[-1] + " trailing junk"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
+        load_moments(path)
+
+
+@pytest.mark.parametrize("x_max, n_panels", [(14.4, 29), (9.0, 24)])
+def test_panel_rule_weights_and_gaussian_moment(x_max, n_panels):
+    x, w = _panel_rule(np.linspace(0.0, x_max, n_panels + 1))
+    assert np.array_equal(x, -x[::-1])
+    assert math.isclose(w.sum(), 2.0 * x_max, rel_tol=1e-14)
+    second = float(np.sum(w * x * x * np.exp(-x * x)))
+    assert abs(second - math.sqrt(math.pi) / 2.0) < 1e-14
+
+
+@pytest.mark.parametrize("field, value", [
+    ("value", complex(math.nan, 0.0)),
+    ("value", complex(0.0, math.inf)),
+    ("var_re", math.nan),
+    ("var_im", math.nan),
+])
+def test_moment_estimate_rejects_non_finite(field, value):
+    kwargs = dict(k=1, value=0j, var_re=0.0, var_im=0.0, n_phases=4,
+                  compensated=False, eta_assumed=1.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError):
+        MomentEstimate(**kwargs)
+    kwargs[field] = math.inf if field != "value" else 0j
+    assert MomentEstimate(**kwargs).k == 1
+
+
+@pytest.mark.parametrize("column, token", [(1, "nan"), (2, "inf"), (3, "nan")])
+def test_moment_file_rejects_non_finite_row_naming_the_line(
+        tmp_path, default_tables, column, token):
+    plan = ExperimentPlan.uniform(SQUEEZED, n_phases=12, events=50, seed=6)
+    batch = estimate_all(run_experiment(plan, capture_tol=0.05), 2,
+                         default_tables)
+    path = tmp_path / "moments.txt"
+    save_moments(batch, path)
+    lines = path.read_text().splitlines()
+    parts = lines[-1].split()
+    parts[column] = token
+    lines[-1] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line %d: " % len(lines)):
         load_moments(path)

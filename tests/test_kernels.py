@@ -324,3 +324,37 @@ def test_table_evaluate_of_non_finite_input(k, default_tables):
     out = default_tables[k].evaluate(np.array([np.nan, np.inf, -np.inf]))
     assert np.isnan(out[0])
     assert not np.any(np.isnan(out[1:]))
+
+
+def test_table_text_round_trip_is_byte_identical(default_tables):
+    for k in (1, 2):
+        text = default_tables[k].to_text()
+        assert KernelTable.from_text(text).to_text() == text
+
+
+@pytest.mark.parametrize("key", ["k", "eta", "l0", "x0", "f_truncation"])
+def test_table_parser_names_missing_header_key(key, default_tables):
+    lines = default_tables[1].to_text().splitlines()
+    text = "\n".join(ln for ln in lines if not ln.startswith("# %s =" % key))
+    with pytest.raises(ValueError, match="lacks '# %s = ...'" % key):
+        KernelTable.from_text(text)
+
+
+def test_table_parser_rejects_empty_text():
+    with pytest.raises(ValueError, match="lacks '# k = ...'"):
+        KernelTable.from_text("")
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda ln: ln.split()[0] if not ln.startswith("#") else None,
+    lambda ln: ln.replace("^", "^x") if ln.startswith("# tail:") else None,
+    lambda ln: "# tail: classical" if ln.startswith("# tail:") else None,
+    lambda ln: "# k = one" if ln.startswith("# k =") else None,
+    lambda ln: "# offset removed: x" if ln.startswith("# offset") else None,
+])
+def test_table_parser_names_the_malformed_line(mangle, default_tables):
+    lines = default_tables[3].to_text().splitlines()
+    idx = next(i for i, ln in enumerate(lines) if mangle(ln) is not None)
+    lines[idx] = mangle(lines[idx])
+    with pytest.raises(ValueError, match="line %d: " % (idx + 1)):
+        KernelTable.from_text("\n".join(lines))

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from phasekit.specfun import (
@@ -17,6 +19,8 @@ from phasekit.specfun import (
     kummer_phi,
     log_factorial,
     log_rising,
+    psi_matrix,
+    psi_rows,
 )
 
 
@@ -146,3 +150,25 @@ def test_bessel_i0_continuous_at_switch():
 def test_bessel_i0_rejects_negative():
     with pytest.raises(ValueError):
         bessel_i0(-0.1)
+
+
+@given(
+    n=st.integers(0, 60),
+    xs=st.lists(st.floats(-15.0, 15.0), min_size=1, max_size=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_psi_matrix_rows_are_bit_identical_to_hermite_fn(n, xs):
+    x = np.array(xs)
+    psi = psi_matrix(n, x)
+    assert psi.shape == (n + 1, x.size)
+    for m in range(n + 1):
+        assert np.array_equal(psi[m].view(np.uint64),
+                              hermite_fn(m, x).view(np.uint64))
+
+
+def test_psi_rows_rejects_orders_out_of_range():
+    with pytest.raises(ValueError, match="nonnegative"):
+        list(psi_rows(-1, 0.5))
+    with pytest.raises(ValueError, match="exceeds supported maximum"):
+        list(psi_rows(MAX_HERMITE_ORDER + 1, 0.5))
+    assert len(list(psi_rows(MAX_HERMITE_ORDER, 0.5))) == MAX_HERMITE_ORDER + 1

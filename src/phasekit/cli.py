@@ -23,6 +23,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
+from . import textio
 from .estimator import _KernelQuadrature, estimate_all, save_moments, \
     load_moments
 from .kernels import KernelSpec, build_kernel_table, classical_kernel, \
@@ -286,9 +287,7 @@ def cmd_kernel_table(args):
         path = os.path.join(
             out_dir, "kernel_k%d_eta%.6g.txt" % (k, args.eta)
         )
-        with open(path, "w") as fh:
-            fh.write("# config: %s\n" % tag)
-            fh.write(table.to_text())
+        textio.save(path, ["config: %s" % tag], table.to_text().splitlines())
         print("wrote %s" % path)
     return 0
 

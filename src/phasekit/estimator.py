@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
 from .kernels import smear_error_kernel
 from .specfun import psi_matrix
 from .states import exact_moments
@@ -21,6 +22,7 @@ from .states import exact_moments
 QUAD_NODES_PER_PANEL = 40
 INNER_PANELS = 16
 OUTER_PANELS_PER_UNIT = 2.0
+MOMENT_COLUMNS = "k re im sigma_re sigma_im compensated eta"
 
 
 @dataclass(frozen=True)
@@ -330,64 +332,44 @@ def save_moments(estimates, path, header_lines=()):
     """Write moment estimates as text: sigma columns, one row per k."""
     if not estimates:
         raise ValueError("nothing to save")
-    n_phases = estimates[0].n_phases
-    lines = ["# exponential phase moment estimates"]
-    lines.extend("# %s" % h for h in header_lines)
-    lines.append("# n_phases: %d" % n_phases)
-    lines.append("# columns: k re im sigma_re sigma_im compensated eta")
-    for est in sorted(estimates, key=lambda e: e.k):
-        lines.append(
-            "%d %.15e %.15e %.15e %.15e %d %.15g"
-            % (est.k, est.value.real, est.value.imag, est.sigma_re,
-               est.sigma_im, int(est.compensated), est.eta_assumed)
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = [
+        "exponential phase moment estimates",
+        *header_lines,
+        "n_phases: %d" % estimates[0].n_phases,
+        "columns: " + MOMENT_COLUMNS,
+    ]
+    textio.save(path, header, (
+        "%d %.15e %.15e %.15e %.15e %d %.15g"
+        % (est.k, est.value.real, est.value.imag, est.sigma_re,
+           est.sigma_im, int(est.compensated), est.eta_assumed)
+        for est in sorted(estimates, key=lambda e: e.k)
+    ))
 
 
 def load_moments(path):
-    """Parse a moments file written by save_moments."""
-    n_phases = None
-    rows = []
-    with open(path) as fh:
-        for idx, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("n_phases:"):
-                    try:
-                        n_phases = int(body.partition(":")[2])
-                    except ValueError:
-                        raise ValueError(
-                            "line %d: bad n_phases header" % idx
-                        )
-                continue
-            parts = line.split()
-            if len(parts) != 7:
-                raise ValueError(
-                    "line %d: expected 7 columns, got %d"
-                    % (idx, len(parts))
-                )
-            try:
-                k = int(parts[0])
-                re, im, s_re, s_im = (float(p) for p in parts[1:5])
-                compensated = bool(int(parts[5]))
-                eta = float(parts[6])
-            except ValueError:
-                raise ValueError("line %d: unparsable moment row" % idx)
-            rows.append((idx, k, re, im, s_re, s_im, compensated, eta))
-    if n_phases is None:
-        raise ValueError("missing '# n_phases:' header line")
+    """Parse a moments file written by save_moments.
+
+    A row whose order is not an integer, whose compensation flag is not
+    0 or 1, whose sigma is negative or NaN, or which MomentEstimate
+    rejects raises ValueError naming its line.
+    """
+    art = textio.load(path, MOMENT_COLUMNS)
+    n_phases = art.field("n_phases:", int)
     estimates = []
-    for idx, k, re, im, s_re, s_im, compensated, eta in rows:
+    for i, row in enumerate(art.rows.tolist()):
+        k, re, im, s_re, s_im, flag, eta = row
         try:
+            if not k.is_integer():
+                raise ValueError("moment order %r is not an integer" % k)
+            if flag not in (0.0, 1.0):
+                raise ValueError("compensated flag %r is not 0 or 1" % flag)
+            if not (s_re >= 0 and s_im >= 0):
+                raise ValueError("sigma %r, %r is not >= 0" % (s_re, s_im))
             estimates.append(MomentEstimate(
-                k=k, value=complex(re, im), var_re=s_re ** 2,
+                k=int(k), value=complex(re, im), var_re=s_re ** 2,
                 var_im=s_im ** 2, n_phases=n_phases,
-                compensated=compensated, eta_assumed=eta,
+                compensated=bool(flag), eta_assumed=eta,
             ))
         except ValueError as exc:
-            raise ValueError("line %d: %s" % (idx, exc))
+            raise art.error(i, exc) from None
     return estimates

@@ -44,7 +44,9 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .specfun import bessel_i0, hermite_fn_sum, hermite_poly, kummer_phi
+from . import textio
+from .specfun import (bessel_i0, hermite_fn_sum, hermite_poly, kummer_phi,
+                      scalar_in_scalar_out)
 
 # Series defaults: series order, classical switch point, and the
 # truncation of the slowly converging l-sums inside F_k.
@@ -52,8 +54,9 @@ DEFAULT_L0 = 40
 DEFAULT_X0 = 4.0
 DEFAULT_F_TRUNCATION = 1000
 
-# Tabulation step used by build_kernel_table.
+# Tabulation step used by build_kernel_table, and the table row layout.
 DEFAULT_GRID_STEP = 0.005
+TABLE_COLUMNS = "x  K_k(x)"
 
 # Number of abscissas used to fit the even-k additive constant between
 # the series solution and the classical logarithm near the switch.
@@ -192,11 +195,9 @@ class KernelTable:
         p += x >= bounds[p + 1]
         return slope[p] * (x - left[p]) + values[p]
 
+    @scalar_in_scalar_out
     def evaluate(self, x):
         """Kernel value at x (scalar or array)."""
-        x = np.asarray(x, dtype=float)
-        scalar = not x.ndim
-        x = np.atleast_1d(x)
         out = np.empty_like(x)
         inside = np.abs(x) <= self.spec.x0
         if np.any(inside):
@@ -205,81 +206,56 @@ class KernelTable:
             out[~inside] = _tail_value(
                 self.spec.k, x[~inside], self.classical_tail
             )
-        return float(out[0]) if scalar else out
+        return out
 
     def to_text(self):
         """Two-column text block (x, K) with the full spec in the header."""
         s = self.spec
-        lines = [
-            "# sampling kernel table",
-            "# k = %d" % s.k,
-            "# eta = %.12g" % s.eta,
-            "# l0 = %d" % s.l0,
-            "# x0 = %.12g" % s.x0,
-            "# f_truncation = %d" % s.f_truncation,
-            "# tail: classical + %.15e * (x0/|x|)^%d (odd-parity signed)"
-            % (self.classical_tail.edge_gap, self.classical_tail.decay_power),
-            "# offset removed from series part: %.15e"
-            % self.classical_tail.offset,
-            "# columns: x  K_k(x)",
+        rule = self.classical_tail
+        header = [
+            "sampling kernel table",
+            "k = %d" % s.k,
+            "eta = %.12g" % s.eta,
+            "l0 = %d" % s.l0,
+            "x0 = %.12g" % s.x0,
+            "f_truncation = %d" % s.f_truncation,
+            "tail: classical + %.15e * (x0/|x|)^%d (odd-parity signed)"
+            % (rule.edge_gap, rule.decay_power),
+            "offset removed from series part: %.15e" % rule.offset,
+            "columns: " + TABLE_COLUMNS,
         ]
-        for xv, kv in zip(self.grid, self.values):
-            lines.append("%.6f %.15e" % (xv, kv))
-        return "\n".join(lines) + "\n"
+        return textio.render(header, (
+            "%.6f %.15e" % row for row in zip(self.grid, self.values)
+        ))
 
     @classmethod
     def from_text(cls, text):
         """Rebuild a table from its to_text() representation.
 
         Malformed input raises ValueError naming the offending line or
-        the missing header keys.
+        the missing header key; the tail and offset lines are required.
         """
-        fields = {"k": int, "eta": float, "l0": int, "x0": float,
-                  "f_truncation": int}
-        header = {}
-        rows = []
-        tail_gap = 0.0
-        tail_power = 0
-        offset = 0.0
-        for idx, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                if not line.startswith("#"):
-                    xs, ks = line.split()
-                    rows.append((float(xs), float(ks)))
-                    continue
-                body = line[1:].strip()
-                if body.startswith("tail:"):
-                    parts = body.split()
-                    tail_gap = float(parts[3])
-                    tail_power = int(parts[5].split(")^")[1])
-                elif body.startswith("offset removed"):
-                    offset = float(body.split(":")[1])
-                elif "=" in body:
-                    key, _, val = (s.strip() for s in body.partition("="))
-                    if key in fields:
-                        header[key] = fields[key](val)
-            except (ValueError, IndexError):
-                raise ValueError("line %d: malformed kernel table line %r"
-                                 % (idx, line))
-        missing = [key for key in fields if key not in header]
-        if missing:
-            raise ValueError("kernel table header lacks %s"
-                             % ", ".join("'# %s = ...'" % m for m in missing))
-        spec = KernelSpec(**header)
-        grid = np.array([r[0] for r in rows])
-        values = np.array([r[1] for r in rows])
-        rule = TailRule(
-            x0=spec.x0,
-            edge_gap=tail_gap,
-            decay_power=tail_power,
-            offset=offset,
+        art = textio.parse(text.splitlines(), TABLE_COLUMNS)
+        spec = KernelSpec(
+            k=art.field("k =", int),
+            eta=art.field("eta =", float),
+            l0=art.field("l0 =", int),
+            x0=art.field("x0 =", float),
+            f_truncation=art.field("f_truncation =", int),
         )
+        rule = TailRule(spec.x0, *art.field("tail:", _parse_tail),
+                        art.field("offset removed:", float))
+        grid, values = art.rows.T
         return cls(spec=spec, grid=grid, values=values, classical_tail=rule)
 
 
+def _parse_tail(text):
+    """(edge_gap, decay_power) from 'classical + G * (x0/|x|)^P ...'."""
+    parts = text.split()
+    return float(parts[2]), int(parts[4].split(")^")[1])
+
+
+@scalar_in_scalar_out
 def classical_kernel(k, x):
     """Classical (large-amplitude) limit of the sampling kernel.
 
@@ -290,20 +266,14 @@ def classical_kernel(k, x):
     """
     if k < 1 or int(k) != k:
         raise ValueError("k must be a positive integer")
-    x = np.asarray(x, dtype=float)
-    scalar = not x.ndim
-    x = np.atleast_1d(x)
     m, odd = divmod(k, 2)
     if odd:
-        out = 0.25 * (-1.0) ** m * k * np.sign(x)
-    else:
-        if np.any(x == 0):
-            raise ValueError(
-                "classical kernel for even k is logarithmic and singular "
-                "at x = 0"
-            )
-        out = (-1.0) ** (m + 1) * m / np.pi * np.log(np.abs(x))
-    return float(out[0]) if scalar else out
+        return 0.25 * (-1.0) ** m * k * np.sign(x)
+    if np.any(x == 0):
+        raise ValueError(
+            "classical kernel for even k is logarithmic and singular at x = 0"
+        )
+    return (-1.0) ** (m + 1) * m / np.pi * np.log(np.abs(x))
 
 
 @lru_cache(maxsize=None)
@@ -401,6 +371,7 @@ def _f_inner_sum(k, n, truncation):
         return float(total + tail)
 
 
+@scalar_in_scalar_out
 def poly_F(k, x, eta=1.0, f_truncation=DEFAULT_F_TRUNCATION):
     """Polynomial part F_k(x; eta) of the kernel series.
 
@@ -411,9 +382,6 @@ def poly_F(k, x, eta=1.0, f_truncation=DEFAULT_F_TRUNCATION):
     """
     if k < 1 or int(k) != k:
         raise ValueError("k must be a positive integer")
-    x = np.asarray(x, dtype=float)
-    scalar = not x.ndim
-    x = np.atleast_1d(x)
     out = np.zeros_like(x)
     for n in range(1, (k - 1) // 2 + 1):
         amp = (
@@ -423,7 +391,7 @@ def poly_F(k, x, eta=1.0, f_truncation=DEFAULT_F_TRUNCATION):
         )
         out += amp * hermite_poly(k - 2 * n, x)
     out /= 2.0 * np.pi * (2.0 * eta) ** (0.5 * k)
-    return float(out[0]) if scalar else out
+    return out
 
 
 def _window_value(k, x_abs, eta, l0, f_truncation):
@@ -488,6 +456,7 @@ def _tail_value(k, x, rule):
     return tail * np.sign(x) if k % 2 else tail
 
 
+@scalar_in_scalar_out
 def quantum_kernel(k, x, eta=1.0, l0=DEFAULT_L0, x0=DEFAULT_X0,
                    f_truncation=DEFAULT_F_TRUNCATION):
     """Sampling kernel K_k(x; eta) for the k-th exponential phase moment.
@@ -499,9 +468,6 @@ def quantum_kernel(k, x, eta=1.0, l0=DEFAULT_L0, x0=DEFAULT_X0,
     kernel, even k an even one.
     """
     spec = KernelSpec(k=k, eta=eta, l0=l0, x0=x0, f_truncation=f_truncation)
-    x = np.asarray(x, dtype=float)
-    scalar = not x.ndim
-    x = np.atleast_1d(x).astype(float)
     out = np.empty_like(x)
     rule = _edge_fit(k, eta, l0, x0, f_truncation)
     inside = np.abs(x) < x0
@@ -512,7 +478,7 @@ def quantum_kernel(k, x, eta=1.0, l0=DEFAULT_L0, x0=DEFAULT_X0,
         out[inside] = window * np.sign(x[inside]) if k % 2 else window
     if np.any(~inside):
         out[~inside] = _tail_value(k, x[~inside], rule)
-    return float(out[0]) if scalar else out
+    return out
 
 
 def omega(k, z, truncation=120):
@@ -617,6 +583,7 @@ def integral_kernel_k2(x):
     return value / (2.0 * np.pi)
 
 
+@scalar_in_scalar_out
 def smear_error_kernel(k, x, eta):
     """Systematic-error kernel g_k(x; eta) for Gaussian data smearing.
 
@@ -631,19 +598,14 @@ def smear_error_kernel(k, x, eta):
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
-    x = np.asarray(x, dtype=float)
-    scalar = not x.ndim
-    x = np.atleast_1d(x)
     if eta == 1.0:
-        out = np.zeros_like(x)
-        return float(out[0]) if scalar else out
+        return np.zeros_like(x)
     sigma = math.sqrt((1.0 - eta) / (2.0 * eta))
     nodes, wts = np.polynomial.hermite.hermgauss(SMEAR_QUAD_ORDER)
     shifted = x[:, None] - math.sqrt(2.0) * sigma * nodes[None, :]
     kernel_vals = quantum_kernel(k, shifted.ravel()).reshape(shifted.shape)
     smeared = kernel_vals @ wts / math.sqrt(math.pi)
-    out = smeared - quantum_kernel(k, x)
-    return float(out[0]) if scalar else out
+    return smeared - quantum_kernel(k, x)
 
 
 def build_kernel_table(spec, grid_step=DEFAULT_GRID_STEP):

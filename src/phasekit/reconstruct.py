@@ -11,9 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import textio
+
 METHODS = ("fourier", "least_squares")
 
 NORMALIZATION_TOL = 1.0e-6
+DISTRIBUTION_COLUMNS = "phi P"
 
 
 @dataclass(frozen=True)
@@ -203,55 +206,31 @@ def chi_squared(dist, moments, K):
 
 def save_distribution(dist, path, header_lines=()):
     """Two-column text dump (phi, P), directly plottable."""
-    lines = ["# canonical phase distribution"]
-    lines.extend("# %s" % h for h in header_lines)
-    lines.append("# method: %s" % dist.method)
-    lines.append("# K: %d" % dist.K_used)
-    lines.append("# M: %d" % dist.n_grid)
-    lines.append("# reg_lambda: %.15g" % dist.reg_lambda)
-    lines.append("# columns: phi P")
-    for phi, p in zip(dist.grid, dist.values):
-        lines.append("%.15e %.15e" % (phi, p))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = [
+        "canonical phase distribution",
+        *header_lines,
+        "method: %s" % dist.method,
+        "K: %d" % dist.K_used,
+        "M: %d" % dist.n_grid,
+        "reg_lambda: %.15g" % dist.reg_lambda,
+        "columns: " + DISTRIBUTION_COLUMNS,
+    ]
+    textio.save(path, header, (
+        "%.15e %.15e" % row for row in zip(dist.grid, dist.values)
+    ))
 
 
 def load_distribution(path):
     """Parse a distribution file written by save_distribution."""
-    meta = {}
-    grid = []
-    values = []
-    with open(path) as fh:
-        for idx, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                key, sep, value = body.partition(":")
-                if sep:
-                    meta[key.strip()] = value.strip()
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(
-                    "line %d: expected 'phi P', got %r" % (idx, line)
-                )
-            try:
-                grid.append(float(parts[0]))
-                values.append(float(parts[1]))
-            except ValueError:
-                raise ValueError("line %d: unparsable row %r" % (idx, line))
-    for key in ("method", "K", "M", "reg_lambda"):
-        if key not in meta:
-            raise ValueError("missing '# %s:' header line" % key)
-    if int(meta["M"]) != len(grid):
+    art = textio.load(path, DISTRIBUTION_COLUMNS)
+    m = art.field("M:", int)
+    if m != len(art.rows):
         raise ValueError(
-            "header says M=%s but file holds %d rows"
-            % (meta["M"], len(grid))
+            "header says M=%d but file holds %d rows" % (m, len(art.rows))
         )
+    grid, values = art.rows.T
     return PhaseDistribution(
-        grid=np.asarray(grid), values=np.asarray(values),
-        method=meta["method"], K_used=int(meta["K"]),
-        reg_lambda=float(meta["reg_lambda"]),
+        grid=grid, values=values, method=art.field("method:"),
+        K_used=art.field("K:", int),
+        reg_lambda=art.field("reg_lambda:", float),
     )

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import textio
 from .states import (
     CAPTURE_TOL,
     StateSpec,
@@ -25,6 +26,7 @@ from .states import (
 
 GRID_STEP = 1.0e-3
 OUTSIDE_MASS_TOL = 1.0e-9
+RECORD_COLUMNS = "l, theta_l, x"
 
 
 @dataclass(frozen=True)
@@ -197,80 +199,45 @@ def save_records(ms, path, header_lines=()):
     'l, theta_l, x' row per event."""
     plan = ms.plan
     state = plan.state
-    lines = ["# homodyne measurement records"]
-    lines.extend("# %s" % h for h in header_lines)
-    lines += [
-        "# state: kind=%s alpha=%s squeeze=%s fock_n=%d n_max=%d"
+    header = [
+        "homodyne measurement records",
+        *header_lines,
+        "state: kind=%s alpha=%s squeeze=%s fock_n=%d n_max=%d"
         % (state.kind, _format_complex(state.alpha),
            _format_complex(state.squeeze), state.fock_n, state.n_max),
-        "# n_phases: %d" % plan.n_phases,
-        "# events_per_phase: %s"
+        "n_phases: %d" % plan.n_phases,
+        "events_per_phase: %s"
         % " ".join(str(n) for n in plan.events_per_phase),
-        "# eta: %.17g" % plan.eta,
-        "# seed: %d" % plan.seed,
-        "# columns: l, theta_l, x",
+        "eta: %.17g" % plan.eta,
+        "seed: %d" % plan.seed,
+        "columns: " + RECORD_COLUMNS,
     ]
-    phases = plan.phases
-    for l, samples in enumerate(ms.records):
-        theta = phases[l]
-        for x in samples:
-            lines.append("%d, %.15e, %.15e" % (l, theta, x))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    textio.save(path, header, _record_lines(ms))
 
 
-def _parse_header(lines):
-    fields = {}
-    for idx, raw in lines:
-        body = raw[1:].strip()
-        if ":" not in body:
-            continue
-        key, _, value = body.partition(":")
-        fields[key.strip()] = (idx, value.strip())
-    required = ("state", "n_phases", "events_per_phase", "eta", "seed")
-    for key in required:
-        if key not in fields:
-            raise ValueError("missing '# %s:' header line" % key)
+def _record_lines(ms):
+    """'l, theta_l, x' rows, formatting theta_l once per phase."""
+    for l, (theta, samples) in enumerate(zip(ms.plan.phases, ms.records)):
+        prefix = "%d, %.15e, " % (l, theta)
+        for x in samples.tolist():
+            yield prefix + "%.15e" % x
 
-    idx, text = fields["state"]
+
+_STATE_FIELDS = {"kind": str, "alpha": complex, "squeeze": complex,
+                 "fock_n": int, "n_max": int}
+
+
+def _parse_state(text):
+    """StateSpec from the 'kind=... alpha=... ...' record header."""
     kwargs = {}
-    try:
-        for token in text.split():
-            key, _, value = token.partition("=")
-            if key in ("fock_n", "n_max"):
-                kwargs[key] = int(value)
-            elif key in ("alpha", "squeeze"):
-                kwargs[key] = complex(value)
-            elif key == "kind":
-                kwargs[key] = value
-            else:
-                raise ValueError("unknown state field %r" % key)
-        state = StateSpec(**kwargs)
-    except ValueError as exc:
-        raise ValueError("line %d: bad state header: %s" % (idx, exc))
-
-    def scalar(key, conv):
-        idx, text = fields[key]
-        try:
-            return conv(text)
-        except ValueError:
-            raise ValueError("line %d: bad %s value %r" % (idx, key, text))
-
-    n_phases = scalar("n_phases", int)
-    eta = scalar("eta", float)
-    seed = scalar("seed", int)
-    idx, text = fields["events_per_phase"]
-    try:
-        counts = tuple(int(tok) for tok in text.split())
-    except ValueError:
-        raise ValueError("line %d: bad events_per_phase list" % idx)
-    if len(counts) != n_phases:
-        raise ValueError(
-            "line %d: %d event counts for %d phases"
-            % (idx, len(counts), n_phases)
-        )
-    return ExperimentPlan(state=state, events_per_phase=counts, eta=eta,
-                          seed=seed)
+    for token in text.split():
+        key, _, value = token.partition("=")
+        if key not in _STATE_FIELDS:
+            raise ValueError("unknown state field %r" % key)
+        kwargs[key] = _STATE_FIELDS[key](value)
+    if "kind" not in kwargs:
+        raise ValueError("no state kind")
+    return StateSpec(**kwargs)
 
 
 def load_records(path):
@@ -281,54 +248,46 @@ def load_records(path):
     with the plan in the header, and on per-phase counts that do not
     match the header.
     """
-    header = []
-    body = []
-    with open(path) as fh:
-        for idx, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                header.append((idx, line))
-            else:
-                body.append((idx, line))
-    plan = _parse_header(header)
-    phases = plan.phases
-    groups = [[] for _ in range(plan.n_phases)]
-    for idx, line in body:
-        parts = [tok.strip() for tok in line.split(",")]
-        if len(parts) != 3:
+    art = textio.load(path, RECORD_COLUMNS, sep=",")
+    n_phases = art.field("n_phases:", int)
+
+    def counts(text):
+        values = tuple(int(tok) for tok in text.split())
+        if len(values) != n_phases:
             raise ValueError(
-                "line %d: expected 'l, theta_l, x', got %r" % (idx, line)
+                "%d event counts for %d phases" % (len(values), n_phases)
             )
-        try:
-            l = int(parts[0])
-            theta = float(parts[1])
-            x = float(parts[2])
-        except ValueError:
-            raise ValueError("line %d: unparsable record %r" % (idx, line))
-        if not math.isfinite(x):
-            raise ValueError("line %d: non-finite sample %r" % (idx, line))
-        if not 0 <= l < plan.n_phases:
-            raise ValueError(
-                "line %d: phase index %d outside 0..%d"
-                % (idx, l, plan.n_phases - 1)
-            )
-        if abs(theta - phases[l]) > 1.0e-9:
-            raise ValueError(
-                "line %d: theta %.12g does not match phase %d (%.12g)"
-                % (idx, theta, l, phases[l])
-            )
-        groups[l].append(x)
-    for l, (got, want) in enumerate(
-        zip(groups, plan.events_per_phase)
-    ):
-        if len(got) != want:
+        return values
+
+    plan = ExperimentPlan(
+        state=art.field("state:", _parse_state),
+        events_per_phase=art.field("events_per_phase:", counts),
+        eta=art.field("eta:", float),
+        seed=art.field("seed:", int),
+    )
+    l, theta, x = art.rows.T
+    finite = np.isfinite(x)
+    in_plan = (l >= 0) & (l < n_phases) & (l == np.floor(l))
+    phase = np.where(in_plan, l, 0).astype(np.intp)
+    on_angle = np.abs(theta - plan.phases[phase]) <= 1.0e-9
+    bad = np.flatnonzero(~(finite & in_plan & on_angle))
+    if bad.size:
+        i = bad[0]
+        if not finite[i]:
+            raise art.error(i, "non-finite sample %r" % float(x[i]))
+        if not in_plan[i]:
+            raise art.error(i, "phase index %.17g is not one of 0..%d"
+                            % (l[i], n_phases - 1))
+        raise art.error(i, "theta %.12g does not match phase %d (%.12g)"
+                        % (theta[i], phase[i], plan.phases[phase[i]]))
+    got = np.bincount(phase, minlength=n_phases)
+    for p, (have, want) in enumerate(zip(got, plan.events_per_phase)):
+        if have != want:
             raise ValueError(
                 "phase %d: file holds %d records, header says %d"
-                % (l, len(got), want)
+                % (p, have, want)
             )
+    grouped = x[np.argsort(phase, kind="stable")]
     return MeasurementSet(
-        plan=plan,
-        records=tuple(np.asarray(g, dtype=float) for g in groups),
+        plan=plan, records=tuple(np.split(grouped, np.cumsum(got)[:-1]))
     )

@@ -8,6 +8,7 @@ modified Bessel function I0.  All evaluators here are pure functions of
 their arguments and accept scalars or numpy arrays in the argument slot.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -30,6 +31,20 @@ ASYMPTOTIC_RTOL = 1.0e-9
 
 # Switch point for the I0 series/asymptotic split.
 BESSEL_SWITCH = 15.0
+
+
+def scalar_in_scalar_out(func):
+    """Decorate func(a, x, ...) to take x as a scalar or an array.
+
+    func sees x as a float array of at least one dimension; a 0-d x
+    gets a Python float back instead of a length-1 array.
+    """
+    @functools.wraps(func)
+    def wrapper(a, x, *args, **kwargs):
+        x = np.asarray(x, dtype=float)
+        out = func(a, np.atleast_1d(x), *args, **kwargs)
+        return out if x.ndim else float(out[0])
+    return wrapper
 
 
 def log_factorial(n):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .specfun import psi_matrix
+from .specfun import psi_matrix, scalar_in_scalar_out
 
 DEFAULT_N_MAX = 20
 
@@ -238,15 +238,14 @@ def harmonic_density(harmonics, theta):
     return out
 
 
+@scalar_in_scalar_out
 def quadrature_pdf(rho, x, theta):
     """Quadrature distribution p(x, theta) of the state.
 
     quadrature_harmonics evaluated at the single phase theta; callers
     that need many phases on one grid should build the harmonics once.
     """
-    x = np.asarray(x, dtype=float)
-    out = harmonic_density(quadrature_harmonics(rho, np.atleast_1d(x)), theta)
-    return float(out[0]) if not x.ndim else out
+    return harmonic_density(quadrature_harmonics(rho, x), theta)
 
 
 def exact_moments(rho, k):
@@ -264,6 +263,7 @@ def exact_moments(rho, k):
     return complex(np.trace(rho.elements, offset=-k))
 
 
+@scalar_in_scalar_out
 def exact_phase_dist(rho, phi):
     """Canonical phase distribution P(phi).
 
@@ -272,11 +272,7 @@ def exact_phase_dist(rho, phi):
     amplitudes e^{i n phi}; real and nonnegative up to truncation
     round-off.
     """
-    phi = np.asarray(phi, dtype=float)
-    scalar = not phi.ndim
-    phi = np.atleast_1d(phi)
     u = np.exp(1j * np.outer(np.arange(rho.n_max + 1), phi))
-    out = np.einsum("mp,mn,np->p", u.conj(), rho.elements, u).real / (
+    return np.einsum("mp,mn,np->p", u.conj(), rho.elements, u).real / (
         2.0 * np.pi
     )
-    return float(out[0]) if scalar else out

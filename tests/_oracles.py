@@ -10,6 +10,8 @@ import math
 import numpy as np
 
 from phasekit.kernels import _tail_value
+from phasekit.simulator import ExperimentPlan, MeasurementSet
+from phasekit.states import StateSpec
 from phasekit.states import quadrature_pdf
 
 
@@ -79,3 +81,119 @@ def interp_table_value(table, x):
         tail = tail * np.sign(x[~inside])
     out[~inside] = tail
     return out
+
+
+def _per_row_record_header(lines):
+    fields = {}
+    for idx, raw in lines:
+        body = raw[1:].strip()
+        if ":" not in body:
+            continue
+        key, _, value = body.partition(":")
+        fields[key.strip()] = (idx, value.strip())
+    required = ("state", "n_phases", "events_per_phase", "eta", "seed")
+    for key in required:
+        if key not in fields:
+            raise ValueError("missing '# %s:' header line" % key)
+
+    idx, text = fields["state"]
+    kwargs = {}
+    try:
+        for token in text.split():
+            key, _, value = token.partition("=")
+            if key in ("fock_n", "n_max"):
+                kwargs[key] = int(value)
+            elif key in ("alpha", "squeeze"):
+                kwargs[key] = complex(value)
+            elif key == "kind":
+                kwargs[key] = value
+            else:
+                raise ValueError("unknown state field %r" % key)
+        state = StateSpec(**kwargs)
+    except ValueError as exc:
+        raise ValueError("line %d: bad state header: %s" % (idx, exc))
+
+    def scalar(key, conv):
+        idx, text = fields[key]
+        try:
+            return conv(text)
+        except ValueError:
+            raise ValueError("line %d: bad %s value %r" % (idx, key, text))
+
+    n_phases = scalar("n_phases", int)
+    eta = scalar("eta", float)
+    seed = scalar("seed", int)
+    idx, text = fields["events_per_phase"]
+    try:
+        counts = tuple(int(tok) for tok in text.split())
+    except ValueError:
+        raise ValueError("line %d: bad events_per_phase list" % idx)
+    if len(counts) != n_phases:
+        raise ValueError(
+            "line %d: %d event counts for %d phases"
+            % (idx, len(counts), n_phases)
+        )
+    return ExperimentPlan(state=state, events_per_phase=counts, eta=eta,
+                          seed=seed)
+
+
+def per_row_load_records(path):
+    """Record-file reader that parses and checks one row at a time.
+
+    The line-by-line loader phasekit used before its shared text codec:
+    finite x, phase index in range, theta within 1e-9 of the plan, in
+    that order per row, then the per-phase counts.  It parses the phase
+    index with int(), so '1.0' is rejected here but accepted by the
+    codec, and it accepts a NaN theta, which the codec rejects.
+    """
+    header = []
+    body = []
+    with open(path) as fh:
+        for idx, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                header.append((idx, line))
+            else:
+                body.append((idx, line))
+    plan = _per_row_record_header(header)
+    phases = plan.phases
+    groups = [[] for _ in range(plan.n_phases)]
+    for idx, line in body:
+        parts = [tok.strip() for tok in line.split(",")]
+        if len(parts) != 3:
+            raise ValueError(
+                "line %d: expected 'l, theta_l, x', got %r" % (idx, line)
+            )
+        try:
+            l = int(parts[0])
+            theta = float(parts[1])
+            x = float(parts[2])
+        except ValueError:
+            raise ValueError("line %d: unparsable record %r" % (idx, line))
+        if not math.isfinite(x):
+            raise ValueError("line %d: non-finite sample %r" % (idx, line))
+        if not 0 <= l < plan.n_phases:
+            raise ValueError(
+                "line %d: phase index %d outside 0..%d"
+                % (idx, l, plan.n_phases - 1)
+            )
+        if abs(theta - phases[l]) > 1.0e-9:
+            raise ValueError(
+                "line %d: theta %.12g does not match phase %d (%.12g)"
+                % (idx, theta, l, phases[l])
+            )
+        groups[l].append(x)
+    for l, (got, want) in enumerate(
+        zip(groups, plan.events_per_phase)
+    ):
+        if len(got) != want:
+            raise ValueError(
+                "phase %d: file holds %d records, header says %d"
+                % (l, len(got), want)
+            )
+    return MeasurementSet(
+        plan=plan,
+        records=tuple(np.asarray(g, dtype=float) for g in groups),
+    )

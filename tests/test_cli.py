@@ -8,6 +8,7 @@ produce byte-identical outputs to the one-shot pipeline.
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -298,3 +299,12 @@ def test_non_finite_moment_exits_2_naming_the_line(tmp_path, capsys):
                 str(out), str(path)])
     assert ret == 2
     assert "line %d: " % len(lines) in capsys.readouterr().err
+
+
+def test_readme_config_block_parses_to_the_defaults():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    section = text[text.index("## Command line"):]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    assert parse_config(block) == RunConfig()

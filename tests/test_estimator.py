@@ -413,3 +413,12 @@ def test_moment_file_rejects_non_finite_row_naming_the_line(
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="line %d: " % len(lines)):
         load_moments(path)
+
+
+@pytest.mark.parametrize("row", ["1 0.5 0.1 -0.2 0.1 0 1",
+                                 "1 0.5 0.1 0.2 -0.1 0 1"])
+def test_moment_file_rejects_negative_sigma(tmp_path, row):
+    path = tmp_path / "moments.txt"
+    path.write_text("# n_phases: 12\n%s\n" % row)
+    with pytest.raises(ValueError, match="line 2: sigma"):
+        load_moments(path)

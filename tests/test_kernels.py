@@ -358,3 +358,15 @@ def test_table_parser_names_the_malformed_line(mangle, default_tables):
     lines[idx] = mangle(lines[idx])
     with pytest.raises(ValueError, match="line %d: " % (idx + 1)):
         KernelTable.from_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("prefix, key", [
+    ("# tail:", "tail:"),
+    ("# offset removed", "offset removed:"),
+])
+def test_table_parser_requires_tail_and_offset_lines(prefix, key,
+                                                     default_tables):
+    lines = default_tables[1].to_text().splitlines()
+    text = "\n".join(ln for ln in lines if not ln.startswith(prefix))
+    with pytest.raises(ValueError, match="lacks '# %s ...'" % key):
+        KernelTable.from_text(text)

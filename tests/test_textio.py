@@ -1,0 +1,327 @@
+"""The shared artifact codec: fuzzed corruption, byte-exact round trips,
+and the record loader against its per-row reference."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from _oracles import per_row_load_records
+from phasekit.estimator import MomentEstimate, load_moments, save_moments
+from phasekit.kernels import KernelSpec, KernelTable, build_kernel_table
+from phasekit.reconstruct import (
+    METHODS,
+    PhaseDistribution,
+    fourier_reconstruct,
+    load_distribution,
+    save_distribution,
+)
+from phasekit.simulator import (
+    ExperimentPlan,
+    MeasurementSet,
+    load_records,
+    run_experiment,
+    save_records,
+)
+from phasekit.states import STATE_KINDS, StateSpec
+from phasekit.textio import parse
+
+FUZZ = settings(max_examples=100, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _not_a_float(token):
+    try:
+        float(token)
+    except ValueError:
+        return True
+    return False
+
+
+# Tokens that float() rejects and that cannot split a line, open a
+# header or change a row's column count.
+junk = st.text(
+    st.characters(codec="ascii", categories=("L", "N", "P", "S"),
+                  exclude_characters="#,"),
+    min_size=1, max_size=6,
+).filter(_not_a_float)
+
+
+def _fresh(path):
+    """path with its old file removed: truncating and rewriting a file
+    can force a flush to disk on every example (ext4 auto_da_alloc)."""
+    path.unlink(missing_ok=True)
+    return path
+
+
+def _records_text(tmp_path):
+    plan = ExperimentPlan.uniform(StateSpec(kind="coherent", alpha=0.7,
+                                            n_max=8), 3, 4, eta=0.9, seed=2)
+    path = _fresh(tmp_path / "records.txt")
+    save_records(run_experiment(plan), path, header_lines=("config: c",))
+    return path.read_text()
+
+
+def _moments_text(tmp_path):
+    batch = [MomentEstimate(k=k, value=complex(0.1 * k, -0.2), var_re=1e-4,
+                            var_im=4e-4, n_phases=12, compensated=k % 2 == 1,
+                            eta_assumed=0.9 if k % 2 else 1.0)
+             for k in range(1, 5)]
+    path = _fresh(tmp_path / "moments.txt")
+    save_moments(batch, path)
+    return path.read_text()
+
+
+def _distribution_text(tmp_path):
+    moments = [MomentEstimate(k=k, value=0.3 / k, var_re=1e-4, var_im=1e-4,
+                              n_phases=12, compensated=False,
+                              eta_assumed=1.0) for k in (1, 2)]
+    path = _fresh(tmp_path / "distribution.txt")
+    save_distribution(fourier_reconstruct(moments, 2, 16), path)
+    return path.read_text()
+
+
+def _table_text(tmp_path):
+    return build_kernel_table(KernelSpec(k=1), grid_step=0.25).to_text()
+
+
+def _load_text(loader):
+    def load(text, tmp_path):
+        path = _fresh(tmp_path / "artifact.txt")
+        path.write_text(text)
+        return loader(path)
+    return load
+
+
+# format name -> (valid text builder, loader of text, row separator)
+FORMATS = {
+    "records": (_records_text, _load_text(load_records), ","),
+    "moments": (_moments_text, _load_text(load_moments), None),
+    "distribution": (_distribution_text, _load_text(load_distribution),
+                     None),
+    "kernel table": (_table_text,
+                     lambda text, tmp_path: KernelTable.from_text(text),
+                     None),
+}
+
+# Header fields whose value a junk token must make unreadable.
+NUMERIC_FIELDS = ("state", "n_phases", "events_per_phase", "eta", "seed",
+                  "K", "M", "reg_lambda", "k", "l0", "x0", "f_truncation",
+                  "tail", "offset removed from series part")
+
+
+def _corrupt(lines, sep, data):
+    """Corrupt one row or numeric header field of lines in place and
+    return the line's 1-based number."""
+    rows = [i for i, ln in enumerate(lines) if not ln.startswith("#")]
+    heads = [i for i, ln in enumerate(lines)
+             if re.match(r"# (%s) *[:=]" % "|".join(NUMERIC_FIELDS), ln)]
+    i = data.draw(st.sampled_from(rows + heads))
+    if i in heads:
+        key, sep_char = re.match(r"# ([^:=]*)([:=])", lines[i]).groups()
+        lines[i] = "# %s%s %s" % (key, sep_char, data.draw(junk))
+        return i + 1
+    joiner = ", " if sep == "," else " "
+    cells = [c.strip() for c in lines[i].split(sep)]
+    op = data.draw(st.sampled_from(["replace", "drop", "add"]))
+    if op == "replace":
+        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(junk)
+    elif op == "drop":
+        del cells[data.draw(st.integers(0, len(cells) - 1))]
+    else:
+        cells.insert(data.draw(st.integers(0, len(cells))),
+                     data.draw(junk | st.just("1.5")))
+    lines[i] = joiner.join(cells)
+    return i + 1
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_valid_artifacts_load(name, tmp_path):
+    make, load, _ = FORMATS[name]
+    load(make(tmp_path), tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+@FUZZ
+@given(data=st.data())
+def test_corrupted_line_is_named(name, tmp_path, data):
+    make, load, sep = FORMATS[name]
+    lines = make(tmp_path).splitlines()
+    line = _corrupt(lines, sep, data)
+    with pytest.raises(ValueError) as info:
+        load("\n".join(lines) + "\n", tmp_path)
+    assert str(info.value).startswith("line %d: " % line), str(info.value)
+
+
+def test_header_fields_split_at_first_separator():
+    art = parse(["# title line", "# a = b: c", "# d: e = f", "#g=h",
+                 "1 2", "# a: last", "", "3 4"], "x y")
+    assert art.fields == {"a": (6, "last"), "d": (3, "e = f"),
+                          "g": (4, "h")}
+    assert art.rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert art.line_numbers.tolist() == [5, 8]
+    assert art.field("a:") == "last"
+    with pytest.raises(ValueError, match="header lacks '# b: ...'"):
+        art.field("b:")
+    with pytest.raises(ValueError, match="line 3: bad d value"):
+        art.field("d:", float)
+
+
+# '%.15e' rounds values within an ulp of the largest double up past it,
+# so round trips draw from a range clear of that edge
+finite = st.floats(-1e300, 1e300)
+# sigmas whose square neither overflows nor underflows: files store
+# sigma, moments carry its square
+sigmas = st.just(0.0) | st.floats(1e-100, 1e100)
+
+
+@FUZZ
+@given(kind=st.sampled_from(STATE_KINDS), alpha=finite,
+       n_max=st.integers(0, 9),
+       counts=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+       eta=st.floats(1e-3, 1.0), seed=st.integers(0, 2 ** 40),
+       data=st.data())
+def test_records_save_load_save_is_byte_identical(
+        tmp_path, kind, alpha, n_max, counts, eta, seed, data):
+    plan = ExperimentPlan(
+        state=StateSpec(kind=kind, alpha=complex(alpha, -alpha),
+                        n_max=n_max),
+        events_per_phase=tuple(counts), eta=eta, seed=seed)
+    ms = MeasurementSet(plan=plan, records=tuple(
+        np.array(data.draw(st.lists(finite, min_size=n, max_size=n)))
+        for n in counts))
+    first, second = _fresh(tmp_path / "a.txt"), _fresh(tmp_path / "b.txt")
+    save_records(ms, first, header_lines=("config: x",))
+    loaded = load_records(first)
+    assert loaded.plan == plan
+    save_records(loaded, second, header_lines=("config: x",))
+    assert first.read_bytes() == second.read_bytes()
+
+
+@FUZZ
+@given(ks=st.sets(st.integers(1, 40), min_size=1, max_size=6),
+       values=st.lists(st.tuples(finite, finite, sigmas, sigmas,
+                                 st.booleans(), st.floats(0.5, 1.0)),
+                       min_size=6, max_size=6),
+       n_phases=st.integers(1, 10 ** 6))
+def test_moments_save_load_save_is_byte_identical(
+        tmp_path, ks, values, n_phases):
+    batch = [MomentEstimate(k=k, value=complex(re, im), var_re=s_re ** 2,
+                            var_im=s_im ** 2, n_phases=n_phases,
+                            compensated=comp, eta_assumed=eta)
+             for k, (re, im, s_re, s_im, comp, eta) in zip(sorted(ks),
+                                                           values)]
+    first, second = _fresh(tmp_path / "a.txt"), _fresh(tmp_path / "b.txt")
+    save_moments(batch, first)
+    save_moments(load_moments(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+@FUZZ
+@given(rows=st.lists(st.tuples(finite, finite), min_size=1, max_size=20),
+       method=st.sampled_from(METHODS), K=st.integers(0, 99),
+       reg_lambda=st.floats(0.0, 1e6))
+def test_distribution_save_load_save_is_byte_identical(
+        tmp_path, rows, method, K, reg_lambda):
+    grid, values = np.array(rows).T
+    dist = PhaseDistribution(grid=grid, values=values, method=method,
+                             K_used=K, reg_lambda=reg_lambda)
+    first, second = _fresh(tmp_path / "a.txt"), _fresh(tmp_path / "b.txt")
+    save_distribution(dist, first, header_lines=("config: x",))
+    save_distribution(load_distribution(first), second,
+                      header_lines=("config: x",))
+    assert first.read_bytes() == second.read_bytes()
+
+
+def _outcome(loader, path):
+    """('ok', records, plan), ('line', N) for an error naming line N,
+    or ('error', message) for any other ValueError."""
+    try:
+        ms = loader(path)
+    except ValueError as exc:
+        match = re.match(r"line (\d+): ", str(exc))
+        return ("line", int(match[1])) if match else ("error", str(exc))
+    return "ok", [r.tolist() for r in ms.records], ms.plan
+
+
+def _record_cell(column, data):
+    """A replacement cell both record loaders read the same way: an
+    integer phase index, a non-NaN theta, any sample, or junk."""
+    thetas = ["%.15e" % (2.0 * math.pi * l / 3) for l in range(3)]
+    number = {
+        0: st.integers(-3, 5).map(str),
+        1: st.floats(allow_nan=False).map(repr) | st.sampled_from(thetas),
+        2: st.floats().map(repr),
+    }[column]
+    return data.draw(number | junk)
+
+
+@FUZZ
+@given(data=st.data())
+def test_record_loader_agrees_with_per_row_reference(tmp_path, data):
+    lines = _records_text(tmp_path).splitlines()
+    rows = [i for i, ln in enumerate(lines) if not ln.startswith("#")]
+    i = data.draw(st.sampled_from(rows))
+    cells = [c.strip() for c in lines[i].split(",")]
+    op = data.draw(st.sampled_from(
+        ["none", "replace", "drop", "add", "move to end", "delete"]))
+    if op == "replace":
+        column = data.draw(st.integers(0, 2))
+        cells[column] = _record_cell(column, data)
+    elif op == "drop":
+        del cells[data.draw(st.integers(0, 2))]
+    elif op == "add":
+        cells.append(data.draw(junk | st.just("0")))
+    lines[i] = ", ".join(cells)
+    if op == "move to end":
+        lines.append(lines.pop(i))
+    elif op == "delete":
+        del lines[i]
+    path = _fresh(tmp_path / "corrupt.txt")
+    path.write_text("\n".join(lines) + "\n")
+    assert _outcome(load_records, path) == _outcome(per_row_load_records,
+                                                    path)
+
+
+def _with_first_row_cell(text, sep, column, token):
+    """text with one cell of its first row replaced, and that line's
+    number."""
+    lines = text.splitlines()
+    i = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    cells = [c.strip() for c in lines[i].split(sep)]
+    cells[column] = token
+    lines[i] = (", " if sep == "," else " ").join(cells)
+    return "\n".join(lines) + "\n", i + 1
+
+
+@pytest.mark.parametrize("column, token, message", [
+    (0, "0.5", "phase index 0.5"),
+    (0, "nan", "phase index nan"),
+    (1, "nan", "theta nan"),
+])
+def test_record_loader_rejects_off_plan_phase_cells(tmp_path, column, token,
+                                                    message):
+    text, line = _with_first_row_cell(_records_text(tmp_path), ",", column,
+                                      token)
+    path = _fresh(tmp_path / "bad.txt")
+    path.write_text(text)
+    with pytest.raises(ValueError, match="line %d: %s" % (line, message)):
+        load_records(path)
+
+
+@pytest.mark.parametrize("column, token, message", [
+    (0, "1.5", "moment order 1.5"),
+    (0, "inf", "moment order inf"),
+    (5, "0.5", "compensated flag 0.5"),
+    (5, "2", "compensated flag 2.0"),
+])
+def test_moment_loader_rejects_non_integral_order_and_flag(
+        tmp_path, column, token, message):
+    text, line = _with_first_row_cell(_moments_text(tmp_path), None, column,
+                                      token)
+    path = _fresh(tmp_path / "bad.txt")
+    path.write_text(text)
+    with pytest.raises(ValueError, match="line %d: %s" % (line, message)):
+        load_moments(path)

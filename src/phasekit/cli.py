@@ -17,6 +17,7 @@ traced back to the exact settings that produced them.
 """
 
 import argparse
+import cmath
 import hashlib
 import math
 import os
@@ -28,8 +29,8 @@ from .estimator import _KernelQuadrature, estimate_all, save_moments, \
     load_moments
 from .kernels import KernelSpec, build_kernel_table, classical_kernel, \
     DEFAULT_F_TRUNCATION, DEFAULT_GRID_STEP, DEFAULT_L0, DEFAULT_X0
-from .reconstruct import fourier_reconstruct, least_squares_reconstruct, \
-    save_distribution
+from .reconstruct import METHODS, fourier_reconstruct, \
+    least_squares_reconstruct, save_distribution
 from .simulator import ExperimentPlan, run_experiment, save_records, \
     load_records, _format_complex
 from .states import CAPTURE_TOL, StateSpec
@@ -54,6 +55,25 @@ def _parse_bool(text):
     if low in ("false", "0", "no", "off"):
         return False
     raise ValueError("not a boolean: %r" % text)
+
+
+def _finite(conv):
+    """conv that also rejects NaN and infinite values."""
+    def parse(text):
+        value = conv(text)
+        if not cmath.isfinite(value):
+            raise ValueError("%r is not finite" % text)
+        return value
+    return parse
+
+
+def _one_of(options):
+    def parse(text):
+        if text not in options:
+            raise ValueError("%r is not one of %s"
+                             % (text, ", ".join(options)))
+        return text
+    return parse
 
 
 @dataclass(frozen=True)
@@ -151,27 +171,27 @@ class RunConfig:
 
 _CONFIG_PARSERS = {
     "state.kind": ("state", "kind", str),
-    "state.alpha": ("state", "alpha", complex),
-    "state.squeeze": ("state", "squeeze", complex),
+    "state.alpha": ("state", "alpha", _finite(complex)),
+    "state.squeeze": ("state", "squeeze", _finite(complex)),
     "state.fock_n": ("state", "fock_n", int),
     "state.n_max": ("state", "n_max", int),
-    "state.capture_tol": ("self", "capture_tol", float),
+    "state.capture_tol": ("self", "capture_tol", _finite(float)),
     "plan.n_phases": ("self", "n_phases", int),
     "plan.events_per_phase": (
         "self", "events_per_phase",
         lambda text: tuple(int(tok) for tok in text.split()),
     ),
-    "plan.eta": ("self", "eta", float),
+    "plan.eta": ("self", "eta", _finite(float)),
     "kernel.l0": ("self", "kernel_l0", int),
-    "kernel.x0": ("self", "kernel_x0", float),
+    "kernel.x0": ("self", "kernel_x0", _finite(float)),
     "kernel.f_truncation": ("self", "kernel_f_truncation", int),
-    "kernel.grid_step": ("self", "kernel_grid_step", float),
+    "kernel.grid_step": ("self", "kernel_grid_step", _finite(float)),
     "kernel.compensate": ("self", "compensate", _parse_bool),
     "estimate.k_max": ("self", "k_max", int),
-    "reconstruct.method": ("self", "recon_method", str),
+    "reconstruct.method": ("self", "recon_method", _one_of(METHODS)),
     "reconstruct.K": ("self", "recon_K", int),
     "reconstruct.M": ("self", "recon_M", int),
-    "reconstruct.reg_lambda": ("self", "reg_lambda", float),
+    "reconstruct.reg_lambda": ("self", "reg_lambda", _finite(float)),
     "reconstruct.normalize": ("self", "normalize", _parse_bool),
     "output_dir": ("self", "output_dir", str),
     "seed": ("self", "seed", int),
@@ -181,10 +201,11 @@ _CONFIG_PARSERS = {
 def parse_config(text):
     """Build a RunConfig from 'key = value' lines.
 
-    Blank lines and '#' comments are skipped; unknown keys and
-    malformed lines are reported with their line number.
+    Blank lines and '#' comments are skipped; unknown keys, malformed
+    lines, non-finite numbers and values the state rejects are reported
+    with their line number.
     """
-    state_kwargs = {}
+    state = StateSpec(kind="vacuum")
     own_kwargs = {}
     for idx, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -198,15 +219,14 @@ def parse_config(text):
         target, attr, conv = _CONFIG_PARSERS[key]
         try:
             parsed = conv(value)
+            if target == "state":
+                state = replace(state, **{attr: parsed})
+            else:
+                own_kwargs[attr] = parsed
         except ValueError as exc:
             raise ValueError(
                 "line %d: bad value for %s: %s" % (idx, key, exc)
             )
-        if target == "state":
-            state_kwargs[attr] = parsed
-        else:
-            own_kwargs[attr] = parsed
-    state = replace(StateSpec(kind="vacuum"), **state_kwargs)
     return RunConfig(state=state, **own_kwargs)
 
 

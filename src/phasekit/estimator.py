@@ -35,7 +35,8 @@ class MomentEstimate:
                  never NaN)
     var_im       variance of the imaginary part
     compensated  True when a smearing-compensated kernel was used
-    eta_assumed  efficiency baked into that kernel (1 when plain)
+    eta_assumed  efficiency baked into that kernel (1 when plain), in
+                 (0, 1]
     """
 
     k: int
@@ -55,6 +56,9 @@ class MomentEstimate:
             raise ValueError("variances must be nonnegative, not NaN")
         if self.n_phases < 1:
             raise ValueError("n_phases must be positive")
+        if not 0.0 < self.eta_assumed <= 1.0:
+            raise ValueError("eta_assumed %r is not in (0, 1]"
+                             % self.eta_assumed)
 
     @property
     def sigma_re(self):
@@ -351,7 +355,8 @@ def load_moments(path):
 
     A row whose order is not an integer, whose compensation flag is not
     0 or 1, whose sigma is negative or NaN, or which MomentEstimate
-    rejects raises ValueError naming its line.
+    rejects (eta_assumed NaN or outside (0, 1] among others) raises
+    ValueError naming its line.
     """
     art = textio.load(path, MOMENT_COLUMNS)
     n_phases = art.field("n_phases:", int)

@@ -24,7 +24,12 @@ Hermite polynomials, so no intermediate ever overflows:
 
 with log-space weights w_l.  The alternating inner sums behind C_l lose
 all double-precision significance beyond l of about 20, so they are done
-once in extended precision and cached.
+once in extended precision and cached: binomials and rising products as
+exact Python integers, square roots, quotients, the sum and its log in
+stdlib decimal.  The positive inner sums of F_k need no extra
+precision; they are exactly rounded math.fsum totals of doubles, and
+only their Hurwitz-zeta tails call mpmath, imported on first use, so
+importing phasekit loads neither mpmath nor scipy.
 
 Estimation evaluates tabulated kernels (KernelTable): linear
 interpolation on a uniform grid inside |x| <= x0, the classical tail
@@ -37,11 +42,11 @@ Two closed single-integral forms (k = 1, 2) are provided as independent
 cross-checks of the series construction.
 """
 
+import decimal
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from . import textio
@@ -282,16 +287,20 @@ def _alt_sum(k, l):
     sqrt((n+1)...(n+k)), in extended precision.
 
     The summands reach binomial size ~2^l while S_l decays like 2^{-l},
-    so doubles are hopeless beyond l of about 20.
+    so doubles are hopeless beyond l of about 20.  The binomial and the
+    rising product are exact integers; the square root, quotient, sum
+    and logarithm run in decimal at _working_dps(l) digits.
     """
-    with mpmath.workdps(_working_dps(l)):
-        total = mpmath.mpf(0)
-        for n in range(l + 1):
-            term = mpmath.binomial(l, n) / mpmath.sqrt(mpmath.rf(n + 1, k))
-            total += -term if (l - n) % 2 else term
-        if total == 0:
-            return 0.0, -math.inf
-        return float(mpmath.sign(total)), float(mpmath.log(abs(total)))
+    ctx = decimal.Context(prec=_working_dps(l))
+    total = decimal.Decimal(0)
+    for n in range(l + 1):
+        term = ctx.divide(math.comb(l, n),
+                          ctx.sqrt(math.prod(range(n + 1, n + k + 1))))
+        total = ctx.subtract(total, term) if (l - n) % 2 \
+            else ctx.add(total, term)
+    if total == 0:
+        return 0.0, -math.inf
+    return math.copysign(1.0, total), float(ctx.ln(abs(total)))
 
 
 @lru_cache(maxsize=None)
@@ -340,35 +349,40 @@ def _f_inner_sum(k, n, truncation):
 
     whose term-by-term l-sums are Hurwitz zeta functions.  The corrected
     sum is stable to ~1e-13 against moving the cutoff.
+
+    The terms are all positive, so the explicit part is an exactly
+    rounded math.fsum of doubles; only the four zeta values of the tail
+    use mpmath, imported here so that importing phasekit does not load
+    it.
     """
-    total = mpmath.mpf(0)
+    import mpmath
+
+    l = np.arange(truncation + 1.0)
+    log_t = (
+        sum(np.log(l + j) for j in range(1, n))
+        - math.lgamma(n)
+        - 0.5 * sum(np.log(l + j) for j in range(1, k + 1))
+    )
+    js = list(range(1, n))
+    jk = list(range(1, k + 1))
+    a = 0.5 * k - n + 1.0
+    c1 = sum(js) - 0.5 * sum(jk)
+    c2 = -0.5 * sum(j * j for j in js) + 0.25 * sum(j * j for j in jk)
+    c3 = (
+        sum(j ** 3 for j in js) / 3.0
+        - sum(j ** 3 for j in jk) / 6.0
+    )
+    d1 = c1
+    d2 = c2 + 0.5 * c1 * c1
+    d3 = c3 + c1 * c2 + c1 ** 3 / 6.0
     with mpmath.workdps(30):
-        for l in range(truncation + 1):
-            log_t = (
-                sum(math.log(l + j) for j in range(1, n))
-                - math.lgamma(n)
-                - 0.5 * sum(math.log(l + j) for j in range(1, k + 1))
-            )
-            total += mpmath.e ** log_t
-        js = list(range(1, n))
-        jk = list(range(1, k + 1))
-        a = 0.5 * k - n + 1.0
-        c1 = sum(js) - 0.5 * sum(jk)
-        c2 = -0.5 * sum(j * j for j in js) + 0.25 * sum(j * j for j in jk)
-        c3 = (
-            sum(j ** 3 for j in js) / 3.0
-            - sum(j ** 3 for j in jk) / 6.0
-        )
-        d1 = c1
-        d2 = c2 + 0.5 * c1 * c1
-        d3 = c3 + c1 * c2 + c1 ** 3 / 6.0
         tail = (
             mpmath.zeta(a, truncation + 1)
             + d1 * mpmath.zeta(a + 1.0, truncation + 1)
             + d2 * mpmath.zeta(a + 2.0, truncation + 1)
             + d3 * mpmath.zeta(a + 3.0, truncation + 1)
         ) / mpmath.gamma(n)
-        return float(total + tail)
+    return math.fsum([*np.exp(log_t).tolist(), float(tail)])
 
 
 @scalar_in_scalar_out

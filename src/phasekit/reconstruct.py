@@ -21,7 +21,8 @@ DISTRIBUTION_COLUMNS = "phi P"
 
 @dataclass(frozen=True)
 class PhaseDistribution:
-    """P(phi) sampled on the uniform grid phi_m = 2 pi m / M."""
+    """P(phi) sampled on the uniform grid phi_m = 2 pi m / M; every
+    grid point and value must be finite."""
 
     grid: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
@@ -34,6 +35,11 @@ class PhaseDistribution:
         values = np.asarray(self.values, dtype=float)
         if grid.shape != values.shape or grid.ndim != 1:
             raise ValueError("grid and values must be matching 1-d arrays")
+        bad = np.flatnonzero(~(np.isfinite(grid) & np.isfinite(values)))
+        if bad.size:
+            i = bad[0]
+            raise ValueError("non-finite point phi = %r, P = %r at index %d"
+                             % (grid[i], values[i], i))
         if self.method not in METHODS:
             raise ValueError(
                 "method must be one of %s" % (", ".join(METHODS))
@@ -221,8 +227,16 @@ def save_distribution(dist, path, header_lines=()):
 
 
 def load_distribution(path):
-    """Parse a distribution file written by save_distribution."""
+    """Parse a distribution file written by save_distribution.
+
+    A row holding a non-finite phi or P raises ValueError naming its
+    line.
+    """
     art = textio.load(path, DISTRIBUTION_COLUMNS)
+    bad = np.flatnonzero(~np.isfinite(art.rows).all(axis=1))
+    if bad.size:
+        raise art.error(bad[0], "non-finite point %r"
+                        % art.rows[bad[0]].tolist())
     m = art.field("M:", int)
     if m != len(art.rows):
         raise ValueError(

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .specfun import psi_matrix, scalar_in_scalar_out
 
@@ -159,7 +158,10 @@ def _extended_amplitudes(spec, n_big):
                 )
     elif spec.kind == "displaced_fock":
         # exp(alpha a^dag - alpha^* a) applied to |n>, generator
-        # truncated on the extended window
+        # truncated on the extended window; scipy is imported here, its
+        # only use, to keep it off the import path
+        from scipy.linalg import expm
+
         a = complex(spec.alpha)
         if spec.fock_n > n_big:
             raise ValueError("fock_n exceeds extended window")

@@ -197,3 +197,72 @@ def per_row_load_records(path):
         plan=plan,
         records=tuple(np.asarray(g, dtype=float) for g in groups),
     )
+
+
+def mpmath_alt_sum(k, l):
+    """sign and log|S_l| of the alternating binomial sum, each term
+    built with mpmath.binomial, mpmath.rf and mpmath.sqrt at
+    _working_dps(l): the extended-precision form kernels used before
+    its exact-integer and decimal one."""
+    import mpmath
+
+    from phasekit.kernels import _working_dps
+
+    with mpmath.workdps(_working_dps(l)):
+        total = mpmath.mpf(0)
+        for n in range(l + 1):
+            term = mpmath.binomial(l, n) / mpmath.sqrt(mpmath.rf(n + 1, k))
+            total += -term if (l - n) % 2 else term
+        if total == 0:
+            return 0.0, -math.inf
+        return float(mpmath.sign(total)), float(mpmath.log(abs(total)))
+
+
+def mpmath_f_inner_sum(k, n, truncation):
+    """Inner l-sum of F_k with every term exponentiated and summed in
+    30-digit mpmath, the form kernels used before its math.fsum one;
+    the Hurwitz-zeta tail is the same."""
+    import mpmath
+
+    total = mpmath.mpf(0)
+    with mpmath.workdps(30):
+        for l in range(truncation + 1):
+            log_t = (
+                sum(math.log(l + j) for j in range(1, n))
+                - math.lgamma(n)
+                - 0.5 * sum(math.log(l + j) for j in range(1, k + 1))
+            )
+            total += mpmath.e ** log_t
+        js = list(range(1, n))
+        jk = list(range(1, k + 1))
+        a = 0.5 * k - n + 1.0
+        c1 = sum(js) - 0.5 * sum(jk)
+        c2 = -0.5 * sum(j * j for j in js) + 0.25 * sum(j * j for j in jk)
+        c3 = (
+            sum(j ** 3 for j in js) / 3.0
+            - sum(j ** 3 for j in jk) / 6.0
+        )
+        d1 = c1
+        d2 = c2 + 0.5 * c1 * c1
+        d3 = c3 + c1 * c2 + c1 ** 3 / 6.0
+        tail = (
+            mpmath.zeta(a, truncation + 1)
+            + d1 * mpmath.zeta(a + 1.0, truncation + 1)
+            + d2 * mpmath.zeta(a + 2.0, truncation + 1)
+            + d3 * mpmath.zeta(a + 3.0, truncation + 1)
+        ) / mpmath.gamma(n)
+        return float(total + tail)
+
+
+def displaced_fock_amplitudes(spec):
+    """Extended-window amplitudes of a displaced Fock state,
+    expm(alpha a^dag - alpha^* a) |n> on the window build_state uses."""
+    from scipy.linalg import expm
+
+    n_big = max(2 * spec.n_max + 20, spec.n_max + 60)
+    a = complex(spec.alpha)
+    lower = np.diag(np.sqrt(np.arange(1.0, n_big + 1)), k=1)
+    generator = a * lower.conj().T - np.conj(a) * lower
+    vec = np.zeros(n_big + 1, dtype=complex)
+    vec[spec.fock_n] = 1.0
+    return expm(generator) @ vec

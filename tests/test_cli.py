@@ -14,7 +14,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import displaced_fock_amplitudes
 from phasekit.cli import RunConfig, build_parser, main, parse_config
 from phasekit.kernels import (
     DEFAULT_F_TRUNCATION,
@@ -24,9 +27,9 @@ from phasekit.kernels import (
     KernelTable,
     build_kernel_table,
 )
-from phasekit.reconstruct import load_distribution
+from phasekit.reconstruct import METHODS, load_distribution
 from phasekit.simulator import load_records
-from phasekit.states import StateSpec
+from phasekit.states import STATE_KINDS, DensityMatrix, StateSpec
 
 
 def small_config(**overrides):
@@ -281,6 +284,45 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def run_fresh_python(code):
+    """stdout of code run in a fresh interpreter importing ./src."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["phasekit", "phasekit.cli"])
+def test_import_loads_neither_scipy_nor_mpmath(module):
+    code = (
+        "import sys, %s; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'mpmath')))" % module
+    )
+    assert run_fresh_python(code) == "[]"
+
+
+def test_displaced_fock_state_imports_expm_on_demand(tmp_path):
+    spec = StateSpec(kind="displaced_fock", alpha=-1.5, fock_n=2, n_max=20)
+    path = tmp_path / "rho.npy"
+    code = (
+        "import sys, numpy, phasekit; "
+        "assert 'scipy' not in sys.modules; "
+        "rho = phasekit.build_state(phasekit.%r); "
+        "assert 'scipy.linalg' in sys.modules; "
+        "numpy.save(%r, rho.elements)" % (spec, str(path))
+    )
+    run_fresh_python(code)
+    amplitudes = displaced_fock_amplitudes(spec)[: spec.n_max + 1]
+    expected = DensityMatrix.from_pure(amplitudes).elements
+    assert np.array_equal(np.load(path).view(np.uint64),
+                          expected.view(np.uint64))
+
+
 def test_non_finite_moment_exits_2_naming_the_line(tmp_path, capsys):
     cfg = small_config(n_phases=6, events_per_phase=(20,), k_max=2,
                        recon_K=2)
@@ -308,3 +350,86 @@ def test_readme_config_block_parses_to_the_defaults():
     section = text[text.index("## Command line"):]
     block = re.search(r"```\n(.*?)```", section, re.S).group(1)
     assert parse_config(block) == RunConfig()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("plan.eta", "nan"), ("kernel.grid_step", "inf"),
+    ("kernel.x0", "-inf"), ("state.capture_tol", "1e999"),
+    ("reconstruct.reg_lambda", "nan"), ("state.alpha", "nan+1j"),
+    ("state.squeeze", "1e999j"),
+])
+def test_parse_config_rejects_non_finite_numbers(key, value):
+    with pytest.raises(ValueError, match="line 2: bad value for %s" % key):
+        parse_config("seed = 1\n%s = %s\n" % (key, value))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+counts = st.integers(min_value=1, max_value=10 ** 6)
+
+valid_configs = st.builds(
+    RunConfig,
+    state=st.builds(
+        StateSpec, kind=st.sampled_from(STATE_KINDS),
+        alpha=st.complex_numbers(allow_nan=False, allow_infinity=False),
+        squeeze=st.complex_numbers(allow_nan=False, allow_infinity=False),
+        fock_n=st.integers(0, 100), n_max=st.integers(0, 200),
+    ),
+    capture_tol=finite, n_phases=counts,
+    events_per_phase=st.lists(counts, min_size=1, max_size=5).map(tuple),
+    eta=finite, kernel_l0=st.integers(0, 80), kernel_x0=finite,
+    kernel_f_truncation=counts, kernel_grid_step=finite,
+    compensate=st.booleans(), k_max=counts,
+    recon_method=st.sampled_from(METHODS), recon_K=counts, recon_M=counts,
+    reg_lambda=finite, normalize=st.booleans(),
+    output_dir=st.text("abcXYZ019/._-=#", max_size=20),
+    seed=st.integers(0, 2 ** 63),
+)
+
+
+@given(cfg=valid_configs)
+@settings(max_examples=100, deadline=None)
+def test_config_text_round_trip_of_random_configs(cfg):
+    assert parse_config(cfg.to_text()) == cfg
+
+
+def corrupt_line(line, how, token):
+    key, _, value = line.partition(" = ")
+    if how == "drop_separator":
+        return line.replace("=", " ")
+    if how == "unknown_key":
+        return "x%s = %s" % (key, value)
+    return "%s = %s" % (key, token)
+
+
+@given(cfg=valid_configs, data=st.data(),
+       how=st.sampled_from(["drop_separator", "unknown_key", "bad_value"]),
+       token=st.sampled_from(["x", "nan", "inf", "-inf", "1e999", "1..2"]))
+@settings(max_examples=150, deadline=None)
+def test_corrupted_config_line_is_named(cfg, data, how, token):
+    lines = cfg.to_text().splitlines()
+    if how == "bad_value":
+        # output_dir takes any text, so it has no bad value
+        choices = [i for i, ln in enumerate(lines)
+                   if not ln.startswith("output_dir")]
+    else:
+        choices = range(len(lines))
+    i = data.draw(st.sampled_from(choices))
+    lines[i] = corrupt_line(lines[i], how, token)
+    with pytest.raises(ValueError, match=r"^line %d: " % (i + 1)):
+        parse_config("\n".join(lines))
+
+
+@given(cfg=valid_configs, data=st.data(),
+       value=st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl",
+                                                         "Zp")),
+                     max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_config_value_fuzz_raises_only_line_named_value_errors(cfg, data,
+                                                               value):
+    lines = cfg.to_text().splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    lines[i] = corrupt_line(lines[i], "bad_value", value)
+    try:
+        parse_config("\n".join(lines))
+    except ValueError as exc:
+        assert str(exc).startswith("line %d: " % (i + 1))

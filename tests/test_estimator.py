@@ -422,3 +422,20 @@ def test_moment_file_rejects_negative_sigma(tmp_path, row):
     path.write_text("# n_phases: 12\n%s\n" % row)
     with pytest.raises(ValueError, match="line 2: sigma"):
         load_moments(path)
+
+
+@pytest.mark.parametrize("eta", [math.nan, 0.0, -0.5, 1.5, math.inf])
+def test_moment_estimate_rejects_eta_outside_unit_interval(eta):
+    kwargs = dict(k=1, value=0j, var_re=0.0, var_im=0.0, n_phases=4,
+                  compensated=True)
+    with pytest.raises(ValueError, match="eta_assumed"):
+        MomentEstimate(eta_assumed=eta, **kwargs)
+    assert MomentEstimate(eta_assumed=0.3, **kwargs).eta_assumed == 0.3
+
+
+@pytest.mark.parametrize("eta", ["nan", "0", "1.5"])
+def test_moment_file_rejects_bad_eta_naming_the_line(tmp_path, eta):
+    path = tmp_path / "moments.txt"
+    path.write_text("# n_phases: 12\n1 0.5 0.1 0.2 0.1 1 %s\n" % eta)
+    with pytest.raises(ValueError, match="line 2: eta_assumed"):
+        load_moments(path)

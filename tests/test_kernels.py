@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from _oracles import interp_table_value
+from _oracles import interp_table_value, mpmath_alt_sum, mpmath_f_inner_sum
+from phasekit import kernels
 from phasekit.kernels import (
     DEFAULT_GRID_STEP,
     KernelSpec,
@@ -370,3 +371,58 @@ def test_table_parser_requires_tail_and_offset_lines(prefix, key,
     text = "\n".join(ln for ln in lines if not ln.startswith(prefix))
     with pytest.raises(ValueError, match="lacks '# %s ...'" % key):
         KernelTable.from_text(text)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_alt_sum_is_bit_identical_to_mpmath(k):
+    for l in range(41):
+        assert kernels._alt_sum(k, l) == mpmath_alt_sum(k, l), l
+
+
+@given(k=st.integers(min_value=1, max_value=12),
+       l=st.integers(min_value=0, max_value=60))
+@settings(max_examples=60, deadline=None)
+def test_alt_sum_sweep_is_bit_identical_to_mpmath(k, l):
+    assert kernels._alt_sum(k, l) == mpmath_alt_sum(k, l)
+
+
+@pytest.mark.parametrize("truncation", [200, 1000])
+def test_f_inner_sum_matches_mpmath_summation(truncation):
+    for k in range(3, 13):
+        for n in range(1, (k - 1) // 2 + 1):
+            ref = mpmath_f_inner_sum(k, n, truncation)
+            got = kernels._f_inner_sum(k, n, truncation)
+            assert abs(got - ref) <= 1e-15 * abs(ref), (k, n)
+
+
+@pytest.fixture(scope="module")
+def mpmath_tables():
+    """Default tables for k = 1..8 at eta = 1 and 0.8 built on the
+    mpmath series coefficients, with the coefficient caches emptied on
+    the way in and out."""
+    cached = (kernels._series_weights, kernels._edge_fit)
+    for fn in cached:
+        fn.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_alt_sum", mpmath_alt_sum)
+        mp.setattr(kernels, "_f_inner_sum", mpmath_f_inner_sum)
+        tables = {(k, eta): build_kernel_table(KernelSpec(k=k, eta=eta))
+                  for k in range(1, 9) for eta in (1.0, 0.8)}
+    for fn in cached:
+        fn.cache_clear()
+    return tables
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.8])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_table_matches_mpmath_coefficient_table(k, eta, mpmath_tables):
+    ref = mpmath_tables[k, eta]
+    table = build_kernel_table(KernelSpec(k=k, eta=eta))
+    if k <= 2:
+        # no F_k part, so only the bit-identical alternating sums enter
+        assert np.array_equal(bits(table.values), bits(ref.values))
+        assert table.classical_tail == ref.classical_tail
+    assert np.max(np.abs(table.values - ref.values)) <= 1e-12
+    for name in ("edge_gap", "offset"):
+        assert abs(getattr(table.classical_tail, name)
+                   - getattr(ref.classical_tail, name)) <= 1e-12

@@ -284,3 +284,21 @@ def test_distribution_loader_checks_row_count(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         load_distribution(path)
+
+
+@pytest.mark.parametrize("bad", ["grid", "values"])
+@pytest.mark.parametrize("token", [math.nan, math.inf, -math.inf])
+def test_distribution_rejects_non_finite_points(bad, token):
+    arrays = dict(grid=np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False),
+                  values=np.full(8, 0.5 / math.pi))
+    arrays[bad][3] = token
+    with pytest.raises(ValueError, match="non-finite point"):
+        PhaseDistribution(method="fourier", K_used=2, **arrays)
+
+
+def test_distribution_file_with_non_finite_rows_names_the_line(tmp_path):
+    path = tmp_path / "distribution.txt"
+    path.write_text("# method: fourier\n# K: 0\n# M: 2\n# reg_lambda: 0\n"
+                    "0 nan\n3.14 inf\n")
+    with pytest.raises(ValueError, match="line 5: non-finite point"):
+        load_distribution(path)

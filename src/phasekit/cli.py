@@ -67,6 +67,20 @@ def _finite(conv):
     return parse
 
 
+def _count(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError("%r is not a count >= 1" % text)
+    return value
+
+
+def _counts(text):
+    values = tuple(_count(tok) for tok in text.split())
+    if not values:
+        raise ValueError("no counts")
+    return values
+
+
 def _one_of(options):
     def parse(text):
         if text not in options:
@@ -176,11 +190,8 @@ _CONFIG_PARSERS = {
     "state.fock_n": ("state", "fock_n", int),
     "state.n_max": ("state", "n_max", int),
     "state.capture_tol": ("self", "capture_tol", _finite(float)),
-    "plan.n_phases": ("self", "n_phases", int),
-    "plan.events_per_phase": (
-        "self", "events_per_phase",
-        lambda text: tuple(int(tok) for tok in text.split()),
-    ),
+    "plan.n_phases": ("self", "n_phases", _count),
+    "plan.events_per_phase": ("self", "events_per_phase", _counts),
     "plan.eta": ("self", "eta", _finite(float)),
     "kernel.l0": ("self", "kernel_l0", int),
     "kernel.x0": ("self", "kernel_x0", _finite(float)),
@@ -202,8 +213,8 @@ def parse_config(text):
     """Build a RunConfig from 'key = value' lines.
 
     Blank lines and '#' comments are skipped; unknown keys, malformed
-    lines, non-finite numbers and values the state rejects are reported
-    with their line number.
+    lines, non-finite numbers, phase and event counts below one and
+    values the state rejects are reported with their line number.
     """
     state = StateSpec(kind="vacuum")
     own_kwargs = {}

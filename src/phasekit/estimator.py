@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .kernels import smear_error_kernel
+from .kernels import smear_error_kernel, table_evaluator
 from .specfun import psi_matrix
 from .states import exact_moments
 
@@ -139,6 +139,13 @@ def estimate_all(ms, k_max, tables):
     Results are identical to calling estimate_moment per order.  The
     order cap k_max must stay below the number of phases; beyond it the
     discretization bias can dominate the estimate.
+
+    When the tables are KernelTables on one grid with one x0 (checked
+    with np.array_equal, as built by build_kernel_table at one step),
+    each record's segment index, segment offsets and tail positions are
+    computed once and shared by all orders (kernels.table_evaluator);
+    any other table set, such as tables at different grid steps or
+    objects with only .spec and .evaluate, is evaluated table by table.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -158,16 +165,16 @@ def estimate_all(ms, k_max, tables):
             "no kernel table for k = %s"
             % ", ".join(str(k) for k in missing)
         )
-    flags = {
-        k: _check_table(ms, k, by_k[k]) for k in range(1, k_max + 1)
-    }
-    stats = {k: [] for k in range(1, k_max + 1)}
+    orders = range(1, k_max + 1)
+    flags = {k: _check_table(ms, k, by_k[k]) for k in orders}
+    evaluate_all = table_evaluator(by_k[k] for k in orders)
+    stats = {k: [] for k in orders}
     for rec in ms.records:
-        for k in range(1, k_max + 1):
-            stats[k].append(_phase_stats(by_k[k].evaluate(rec)))
+        for k, values in zip(orders, evaluate_all(rec)):
+            stats[k].append(_phase_stats(values))
     return [
         _assemble(k, ms.plan.phases, stats[k], flags[k], by_k[k].spec.eta)
-        for k in range(1, k_max + 1)
+        for k in orders
     ]
 
 
@@ -333,9 +340,15 @@ def smear_bias(rho, k, eta, g_table=None):
 
 
 def save_moments(estimates, path, header_lines=()):
-    """Write moment estimates as text: sigma columns, one row per k."""
+    """Write moment estimates as text: sigma columns, one row per k.
+    A value whose text would read back as inf raises ValueError before
+    the file is opened."""
     if not estimates:
         raise ValueError("nothing to save")
+    textio.check_finite_text("%.15e", [
+        (est.value.real, est.value.imag, est.sigma_re, est.sigma_im)
+        for est in estimates
+    ])
     header = [
         "exponential phase moment estimates",
         *header_lines,

@@ -36,7 +36,9 @@ interpolation on a uniform grid inside |x| <= x0, the classical tail
 outside.  Because the grid is uniform, the segment of a sample is found
 by direct indexing, j = floor((x - g0) / h) with one +-1 correction,
 not by a binary search; the arithmetic is np.interp's, so the values are
-bit-identical to it.
+bit-identical to it.  table_evaluator finds that segment once per sample
+for a set of tables on one grid, so each further order costs two gathers
+and a multiply-add.
 
 Two closed single-integral forms (k = 1, 2) are provided as independent
 cross-checks of the series construction.
@@ -191,14 +193,22 @@ class KernelTable:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_lookup", lookup)
 
-    def _interpolate(self, x):
-        base, inv_step, bounds, left, slope, values = self._lookup
+    def _segments(self, x):
+        """Padded segment p of each finite x and its offset x - left[p]."""
+        base, inv_step, bounds, left = self._lookup[:4]
         p = np.clip((x - base) * inv_step, 0.0, self.grid.size).astype(
             np.intp
         )
         p -= x < bounds[p]
         p += x >= bounds[p + 1]
-        return slope[p] * (x - left[p]) + values[p]
+        return p, x - left[p]
+
+    def _interpolate(self, x, segments=None):
+        """Interpolated values at x, on segments from _segments(x) when
+        given (shared by tables on one grid)."""
+        p, dx = self._segments(x) if segments is None else segments
+        slope, values = self._lookup[4:]
+        return slope[p] * dx + values[p]
 
     @scalar_in_scalar_out
     def evaluate(self, x):
@@ -252,6 +262,41 @@ class KernelTable:
                         art.field("offset removed:", float))
         grid, values = art.rows.T
         return cls(spec=spec, grid=grid, values=values, classical_tail=rule)
+
+
+def table_evaluator(tables):
+    """Function x -> (t.evaluate(x) for t in tables), a generator, for
+    finite 1-d x; tables must not be empty.  Values come one table at a
+    time, so a caller that reduces each holds one array, not one per
+    table.
+
+    When every table is a KernelTable (not a subclass or a stand-in)
+    and all share one grid (np.array_equal) and one x0, the segment
+    index, the offset into the segment and the tail positions |x| > x0
+    are found once per x for all tables; each table then costs two
+    gathers and a multiply-add, plus its tail rule on the shared tail
+    samples.  The values are bit-identical to evaluate.  Any other
+    table set, including objects that only offer .spec and .evaluate,
+    goes through evaluate.  x is indexed whole, so it must be finite
+    (as MeasurementSet records are); evaluate itself keeps NaN out of
+    the index.
+    """
+    tables = list(tables)
+    first = tables[0]
+    if not all(type(t) is KernelTable and t.spec.x0 == first.spec.x0
+               and np.array_equal(t.grid, first.grid) for t in tables):
+        return lambda x: (t.evaluate(x) for t in tables)
+
+    def evaluate_all(x):
+        segments = first._segments(x)
+        tail = np.flatnonzero(np.abs(x) > first.spec.x0)
+        x_tail = x[tail]
+        for t in tables:
+            values = t._interpolate(x, segments)
+            values[tail] = _tail_value(t.spec.k, x_tail, t.classical_tail)
+            yield values
+
+    return evaluate_all
 
 
 def _parse_tail(text):

@@ -211,7 +211,11 @@ def chi_squared(dist, moments, K):
 
 
 def save_distribution(dist, path, header_lines=()):
-    """Two-column text dump (phi, P), directly plottable."""
+    """Two-column text dump (phi, P), directly plottable.  A value
+    whose text would read back as inf raises ValueError before the file
+    is opened."""
+    textio.check_finite_text("%.15g", dist.reg_lambda)
+    textio.check_finite_text("%.15e", [dist.grid, dist.values])
     header = [
         "canonical phase distribution",
         *header_lines,

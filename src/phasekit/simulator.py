@@ -7,6 +7,16 @@ phase's density is a single matvec), models detector efficiency
 eta < 1 as additive Gaussian noise of variance (1 - eta) / (2 eta) on
 the ideal samples (the convolution picture of a lossy detector), and
 persists measurement records as plain text.
+
+The inverse transform interpolates linearly in the tabulated CDF.  A
+uniform draw u finds its CDF segment through a guide table (indexed
+search: Chen and Asau, AIIE Trans. 6, 163 (1974); Devroye, Non-Uniform
+Random Variate Generation (1986), sec. III.2), built in O(G) per phase
+on the G-node CDF, instead of a binary search per sample.  Phases with
+fewer than one event per GUIDE_NODES_PER_EVENT nodes binary-search
+instead, which costs less than the guide build.  Either way the value
+is np.interp's own arithmetic on np.interp's own segment, so samples
+are bit-identical to np.interp(u, cdf, xs).
 """
 
 import math
@@ -26,6 +36,12 @@ from .states import (
 
 GRID_STEP = 1.0e-3
 OUTSIDE_MASS_TOL = 1.0e-9
+# Guide-table crossover: a phase with count * GUIDE_NODES_PER_EVENT <
+# len(cdf) binary-searches instead of building the guide.  Measured on
+# 20k-node CDFs (2-vCPU x86-64 VM, numpy 2.4): the guide costs ~45 us
+# per phase plus ~8 ns per draw, the binary search ~72 ns per draw, so
+# they break even near 660 draws, one draw per ~31 nodes.
+GUIDE_NODES_PER_EVENT = 32
 RECORD_COLUMNS = "l, theta_l, x"
 
 
@@ -138,6 +154,53 @@ def _cdf_table(grid, pdf):
     return cdf[keep], grid[keep]
 
 
+def _guide_segments(u, cdf):
+    """Segment j of each u, cdf[j] <= u < cdf[j+1], by indexed search.
+
+    Bucket b = floor(u M) of M = len(cdf) equal buckets starts at
+    guide[b], the last node whose own bucket floor(cdf[j] M) lies below
+    b.  Multiplying by M rounds monotonically, so that node lies below
+    every u of the bucket (node 0, cdf = 0, starts bucket 0).  Three +1
+    steps place all but the samples in buckets spanning many nodes (the
+    flat tails, under 1% of samples); those binary-search.
+    """
+    m = cdf.size
+    buckets = np.bincount((cdf * m).astype(np.intp) + 1, minlength=m + 2)
+    guide = np.cumsum(buckets[:-1]) - 1
+    guide[0] = 0
+    j = guide[(u * m).astype(np.intp)]
+    for _ in range(3):
+        j += cdf[j + 1] <= u
+    unplaced = np.flatnonzero(cdf[j + 1] <= u)
+    if unplaced.size:
+        j[unplaced] = np.searchsorted(cdf, u[unplaced], "right") - 1
+    return j
+
+
+def _inverse_transform(u, cdf, xs):
+    """Quantiles at uniform draws u in [0, 1) of the piecewise-linear
+    CDF table (cdf strictly increasing from 0 to 1, nodes xs).
+
+    Bit-identical to np.interp(u, cdf, xs): the same segment and the
+    same slope (xs[j+1] - xs[j]) / (cdf[j+1] - cdf[j]) (u - cdf[j]) +
+    xs[j], and the node itself on an exact hit u == cdf[j], which the
+    formula misses only when a subnormal CDF step overflows the slope.
+    Like np.interp, it raises no floating-point warning there.
+    """
+    if u.size * GUIDE_NODES_PER_EVENT < cdf.size:
+        j = np.searchsorted(cdf, u, "right") - 1
+    else:
+        j = _guide_segments(u, cdf)
+    c0 = cdf[j]
+    x0 = xs[j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (xs[j + 1] - x0) / (cdf[j + 1] - c0) * (u - c0) + x0
+    if not np.isfinite(out).all():
+        hit = u == c0
+        out[hit] = x0[hit]
+    return out
+
+
 def _inverse_cdf_table(rho, theta):
     """Tabulated quantile function of p(x, theta) for rho."""
     grid = _cdf_grid(rho.n_max)
@@ -147,8 +210,7 @@ def _inverse_cdf_table(rho, theta):
 def sample_quadrature(rho, theta, count, rng_stream):
     """Draw count i.i.d. samples of the quadrature at phase theta."""
     cdf, xs = _inverse_cdf_table(rho, theta)
-    u = rng_stream.random(int(count))
-    return np.interp(u, cdf, xs)
+    return _inverse_transform(rng_stream.random(int(count)), cdf, xs)
 
 
 def phase_stream(seed, l):
@@ -164,7 +226,10 @@ def run_experiment(plan, capture_tol=CAPTURE_TOL):
     The quadrature distribution is decomposed into phase harmonics once
     per run (states.quadrature_harmonics, O(n_max^2 G) on the G-point
     CDF grid), so each phase's density costs one O(n_max G) matvec
-    before it goes through the same CDF table as sample_quadrature.
+    before it goes through the same CDF table and inverse transform as
+    sample_quadrature: a guide table built in O(G) places each draw in
+    O(1), and phases with fewer than one event per
+    GUIDE_NODES_PER_EVENT CDF nodes binary-search instead.
     Each phase draws from its own deterministic child stream, so the
     set is reproducible and phase results do not depend on execution
     order.  With eta < 1 the stream also supplies the Gaussian detector
@@ -182,7 +247,7 @@ def run_experiment(plan, capture_tol=CAPTURE_TOL):
     ):
         rng = phase_stream(plan.seed, l)
         cdf, xs = _cdf_table(grid, harmonic_density(harmonics, theta))
-        samples = np.interp(rng.random(count), cdf, xs)
+        samples = _inverse_transform(rng.random(count), cdf, xs)
         if sigma > 0.0:
             samples = samples + rng.normal(0.0, sigma, size=count)
         records.append(samples)
@@ -196,7 +261,10 @@ def _format_complex(z):
 
 def save_records(ms, path, header_lines=()):
     """Write a MeasurementSet as text: '#' headers, then one
-    'l, theta_l, x' row per event."""
+    'l, theta_l, x' row per event.  A sample whose text would read
+    back as inf raises ValueError before the file is opened."""
+    for samples in ms.records:
+        textio.check_finite_text("%.15e", samples)
     plan = ms.plan
     state = plan.state
     header = [

@@ -5,9 +5,12 @@ header lines, then one row of numbers per line.  A header body 'key:
 value' or 'key = value', split at the first ':' or '=', is a field; any
 other header line is a title.  Rows are read into one float matrix with
 the source line of each row, so loaders check whole columns at once and
-still name the offending line.
+still name the offending line.  Savers check their numbers with
+check_finite_text first, so no finite value is written as a text that
+reads back as an infinity.
 """
 
+import math
 import re
 from array import array
 from dataclasses import dataclass
@@ -15,6 +18,23 @@ from dataclasses import dataclass
 import numpy as np
 
 _FIELD = re.compile(r"([^:=]*)[:=](.*)")
+
+# At the 15 or 16 significant digits the savers write, only a value
+# this close to the largest double can round to a text past it, which
+# reads back as inf: '%.15e' writes 1.7976931348623155e308 as
+# 1.797693134862316e+308.
+_NEAR_MAX = 1.797e308
+
+
+def check_finite_text(fmt, values):
+    """Raise ValueError naming the first finite value whose fmt text
+    reads back as an infinity; inf and NaN are written as themselves."""
+    values = np.asarray(values, dtype=float).ravel()
+    for v in values[np.abs(values) > _NEAR_MAX].tolist():
+        text = fmt % v
+        if math.isfinite(v) and not math.isfinite(float(text)):
+            raise ValueError("value %r would be written as %r, which "
+                             "reads back as %s" % (v, text, float(text)))
 
 
 def render(header, lines):

@@ -11,6 +11,7 @@ import numpy as np
 
 from phasekit.kernels import _tail_value
 from phasekit.simulator import ExperimentPlan, MeasurementSet
+from phasekit.simulator import _inverse_cdf_table
 from phasekit.states import StateSpec
 from phasekit.states import quadrature_pdf
 
@@ -67,6 +68,14 @@ def quadratic_form_pdf(rho, x, theta):
     out = np.einsum("mx,mx->x", a.conj(), rho.elements @ a).real
     out[(out < 0) & (out > -1.0e-12)] = 0.0
     return out
+
+
+def interp_sample_quadrature(rho, theta, count, rng_stream):
+    """Quadrature samples at phase theta by np.interp in the tabulated
+    CDF: the sampler the guide-table inverse transform replaced."""
+    cdf, xs = _inverse_cdf_table(rho, theta)
+    u = rng_stream.random(int(count))
+    return np.interp(u, cdf, xs)
 
 
 def interp_table_value(table, x):

@@ -433,3 +433,13 @@ def test_config_value_fuzz_raises_only_line_named_value_errors(cfg, data,
         parse_config("\n".join(lines))
     except ValueError as exc:
         assert str(exc).startswith("line %d: " % (i + 1))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("plan.events_per_phase", "-5"), ("plan.events_per_phase", "0"),
+    ("plan.events_per_phase", "10 0 10"), ("plan.events_per_phase", ""),
+    ("plan.n_phases", "0"), ("plan.n_phases", "-3"),
+])
+def test_parse_config_rejects_counts_below_one(key, value):
+    with pytest.raises(ValueError, match="^line 3: bad value for %s" % key):
+        parse_config("seed = 1\n# counts\n%s = %s\n" % (key, value))

@@ -28,6 +28,7 @@ from phasekit.estimator import (
     smear_bias,
 )
 from phasekit.kernels import KernelSpec, build_kernel_table, classical_kernel, smear_error_kernel
+from phasekit.kernels import KernelTable, table_evaluator
 from phasekit.simulator import ExperimentPlan, MeasurementSet, run_experiment
 from phasekit.specfun import hermite_fn
 from phasekit.states import StateSpec, build_state, exact_moments
@@ -439,3 +440,83 @@ def test_moment_file_rejects_bad_eta_naming_the_line(tmp_path, eta):
     path.write_text("# n_phases: 12\n1 0.5 0.1 0.2 0.1 1 %s\n" % eta)
     with pytest.raises(ValueError, match="line 2: eta_assumed"):
         load_moments(path)
+
+
+def lookup_probe_set(x0, step, eta, n_phases=9):
+    """MeasurementSet whose samples hit the kernel-table lookup where
+    it can go wrong: every grid node and midpoint, +-x0 and their
+    neighbours, zero, the tails out to 1e300, and Gaussian draws."""
+    grid = np.linspace(-x0, x0, 2 * int(round(x0 / step)) + 1)
+    edges = np.array([x0, -x0, 0.0, -0.0, 1e-300, 4.5, 1e3, 1e300])
+    special = np.concatenate((
+        grid, 0.5 * (grid[1:] + grid[:-1]), edges,
+        np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+        -edges,
+    ))
+    rng = np.random.default_rng(17)
+    draws = np.concatenate((special, 2.0 * rng.standard_normal(4000)))
+    draws = rng.permutation(np.resize(draws, n_phases * 1000))
+    plan = ExperimentPlan(state=SQUEEZED, events_per_phase=(1000,) * n_phases,
+                          eta=eta)
+    return MeasurementSet(plan=plan, records=tuple(draws.reshape(n_phases,
+                                                                 1000)))
+
+
+def assert_same_estimates(got, want):
+    assert [(e.k, e.value, e.var_re, e.var_im, e.compensated,
+             e.eta_assumed) for e in got] == \
+        [(e.k, e.value, e.var_re, e.var_im, e.compensated, e.eta_assumed)
+         for e in want]
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.8])
+def test_shared_lookup_equals_per_table_evaluate(eta):
+    tables = [build_kernel_table(KernelSpec(k=k, eta=eta))
+              for k in range(1, 9)]
+    ms = lookup_probe_set(tables[0].spec.x0, 0.005, eta)
+    evaluate_all = table_evaluator(tables)
+    for rec in ms.records:
+        for table, values in zip(tables, evaluate_all(rec)):
+            want = table.evaluate(rec)
+            assert values.tobytes() == want.tobytes()
+    assert_same_estimates(
+        estimate_all(ms, 8, tables),
+        [estimate_moment(ms, k, tables[k - 1]) for k in range(1, 9)],
+    )
+
+
+def test_mismatched_grids_fall_back_to_evaluate(monkeypatch,
+                                                default_tables):
+    tables = {k: default_tables[k] for k in range(1, 5)}
+    tables[3] = build_kernel_table(KernelSpec(k=3), grid_step=0.01)
+    ms = lookup_probe_set(4.0, 0.005, 1.0)
+    want = [estimate_moment(ms, k, tables[k]) for k in range(1, 5)]
+    calls = []
+    real = KernelTable.evaluate
+
+    def counting(self, x):
+        calls.append(self.spec.k)
+        return real(self, x)
+
+    monkeypatch.setattr(KernelTable, "evaluate", counting)
+    assert_same_estimates(estimate_all(ms, 4, tables), want)
+    assert sorted(calls) == sorted(list(range(1, 5)) * ms.plan.n_phases)
+    calls.clear()
+    estimate_all(ms, 2, tables)
+    assert calls == []
+
+
+def test_tables_with_only_spec_and_evaluate_are_accepted(default_tables):
+    class SpecAndEvaluate:
+        __slots__ = ("spec", "evaluate")
+
+        def __init__(self, table):
+            self.spec = table.spec
+            self.evaluate = table.evaluate
+
+    plan = ExperimentPlan.uniform(SQUEEZED, n_phases=6, events=500, seed=4)
+    ms = run_experiment(plan, capture_tol=0.05)
+    plain = {k: default_tables[k] for k in range(1, 5)}
+    wrapped = {k: SpecAndEvaluate(t) for k, t in plain.items()}
+    assert_same_estimates(estimate_all(ms, 4, wrapped),
+                          estimate_all(ms, 4, plain))

@@ -27,6 +27,7 @@ from phasekit.simulator import (
 )
 from phasekit.states import STATE_KINDS, StateSpec
 from phasekit.textio import parse
+from phasekit.textio import check_finite_text
 
 FUZZ = settings(max_examples=100, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -325,3 +326,59 @@ def test_moment_loader_rejects_non_integral_order_and_flag(
     path.write_text(text)
     with pytest.raises(ValueError, match="line %d: %s" % (line, message)):
         load_moments(path)
+
+
+# '%.15e' writes this finite double as 1.797693134862316e+308, past the
+# largest double, so it would read back as inf.
+NEAR_MAX = 1.7976931348623155e308
+
+
+def test_finite_text_check_finds_the_largest_doubles():
+    largest_safe = np.nextafter(NEAR_MAX, 0.0)
+    assert math.isfinite(float("%.15e" % largest_safe))
+    check_finite_text("%.15e", [largest_safe, -largest_safe, math.inf,
+                               -math.inf, math.nan, 0.0])
+    for bad in (NEAR_MAX, -NEAR_MAX, np.finfo(float).max):
+        with pytest.raises(ValueError, match="reads back as -?inf"):
+            check_finite_text("%.15e", [1.0, bad])
+    # 15 significant digits already overflow one double lower
+    with pytest.raises(ValueError, match="1.79769313486232e\\+308"):
+        check_finite_text("%.15g", largest_safe)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_records_with_near_max_sample_are_not_written(tmp_path, sign):
+    plan = ExperimentPlan.uniform(StateSpec(kind="vacuum"), 2, 3)
+    ms = MeasurementSet(plan=plan, records=(
+        np.zeros(3), np.array([0.5, sign * NEAR_MAX, 0.1])))
+    path = tmp_path / "records.txt"
+    with pytest.raises(ValueError, match=re.escape(repr(sign * NEAR_MAX))):
+        save_records(ms, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [complex(NEAR_MAX, 0.0),
+                                   complex(0.5, -NEAR_MAX)])
+def test_moments_with_near_max_value_are_not_written(tmp_path, value):
+    batch = [MomentEstimate(k=1, value=value, var_re=1e-4, var_im=1e-4,
+                            n_phases=4, compensated=False,
+                            eta_assumed=1.0)]
+    path = tmp_path / "moments.txt"
+    with pytest.raises(ValueError, match="reads back as -?inf"):
+        save_moments(batch, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("field", ["values", "grid", "reg_lambda"])
+def test_distribution_with_near_max_value_is_not_written(tmp_path, field):
+    kwargs = dict(grid=np.array([0.0, 1.0, 2.0]),
+                  values=np.array([0.1, 0.2, 0.3]), reg_lambda=0.0)
+    if field == "reg_lambda":
+        kwargs[field] = np.nextafter(NEAR_MAX, 0.0)
+    else:
+        kwargs[field] = np.array([0.1, NEAR_MAX, 0.3])
+    dist = PhaseDistribution(method="fourier", K_used=1, **kwargs)
+    path = tmp_path / "distribution.txt"
+    with pytest.raises(ValueError, match="reads back as inf"):
+        save_distribution(dist, path)
+    assert not path.exists()

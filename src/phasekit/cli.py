@@ -11,9 +11,11 @@ inspected, and rerun independently:
   verify         run the kernel identity suites and report residuals
 
 All experiment parameters live in a flat key-value config file with
-dotted sections; command-line flags override file values.  Each output
-embeds a short hash of the effective config, so artifacts can always be
-traced back to the exact settings that produced them.
+dotted sections, each key listed once in _CONFIG_KEYS, which both
+RunConfig.to_text and parse_config follow; command-line flags override
+file values.  Each output embeds a short hash of the effective config,
+so artifacts can always be traced back to the exact settings that
+produced them.
 """
 
 import argparse
@@ -29,7 +31,7 @@ from .estimator import _KernelQuadrature, estimate_all, save_moments, \
     load_moments
 from .kernels import KernelSpec, build_kernel_table, classical_kernel, \
     DEFAULT_F_TRUNCATION, DEFAULT_GRID_STEP, DEFAULT_L0, DEFAULT_X0
-from .reconstruct import METHODS, fourier_reconstruct, \
+from .reconstruct import _check_method, fourier_reconstruct, \
     least_squares_reconstruct, save_distribution
 from .simulator import ExperimentPlan, run_experiment, save_records, \
     load_records, _format_complex
@@ -42,10 +44,6 @@ CL_TOL = 1.0e-6
 VERIFY_K_MAX = 5
 VERIFY_N_MAX = 30
 VERIFY_RADII = (0.5, 1.0, 2.0, 5.0, 10.0)
-
-
-def _fmt_bool(b):
-    return "true" if b else "false"
 
 
 def _parse_bool(text):
@@ -81,13 +79,43 @@ def _counts(text):
     return values
 
 
-def _one_of(options):
-    def parse(text):
-        if text not in options:
-            raise ValueError("%r is not one of %s"
-                             % (text, ", ".join(options)))
-        return text
-    return parse
+# Value kinds of config keys: (parse, format), lossless as a pair.
+_TEXT = (str, str)
+_INT = (int, lambda v: "%d" % v)
+_COUNT = (_count, lambda v: "%d" % v)
+_COUNTS = (_counts, lambda v: " ".join(str(n) for n in v))
+_REAL = (_finite(float), lambda v: "%.17g" % v)
+_COMPLEX = (_finite(complex), _format_complex)
+_BOOL = (_parse_bool, lambda v: "true" if v else "false")
+_METHOD = (_check_method, str)
+
+# Every config key, in listing order: key -> (owner, attribute, kind).
+# The owner "state" is the RunConfig's StateSpec, "run" the RunConfig;
+# "output" is a RunConfig field that config_hash leaves out.
+_CONFIG_KEYS = {
+    "state.kind": ("state", "kind", _TEXT),
+    "state.alpha": ("state", "alpha", _COMPLEX),
+    "state.squeeze": ("state", "squeeze", _COMPLEX),
+    "state.fock_n": ("state", "fock_n", _INT),
+    "state.n_max": ("state", "n_max", _INT),
+    "state.capture_tol": ("run", "capture_tol", _REAL),
+    "plan.n_phases": ("run", "n_phases", _COUNT),
+    "plan.events_per_phase": ("run", "events_per_phase", _COUNTS),
+    "plan.eta": ("run", "eta", _REAL),
+    "kernel.l0": ("run", "kernel_l0", _INT),
+    "kernel.x0": ("run", "kernel_x0", _REAL),
+    "kernel.f_truncation": ("run", "kernel_f_truncation", _INT),
+    "kernel.grid_step": ("run", "kernel_grid_step", _REAL),
+    "kernel.compensate": ("run", "compensate", _BOOL),
+    "estimate.k_max": ("run", "k_max", _INT),
+    "reconstruct.method": ("run", "recon_method", _METHOD),
+    "reconstruct.K": ("run", "recon_K", _INT),
+    "reconstruct.M": ("run", "recon_M", _INT),
+    "reconstruct.reg_lambda": ("run", "reg_lambda", _REAL),
+    "reconstruct.normalize": ("run", "normalize", _BOOL),
+    "output_dir": ("output", "output_dir", _TEXT),
+    "seed": ("run", "seed", _INT),
+}
 
 
 @dataclass(frozen=True)
@@ -113,35 +141,15 @@ class RunConfig:
     output_dir: str = "."
     seed: int = 0
 
+    def _lines(self):
+        """(owner, 'key = value') for each key, in table order."""
+        for key, (owner, attr, (_, fmt)) in _CONFIG_KEYS.items():
+            value = getattr(self.state if owner == "state" else self, attr)
+            yield owner, "%s = %s" % (key, fmt(value))
+
     def to_text(self):
         """Canonical config listing; parsing it back is lossless."""
-        s = self.state
-        pairs = [
-            ("state.kind", s.kind),
-            ("state.alpha", _format_complex(s.alpha)),
-            ("state.squeeze", _format_complex(s.squeeze)),
-            ("state.fock_n", "%d" % s.fock_n),
-            ("state.n_max", "%d" % s.n_max),
-            ("state.capture_tol", "%.17g" % self.capture_tol),
-            ("plan.n_phases", "%d" % self.n_phases),
-            ("plan.events_per_phase",
-             " ".join(str(n) for n in self.events_per_phase)),
-            ("plan.eta", "%.17g" % self.eta),
-            ("kernel.l0", "%d" % self.kernel_l0),
-            ("kernel.x0", "%.17g" % self.kernel_x0),
-            ("kernel.f_truncation", "%d" % self.kernel_f_truncation),
-            ("kernel.grid_step", "%.17g" % self.kernel_grid_step),
-            ("kernel.compensate", _fmt_bool(self.compensate)),
-            ("estimate.k_max", "%d" % self.k_max),
-            ("reconstruct.method", self.recon_method),
-            ("reconstruct.K", "%d" % self.recon_K),
-            ("reconstruct.M", "%d" % self.recon_M),
-            ("reconstruct.reg_lambda", "%.17g" % self.reg_lambda),
-            ("reconstruct.normalize", _fmt_bool(self.normalize)),
-            ("output_dir", self.output_dir),
-            ("seed", "%d" % self.seed),
-        ]
-        return "\n".join("%s = %s" % kv for kv in pairs) + "\n"
+        return "".join(line + "\n" for _, line in self._lines())
 
     def config_hash(self):
         """Short provenance hash over the data-generating settings.
@@ -150,8 +158,7 @@ class RunConfig:
         written to two places must carry the same hash.
         """
         physics = "\n".join(
-            line for line in self.to_text().splitlines()
-            if not line.startswith("output_dir")
+            line for owner, line in self._lines() if owner != "output"
         )
         return hashlib.sha256(physics.encode()).hexdigest()[:12]
 
@@ -183,32 +190,6 @@ class RunConfig:
         }
 
 
-_CONFIG_PARSERS = {
-    "state.kind": ("state", "kind", str),
-    "state.alpha": ("state", "alpha", _finite(complex)),
-    "state.squeeze": ("state", "squeeze", _finite(complex)),
-    "state.fock_n": ("state", "fock_n", int),
-    "state.n_max": ("state", "n_max", int),
-    "state.capture_tol": ("self", "capture_tol", _finite(float)),
-    "plan.n_phases": ("self", "n_phases", _count),
-    "plan.events_per_phase": ("self", "events_per_phase", _counts),
-    "plan.eta": ("self", "eta", _finite(float)),
-    "kernel.l0": ("self", "kernel_l0", int),
-    "kernel.x0": ("self", "kernel_x0", _finite(float)),
-    "kernel.f_truncation": ("self", "kernel_f_truncation", int),
-    "kernel.grid_step": ("self", "kernel_grid_step", _finite(float)),
-    "kernel.compensate": ("self", "compensate", _parse_bool),
-    "estimate.k_max": ("self", "k_max", int),
-    "reconstruct.method": ("self", "recon_method", _one_of(METHODS)),
-    "reconstruct.K": ("self", "recon_K", int),
-    "reconstruct.M": ("self", "recon_M", int),
-    "reconstruct.reg_lambda": ("self", "reg_lambda", _finite(float)),
-    "reconstruct.normalize": ("self", "normalize", _parse_bool),
-    "output_dir": ("self", "output_dir", str),
-    "seed": ("self", "seed", int),
-}
-
-
 def parse_config(text):
     """Build a RunConfig from 'key = value' lines.
 
@@ -217,7 +198,7 @@ def parse_config(text):
     values the state rejects are reported with their line number.
     """
     state = StateSpec(kind="vacuum")
-    own_kwargs = {}
+    run = {}
     for idx, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -225,20 +206,20 @@ def parse_config(text):
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise ValueError("line %d: expected 'key = value'" % idx)
-        if key not in _CONFIG_PARSERS:
+        if key not in _CONFIG_KEYS:
             raise ValueError("line %d: unknown config key %r" % (idx, key))
-        target, attr, conv = _CONFIG_PARSERS[key]
+        owner, attr, (parse, _) = _CONFIG_KEYS[key]
         try:
-            parsed = conv(value)
-            if target == "state":
+            parsed = parse(value)
+            if owner == "state":
                 state = replace(state, **{attr: parsed})
             else:
-                own_kwargs[attr] = parsed
+                run[attr] = parsed
         except ValueError as exc:
             raise ValueError(
                 "line %d: bad value for %s: %s" % (idx, key, exc)
             )
-    return RunConfig(state=state, **own_kwargs)
+    return RunConfig(state=state, **run)
 
 
 def load_config(path):
@@ -246,29 +227,44 @@ def load_config(path):
         return parse_config(fh.read())
 
 
-def _apply_overrides(cfg, args):
+def _output_dir(flag):
+    """The --output-dir flag, else PHASEKIT_OUTPUT_DIR, else None."""
+    return flag or os.environ.get(OUTPUT_DIR_ENV)
+
+
+def _run_config(args):
+    """The --config file with the command-line overrides applied."""
+    cfg = load_config(args.config)
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "eta", None) is not None:
         cfg = replace(cfg, eta=args.eta)
-    out = getattr(args, "output_dir", None) or os.environ.get(
-        OUTPUT_DIR_ENV
-    )
+    out = _output_dir(getattr(args, "output_dir", None))
     if out:
         cfg = replace(cfg, output_dir=out)
     return cfg
 
 
-def _out_path(cfg, name):
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    return os.path.join(cfg.output_dir, name)
+def _out_path(out_dir, name):
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
+
+
+def _config_header(tag):
+    """Header lines that trace an artifact to the settings hashed as tag."""
+    return ["config: %s" % tag]
+
+
+def _save(cfg, save, artifact, name):
+    """save(artifact) as name in the output directory; return the path."""
+    path = _out_path(cfg.output_dir, name)
+    save(artifact, path, header_lines=_config_header(cfg.config_hash()))
+    return path
 
 
 def _do_simulate(cfg):
     ms = run_experiment(cfg.plan(), capture_tol=cfg.capture_tol)
-    path = _out_path(cfg, "records.txt")
-    save_records(ms, path, header_lines=["config: %s" % cfg.config_hash()])
-    return path
+    return _save(cfg, save_records, ms, "records.txt")
 
 
 def _do_estimate(cfg, records_path):
@@ -277,72 +273,56 @@ def _do_estimate(cfg, records_path):
         ms, cfg.k_max,
         cfg.kernel_tables(range(1, cfg.k_max + 1), ms.plan.eta),
     )
-    path = _out_path(cfg, "moments.txt")
-    save_moments(estimates, path,
-                 header_lines=["config: %s" % cfg.config_hash()])
-    return path
+    return _save(cfg, save_moments, estimates, "moments.txt")
 
 
 def _do_reconstruct(cfg, moments_path):
     moments = load_moments(moments_path)
-    if cfg.recon_method == "fourier":
+    if _check_method(cfg.recon_method) == "fourier":
         dist = fourier_reconstruct(moments, cfg.recon_K, cfg.recon_M)
-    elif cfg.recon_method == "least_squares":
+    else:
         dist = least_squares_reconstruct(
             moments, cfg.recon_K, cfg.recon_M,
             reg_lambda=cfg.reg_lambda, normalize=cfg.normalize,
         )
-    else:
-        raise ValueError(
-            "unknown reconstruction method %r" % cfg.recon_method
-        )
-    path = _out_path(cfg, "distribution.txt")
-    save_distribution(dist, path,
-                      header_lines=["config: %s" % cfg.config_hash()])
-    return path
+    return _save(cfg, save_distribution, dist, "distribution.txt")
 
 
 def cmd_kernel_table(args):
+    out_dir = _output_dir(args.output_dir) or "."
     for k in args.k:
         spec = KernelSpec(k=k, eta=args.eta, l0=args.l0, x0=args.x0,
                           f_truncation=args.f_truncation)
         table = build_kernel_table(spec, grid_step=args.grid_step)
-        out_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "."
-        os.makedirs(out_dir, exist_ok=True)
         tag = hashlib.sha256(
             ("%d %.17g %d %.17g %d %.17g" % (
                 k, args.eta, args.l0, args.x0, args.f_truncation,
                 args.grid_step,
             )).encode()
         ).hexdigest()[:12]
-        path = os.path.join(
-            out_dir, "kernel_k%d_eta%.6g.txt" % (k, args.eta)
-        )
-        textio.save(path, ["config: %s" % tag], table.to_text().splitlines())
+        path = _out_path(out_dir, "kernel_k%d_eta%.6g.txt" % (k, args.eta))
+        textio.save(path, _config_header(tag), table.to_text().splitlines())
         print("wrote %s" % path)
     return 0
 
 
 def cmd_simulate(args):
-    cfg = _apply_overrides(load_config(args.config), args)
-    print("wrote %s" % _do_simulate(cfg))
+    print("wrote %s" % _do_simulate(_run_config(args)))
     return 0
 
 
 def cmd_estimate(args):
-    cfg = _apply_overrides(load_config(args.config), args)
-    print("wrote %s" % _do_estimate(cfg, args.records))
+    print("wrote %s" % _do_estimate(_run_config(args), args.records))
     return 0
 
 
 def cmd_reconstruct(args):
-    cfg = _apply_overrides(load_config(args.config), args)
-    print("wrote %s" % _do_reconstruct(cfg, args.moments))
+    print("wrote %s" % _do_reconstruct(_run_config(args), args.moments))
     return 0
 
 
 def cmd_pipeline(args):
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _run_config(args)
     records = _do_simulate(cfg)
     moments = _do_estimate(cfg, records)
     dist = _do_reconstruct(cfg, moments)

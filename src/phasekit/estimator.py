@@ -6,6 +6,9 @@ module quantifies the three error sources of the method: statistical
 variance of the sample average, systematic bias from measuring at a
 finite number of phases (aliasing), and systematic bias from detector
 smearing when no compensated kernel is used.
+
+estimate_moment is the one-order case of estimate_all: both run one
+reduction over the records through kernels.table_evaluator.
 """
 
 import cmath
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .kernels import smear_error_kernel, table_evaluator
+from .kernels import smear_error_kernel, smearing_sigma, table_evaluator
 from .specfun import psi_matrix
 from .states import exact_moments
 
@@ -119,17 +122,30 @@ def _assemble(k, phases, stats, compensated, eta_assumed):
     )
 
 
+def _estimate(ms, by_k):
+    """Estimates for the orders of by_k (k -> kernel table), in its
+    order, from one pass over the records with the tables checked."""
+    flags = {k: _check_table(ms, k, table) for k, table in by_k.items()}
+    evaluate_all = table_evaluator(by_k.values())
+    stats = {k: [] for k in by_k}
+    for rec in ms.records:
+        for k, values in zip(by_k, evaluate_all(rec)):
+            stats[k].append(_phase_stats(values))
+    return [
+        _assemble(k, ms.plan.phases, stats[k], flags[k], table.spec.eta)
+        for k, table in by_k.items()
+    ]
+
+
 def estimate_moment(ms, k, table):
     """Estimate Psi_k from a MeasurementSet with the given kernel table.
 
     value  = (2 pi / N) sum_l e^{i k theta_l} mean_r K_k[x_r(theta_l)]
     var_re = (2 pi / N)^2 sum_l cos^2(k theta_l) s_l^2 / n(theta_l)
     and var_im with sin^2, where s_l^2 is the per-phase sample variance
-    of the kernel values.
+    of the kernel values.  Unlike estimate_all, k may reach N.
     """
-    compensated = _check_table(ms, k, table)
-    stats = [_phase_stats(table.evaluate(rec)) for rec in ms.records]
-    return _assemble(k, ms.plan.phases, stats, compensated, table.spec.eta)
+    return _estimate(ms, {k: table})[0]
 
 
 def estimate_all(ms, k_max, tables):
@@ -155,27 +171,15 @@ def estimate_all(ms, k_max, tables):
             "k_max=%d must be smaller than the number of phases N=%d"
             % (k_max, n_phases)
         )
-    if isinstance(tables, dict):
-        by_k = dict(tables)
-    else:
-        by_k = {t.spec.k: t for t in tables}
-    missing = [k for k in range(1, k_max + 1) if k not in by_k]
+    if not isinstance(tables, dict):
+        tables = {t.spec.k: t for t in tables}
+    missing = [k for k in range(1, k_max + 1) if k not in tables]
     if missing:
         raise ValueError(
             "no kernel table for k = %s"
             % ", ".join(str(k) for k in missing)
         )
-    orders = range(1, k_max + 1)
-    flags = {k: _check_table(ms, k, by_k[k]) for k in orders}
-    evaluate_all = table_evaluator(by_k[k] for k in orders)
-    stats = {k: [] for k in orders}
-    for rec in ms.records:
-        for k, values in zip(orders, evaluate_all(rec)):
-            stats[k].append(_phase_stats(values))
-    return [
-        _assemble(k, ms.plan.phases, stats[k], flags[k], by_k[k].spec.eta)
-        for k in orders
-    ]
+    return _estimate(ms, {k: tables[k] for k in range(1, k_max + 1)})
 
 
 def _panel_rule(edges):
@@ -315,9 +319,7 @@ def smear_bias(rho, k, eta, g_table=None):
     g_table may supply precomputed g values as a vectorized callable;
     by default the exact convolution difference is evaluated.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
-    if eta == 1.0:
+    if smearing_sigma(eta) == 0.0:
         return 0.0j
     if k < 1:
         raise ValueError("moment order k must be >= 1")

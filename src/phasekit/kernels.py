@@ -6,7 +6,7 @@ K_k(x) e^{ik theta} over the measured quadratures x at phases theta
 yields the moment.  This module constructs the x-dependent factor
 K_k(x), its loss-compensated variants K_k(x; eta), the classical
 (large-amplitude) limits, and the Gaussian smearing-error kernel used
-for bias analysis.
+for bias analysis, with the one detector-noise model, smearing_sigma.
 
 Evaluation strategy, following the series construction: inside a window
 |x| < x0 the kernel is a Hermite series
@@ -104,8 +104,8 @@ class KernelSpec:
                 "efficiency must satisfy 1/2 < eta <= 1; smearing cannot "
                 "be compensated at or below one-half"
             )
-        if self.x0 <= 0:
-            raise ValueError("x0 must be positive")
+        if not (math.isfinite(self.x0) and self.x0 > 0):
+            raise ValueError("x0 must be finite and > 0, not %r" % self.x0)
         if self.l0 < 0:
             raise ValueError("l0 must be nonnegative")
         if self.f_truncation < 1:
@@ -540,51 +540,6 @@ def quantum_kernel(k, x, eta=1.0, l0=DEFAULT_L0, x0=DEFAULT_X0,
     return out
 
 
-def omega(k, z, truncation=120):
-    """Angular weight Omega^(k)(z) = sum_m A_m^(k) z^m.
-
-    A_m^(k) = [(-1)^m/m!] [2 pi^{k/2} / Gamma(k/2+m)] d^m/dx^m
-    prod_{j=1}^k (1-jx)^{-1/2} at x = 0; the derivatives are the Taylor
-    coefficients of the product, built by polynomial multiplication of
-    the binomial series of each factor.  Raises if the terms have not
-    started decaying by the truncation order (large kz needs the
-    integral representation instead).
-    """
-    if k < 1 or int(k) != k:
-        raise ValueError("k must be a positive integer")
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise ValueError("z must be >= 0")
-    coeffs = np.zeros(truncation + 1)
-    coeffs[0] = 1.0
-    for j in range(1, k + 1):
-        factor = np.empty(truncation + 1)
-        factor[0] = 1.0
-        for i in range(1, truncation + 1):
-            factor[i] = factor[i - 1] * (0.5 + i - 1.0) * j / i
-        coeffs = np.convolve(coeffs, factor)[: truncation + 1]
-    amps = np.array(
-        [
-            (-1.0) ** m
-            * 2.0
-            * np.pi ** (0.5 * k)
-            / math.gamma(0.5 * k + m)
-            * coeffs[m]
-            for m in range(truncation + 1)
-        ]
-    )
-    terms = amps * z[..., None] ** np.arange(truncation + 1)
-    tail = np.abs(terms[..., -5:]).max(axis=-1)
-    scale = np.abs(terms).max(axis=-1)
-    if np.any(tail > 1.0e-12 * scale):
-        raise ArithmeticError(
-            "Omega series not converged at the requested argument; "
-            "use the angular integral form instead"
-        )
-    result = terms.sum(axis=-1)
-    return float(result) if not np.asarray(z).ndim else result
-
-
 def integral_kernel_k1(x):
     """Closed single-integral form of K_1(x).
 
@@ -642,12 +597,20 @@ def integral_kernel_k2(x):
     return value / (2.0 * np.pi)
 
 
+def smearing_sigma(eta):
+    """Width of the Gaussian noise a detector of efficiency eta in
+    (0, 1] adds to each quadrature sample; 0 at eta = 1."""
+    if not 0.0 < eta <= 1.0:
+        raise ValueError("eta must lie in (0, 1], not %r" % eta)
+    return math.sqrt((1.0 - eta) / (2.0 * eta))
+
+
 @scalar_in_scalar_out
 def smear_error_kernel(k, x, eta):
     """Systematic-error kernel g_k(x; eta) for Gaussian data smearing.
 
     Imperfect detection replaces the quadrature distribution by its
-    convolution with a Gaussian of variance sigma^2 = (1-eta)/(2 eta).
+    convolution with a Gaussian f of width smearing_sigma(eta).
     Feeding such data to the uncompensated kernel K_k biases the moment
     by the overlap with
 
@@ -655,11 +618,9 @@ def smear_error_kernel(k, x, eta):
 
     computed here by Gauss-Hermite quadrature of the convolution.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
-    if eta == 1.0:
+    sigma = smearing_sigma(eta)
+    if sigma == 0.0:
         return np.zeros_like(x)
-    sigma = math.sqrt((1.0 - eta) / (2.0 * eta))
     nodes, wts = np.polynomial.hermite.hermgauss(SMEAR_QUAD_ORDER)
     shifted = x[:, None] - math.sqrt(2.0) * sigma * nodes[None, :]
     kernel_vals = quantum_kernel(k, shifted.ravel()).reshape(shifted.shape)
@@ -675,8 +636,9 @@ def build_kernel_table(spec, grid_step=DEFAULT_GRID_STEP):
     rule outside.  The step default keeps the interpolation error far
     below the series accuracy.
     """
-    if grid_step <= 0:
-        raise ValueError("grid step must be positive")
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise ValueError("grid step must be finite and > 0, not %r"
+                         % grid_step)
     n_half = int(round(spec.x0 / grid_step))
     grid = np.linspace(-spec.x0, spec.x0, 2 * n_half + 1)
     values = quantum_kernel(

@@ -19,10 +19,30 @@ NORMALIZATION_TOL = 1.0e-6
 DISTRIBUTION_COLUMNS = "phi P"
 
 
+def _check_method(text):
+    if text not in METHODS:
+        raise ValueError("method must be one of %s, not %r"
+                         % (", ".join(METHODS), text))
+    return text
+
+
+def _check_K(value):
+    if int(value) < 0:
+        raise ValueError("K_used must be >= 0, not %s" % value)
+    return int(value)
+
+
+def _check_reg_lambda(value):
+    if not 0.0 <= float(value) < math.inf:
+        raise ValueError("reg_lambda must be finite and >= 0, not %s" % value)
+    return float(value)
+
+
 @dataclass(frozen=True)
 class PhaseDistribution:
     """P(phi) sampled on the uniform grid phi_m = 2 pi m / M; every
-    grid point and value must be finite."""
+    grid point and value must be finite, method one of METHODS, K_used
+    >= 0 and reg_lambda finite and >= 0."""
 
     grid: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
@@ -40,10 +60,9 @@ class PhaseDistribution:
             i = bad[0]
             raise ValueError("non-finite point phi = %r, P = %r at index %d"
                              % (grid[i], values[i], i))
-        if self.method not in METHODS:
-            raise ValueError(
-                "method must be one of %s" % (", ".join(METHODS))
-            )
+        _check_method(self.method)
+        _check_K(self.K_used)
+        _check_reg_lambda(self.reg_lambda)
         grid.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "grid", grid)
@@ -134,8 +153,7 @@ def least_squares_reconstruct(moments, K, M, reg_lambda=0.0,
             "least squares needs M >= 8K grid points (got M=%d, K=%d)"
             % (M, K)
         )
-    if reg_lambda < 0.0:
-        raise ValueError("reg_lambda must be nonnegative")
+    reg_lambda = _check_reg_lambda(reg_lambda)
     chosen = _collect(moments, K)
     for m in chosen:
         if m.var_re <= 0.0 or m.var_im <= 0.0:
@@ -184,7 +202,7 @@ def least_squares_reconstruct(moments, K, M, reg_lambda=0.0,
 
     dist = PhaseDistribution(
         grid=grid, values=values, method="least_squares", K_used=K,
-        reg_lambda=float(reg_lambda),
+        reg_lambda=reg_lambda,
     )
     if normalize and abs(dist.norm() - 1.0) > NORMALIZATION_TOL:
         raise ArithmeticError(
@@ -233,8 +251,8 @@ def save_distribution(dist, path, header_lines=()):
 def load_distribution(path):
     """Parse a distribution file written by save_distribution.
 
-    A row holding a non-finite phi or P raises ValueError naming its
-    line.
+    A non-finite row, and a method, K or reg_lambda that
+    PhaseDistribution rejects, raise ValueError naming the line.
     """
     art = textio.load(path, DISTRIBUTION_COLUMNS)
     bad = np.flatnonzero(~np.isfinite(art.rows).all(axis=1))
@@ -248,7 +266,7 @@ def load_distribution(path):
         )
     grid, values = art.rows.T
     return PhaseDistribution(
-        grid=grid, values=values, method=art.field("method:"),
-        K_used=art.field("K:", int),
-        reg_lambda=art.field("reg_lambda:", float),
+        grid=grid, values=values, method=art.field("method:", _check_method),
+        K_used=art.field("K:", _check_K),
+        reg_lambda=art.field("reg_lambda:", _check_reg_lambda),
     )

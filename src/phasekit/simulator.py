@@ -4,8 +4,8 @@ Draws quadrature samples at equidistant local-oscillator phases by
 inverse-CDF sampling from the exact quadrature distribution of a
 truncated state (decomposed once per run into phase harmonics, so each
 phase's density is a single matvec), models detector efficiency
-eta < 1 as additive Gaussian noise of variance (1 - eta) / (2 eta) on
-the ideal samples (the convolution picture of a lossy detector), and
+eta < 1 as additive Gaussian noise of width kernels.smearing_sigma(eta)
+on the ideal samples (the convolution picture of a lossy detector), and
 persists measurement records as plain text.
 
 The inverse transform interpolates linearly in the tabulated CDF.  A
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import textio
+from .kernels import smearing_sigma
 from .states import (
     CAPTURE_TOL,
     StateSpec,
@@ -69,8 +70,7 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one phase")
         if min(counts) < 1:
             raise ValueError("every phase needs at least one event")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must lie in (0, 1]")
+        smearing_sigma(self.eta)  # ValueError unless 0 < eta <= 1
         object.__setattr__(self, "events_per_phase", counts)
 
     @property
@@ -238,9 +238,7 @@ def run_experiment(plan, capture_tol=CAPTURE_TOL):
     rho = build_state(plan.state, capture_tol=capture_tol)
     grid = _cdf_grid(rho.n_max)
     harmonics = quadrature_harmonics(rho, grid)
-    sigma = 0.0
-    if plan.eta < 1.0:
-        sigma = math.sqrt((1.0 - plan.eta) / (2.0 * plan.eta))
+    sigma = smearing_sigma(plan.eta)
     records = []
     for l, (theta, count) in enumerate(
         zip(plan.phases, plan.events_per_phase)
@@ -291,6 +289,11 @@ def _record_lines(ms):
             yield prefix + "%.15e" % x
 
 
+def _efficiency(text):
+    smearing_sigma(float(text))  # ValueError unless 0 < eta <= 1
+    return float(text)
+
+
 _STATE_FIELDS = {"kind": str, "alpha": complex, "squeeze": complex,
                  "fock_n": int, "n_max": int}
 
@@ -330,7 +333,7 @@ def load_records(path):
     plan = ExperimentPlan(
         state=art.field("state:", _parse_state),
         events_per_phase=art.field("events_per_phase:", counts),
-        eta=art.field("eta:", float),
+        eta=art.field("eta:", _efficiency),
         seed=art.field("seed:", int),
     )
     l, theta, x = art.rows.T

@@ -47,16 +47,6 @@ def scalar_in_scalar_out(func):
     return wrapper
 
 
-def log_factorial(n):
-    """log(n!) via lgamma."""
-    return math.lgamma(n + 1.0)
-
-
-def log_rising(a, k):
-    """log of the rising product a (a+1) ... (a+k-1) for a > 0."""
-    return math.lgamma(a + k) - math.lgamma(a)
-
-
 def hermite_poly(n, x):
     """Physicists' Hermite polynomial H_n(x) by the three-term recurrence.
 

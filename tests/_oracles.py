@@ -1,8 +1,10 @@
 """Reference implementations shared by the tests.
 
-Quadrature rules for the estimator and acceptance tests, and the
-direct forms the fast library paths are checked against: the
-quadratic-form quadrature density and np.interp kernel lookup.
+Quadrature rules for the estimator and acceptance tests, the direct
+forms the fast library paths are checked against (the quadratic-form
+quadrature density and np.interp kernel lookup), and the special
+functions only the tests use: log_factorial, log_rising and the angular
+weight omega.
 """
 
 import math
@@ -275,3 +277,58 @@ def displaced_fock_amplitudes(spec):
     vec = np.zeros(n_big + 1, dtype=complex)
     vec[spec.fock_n] = 1.0
     return expm(generator) @ vec
+
+
+def log_factorial(n):
+    """log(n!) via lgamma."""
+    return math.lgamma(n + 1.0)
+
+
+def log_rising(a, k):
+    """log of the rising product a (a+1) ... (a+k-1) for a > 0."""
+    return math.lgamma(a + k) - math.lgamma(a)
+
+
+def omega(k, z, truncation=120):
+    """Angular weight Omega^(k)(z) = sum_m A_m^(k) z^m.
+
+    A_m^(k) = [(-1)^m/m!] [2 pi^{k/2} / Gamma(k/2+m)] d^m/dx^m
+    prod_{j=1}^k (1-jx)^{-1/2} at x = 0; the derivatives are the Taylor
+    coefficients of the product, built by polynomial multiplication of
+    the binomial series of each factor.  Raises if the terms have not
+    started decaying by the truncation order (large kz needs the
+    integral representation instead).
+    """
+    if k < 1 or int(k) != k:
+        raise ValueError("k must be a positive integer")
+    z = np.asarray(z, dtype=float)
+    if np.any(z < 0):
+        raise ValueError("z must be >= 0")
+    coeffs = np.zeros(truncation + 1)
+    coeffs[0] = 1.0
+    for j in range(1, k + 1):
+        factor = np.empty(truncation + 1)
+        factor[0] = 1.0
+        for i in range(1, truncation + 1):
+            factor[i] = factor[i - 1] * (0.5 + i - 1.0) * j / i
+        coeffs = np.convolve(coeffs, factor)[: truncation + 1]
+    amps = np.array(
+        [
+            (-1.0) ** m
+            * 2.0
+            * np.pi ** (0.5 * k)
+            / math.gamma(0.5 * k + m)
+            * coeffs[m]
+            for m in range(truncation + 1)
+        ]
+    )
+    terms = amps * z[..., None] ** np.arange(truncation + 1)
+    tail = np.abs(terms[..., -5:]).max(axis=-1)
+    scale = np.abs(terms).max(axis=-1)
+    if np.any(tail > 1.0e-12 * scale):
+        raise ArithmeticError(
+            "Omega series not converged at the requested argument; "
+            "use the angular integral form instead"
+        )
+    result = terms.sum(axis=-1)
+    return float(result) if not np.asarray(z).ndim else result

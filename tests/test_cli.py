@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import displaced_fock_amplitudes
-from phasekit.cli import RunConfig, build_parser, main, parse_config
+from phasekit.cli import (_CONFIG_KEYS, RunConfig, build_parser, main,
+                          parse_config)
 from phasekit.kernels import (
     DEFAULT_F_TRUNCATION,
     DEFAULT_L0,
@@ -343,13 +344,26 @@ def test_non_finite_moment_exits_2_naming_the_line(tmp_path, capsys):
     assert "line %d: " % len(lines) in capsys.readouterr().err
 
 
-def test_readme_config_block_parses_to_the_defaults():
+def readme_config_block():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
         text = fh.read()
     section = text[text.index("## Command line"):]
-    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
-    assert parse_config(block) == RunConfig()
+    return re.search(r"```\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_config_block_parses_to_the_defaults():
+    assert parse_config(readme_config_block()) == RunConfig()
+
+
+def test_readme_config_block_sets_every_key_once_in_listing_order():
+    keys = [line.partition("=")[0].strip()
+            for line in readme_config_block().splitlines()
+            if line.strip() and not line.startswith("#")]
+    listed = [line.partition(" = ")[0]
+              for line in RunConfig().to_text().splitlines()]
+    assert listed == list(_CONFIG_KEYS)
+    assert keys == listed
 
 
 @pytest.mark.parametrize("key, value", [
@@ -443,3 +457,28 @@ def test_config_value_fuzz_raises_only_line_named_value_errors(cfg, data,
 def test_parse_config_rejects_counts_below_one(key, value):
     with pytest.raises(ValueError, match="^line 3: bad value for %s" % key):
         parse_config("seed = 1\n# counts\n%s = %s\n" % (key, value))
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--x0", "inf"), ("--x0", "nan"), ("--grid-step", "nan"),
+    ("--grid-step", "inf"),
+])
+def test_kernel_table_with_non_finite_geometry_exits_2(tmp_path, capsys,
+                                                       flag, value):
+    ret = main(["kernel-table", "--k", "1", flag, value,
+                "--output-dir", str(tmp_path / "tables")])
+    err = capsys.readouterr().err
+    assert ret == 2
+    assert re.match(r"error: (x0|grid step) must be finite and > 0, not %s$"
+                    % value, err.strip()), err
+    assert not (tmp_path / "tables").exists()
+
+
+def test_output_dir_flag_overrides_the_environment_for_kernel_tables(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv("PHASEKIT_OUTPUT_DIR", str(tmp_path / "from_env"))
+    assert main(["kernel-table", "--k", "1", "--grid-step", "0.5"]) == 0
+    assert (tmp_path / "from_env" / "kernel_k1_eta1.txt").exists()
+    assert main(["kernel-table", "--k", "1", "--grid-step", "0.5",
+                 "--output-dir", str(tmp_path / "from_flag")]) == 0
+    assert (tmp_path / "from_flag" / "kernel_k1_eta1.txt").exists()

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from _oracles import interp_table_value, mpmath_alt_sum, mpmath_f_inner_sum
+from _oracles import (interp_table_value, mpmath_alt_sum, mpmath_f_inner_sum,
+                      omega)
 from phasekit import kernels
 from phasekit.kernels import (
     DEFAULT_GRID_STEP,
@@ -25,9 +26,9 @@ from phasekit.kernels import (
     classical_kernel,
     integral_kernel_k1,
     integral_kernel_k2,
-    omega,
     quantum_kernel,
     smear_error_kernel,
+    smearing_sigma,
 )
 from phasekit.specfun import bessel_i0, hermite_fn
 
@@ -197,6 +198,30 @@ def test_kernel_spec_validation():
         KernelSpec(k=1, x0=0.0)
     with pytest.raises(ValueError):
         KernelSpec(k=1, f_truncation=0)
+
+
+@pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan])
+def test_kernel_spec_rejects_non_finite_x0(x0):
+    with pytest.raises(ValueError,
+                       match="x0 must be finite and > 0, not %r" % x0):
+        KernelSpec(k=1, x0=x0)
+
+
+@pytest.mark.parametrize("step", [math.inf, -math.inf, math.nan, 0.0, -0.1])
+def test_build_kernel_table_rejects_bad_grid_step(step):
+    with pytest.raises(ValueError,
+                       match="grid step must be finite and > 0, not %r"
+                             % step):
+        build_kernel_table(KernelSpec(k=1), grid_step=step)
+
+
+def test_smearing_sigma_is_the_lossy_detector_noise_width():
+    assert smearing_sigma(1.0) == 0.0
+    assert np.isclose(smearing_sigma(0.8), math.sqrt(0.125), rtol=1e-15)
+    assert np.isclose(smearing_sigma(0.5), math.sqrt(0.5), rtol=1e-15)
+    for eta in (0.0, -0.5, 1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"eta must lie in \(0, 1\]"):
+            smearing_sigma(eta)
 
 
 def test_angular_weight_closed_forms():

@@ -7,6 +7,7 @@ synthesis, for any moment values and any positive error bars.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,28 @@ def test_distribution_validation():
     with pytest.raises(ValueError):
         PhaseDistribution(grid=grid, values=np.ones(16), method="spline",
                           K_used=2)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("reg_lambda", math.nan, "reg_lambda must be finite and >= 0, not nan"),
+    ("reg_lambda", -1.0, "reg_lambda must be finite and >= 0, not -1.0"),
+    ("reg_lambda", math.inf, "reg_lambda must be finite and >= 0, not inf"),
+    ("K_used", -3, "K_used must be >= 0, not -3"),
+])
+def test_distribution_rejects_bad_header_values(field, value, message):
+    kwargs = dict(grid=np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False),
+                  values=np.full(8, 0.5 / math.pi), method="fourier",
+                  K_used=2)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        PhaseDistribution(**kwargs)
+
+
+def test_least_squares_rejects_non_finite_penalty():
+    moments = as_estimates([0.2, 0.1])
+    for reg_lambda in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="reg_lambda must be finite"):
+            least_squares_reconstruct(moments, 2, 64, reg_lambda=reg_lambda)
 
 
 def test_zero_moments_give_uniform_distribution():

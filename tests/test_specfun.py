@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from _oracles import log_factorial, log_rising
 from phasekit.specfun import (
     KUMMER_SWITCH,
     MAX_HERMITE_ORDER,
@@ -17,8 +18,6 @@ from phasekit.specfun import (
     hermite_fn_sum,
     hermite_poly,
     kummer_phi,
-    log_factorial,
-    log_rising,
     psi_matrix,
     psi_rows,
 )

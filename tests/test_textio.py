@@ -156,6 +156,28 @@ def test_corrupted_line_is_named(name, tmp_path, data):
     assert str(info.value).startswith("line %d: " % line), str(info.value)
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("distribution", "reg_lambda", "nan"),
+    ("distribution", "reg_lambda", "-1"),
+    ("distribution", "reg_lambda", "inf"),
+    ("distribution", "K", "-3"),
+    ("distribution", "method", "bogus"),
+    ("records", "eta", "nan"),
+    ("records", "eta", "0"),
+    ("records", "eta", "1.5"),
+])
+def test_out_of_range_header_value_is_named(name, key, value, tmp_path):
+    make, load, _ = FORMATS[name]
+    lines = make(tmp_path).splitlines()
+    i = next(i for i, ln in enumerate(lines)
+             if ln.startswith("# %s:" % key))
+    lines[i] = "# %s: %s" % (key, value)
+    with pytest.raises(ValueError,
+                       match=r"^line %d: bad %s value '%s': "
+                             % (i + 1, key, value)):
+        load("\n".join(lines) + "\n", tmp_path)
+
+
 def test_header_fields_split_at_first_separator():
     art = parse(["# title line", "# a = b: c", "# d: e = f", "#g=h",
                  "1 2", "# a: last", "", "3 4"], "x y")

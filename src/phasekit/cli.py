@@ -30,7 +30,8 @@ from . import textio
 from .estimator import _KernelQuadrature, estimate_all, save_moments, \
     load_moments
 from .kernels import KernelSpec, build_kernel_table, classical_kernel, \
-    DEFAULT_F_TRUNCATION, DEFAULT_GRID_STEP, DEFAULT_L0, DEFAULT_X0
+    DEFAULT_F_TRUNCATION, DEFAULT_GRID_STEP, DEFAULT_L0, DEFAULT_X0, \
+    _check_f_truncation, _check_grid_step, _check_l0, _check_x0
 from .reconstruct import _check_method, fourier_reconstruct, \
     least_squares_reconstruct, save_distribution
 from .simulator import ExperimentPlan, run_experiment, save_records, \
@@ -65,11 +66,17 @@ def _finite(conv):
     return parse
 
 
-def _count(text):
-    value = int(text)
-    if value < 1:
-        raise ValueError("%r is not a count >= 1" % text)
-    return value
+def _at_least(low, noun):
+    """int parser that rejects values below low."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise ValueError("%r is not %s >= %d" % (text, noun, low))
+        return value
+    return parse
+
+
+_count = _at_least(1, "a count")
 
 
 def _counts(text):
@@ -84,10 +91,16 @@ _TEXT = (str, str)
 _INT = (int, lambda v: "%d" % v)
 _COUNT = (_count, lambda v: "%d" % v)
 _COUNTS = (_counts, lambda v: " ".join(str(n) for n in v))
+_SEED = (_at_least(0, "a seed"), _INT[1])
 _REAL = (_finite(float), lambda v: "%.17g" % v)
 _COMPLEX = (_finite(complex), _format_complex)
 _BOOL = (_parse_bool, lambda v: "true" if v else "false")
 _METHOD = (_check_method, str)
+# Kernel parameters, in the ranges the kernel module itself checks.
+_L0 = (_check_l0, _INT[1])
+_F_TRUNCATION = (_check_f_truncation, _INT[1])
+_X0 = (_check_x0, _REAL[1])
+_GRID_STEP = (_check_grid_step, _REAL[1])
 
 # Every config key, in listing order: key -> (owner, attribute, kind).
 # The owner "state" is the RunConfig's StateSpec, "run" the RunConfig;
@@ -102,19 +115,19 @@ _CONFIG_KEYS = {
     "plan.n_phases": ("run", "n_phases", _COUNT),
     "plan.events_per_phase": ("run", "events_per_phase", _COUNTS),
     "plan.eta": ("run", "eta", _REAL),
-    "kernel.l0": ("run", "kernel_l0", _INT),
-    "kernel.x0": ("run", "kernel_x0", _REAL),
-    "kernel.f_truncation": ("run", "kernel_f_truncation", _INT),
-    "kernel.grid_step": ("run", "kernel_grid_step", _REAL),
+    "kernel.l0": ("run", "kernel_l0", _L0),
+    "kernel.x0": ("run", "kernel_x0", _X0),
+    "kernel.f_truncation": ("run", "kernel_f_truncation", _F_TRUNCATION),
+    "kernel.grid_step": ("run", "kernel_grid_step", _GRID_STEP),
     "kernel.compensate": ("run", "compensate", _BOOL),
-    "estimate.k_max": ("run", "k_max", _INT),
+    "estimate.k_max": ("run", "k_max", _COUNT),
     "reconstruct.method": ("run", "recon_method", _METHOD),
     "reconstruct.K": ("run", "recon_K", _INT),
     "reconstruct.M": ("run", "recon_M", _INT),
     "reconstruct.reg_lambda": ("run", "reg_lambda", _REAL),
     "reconstruct.normalize": ("run", "normalize", _BOOL),
     "output_dir": ("output", "output_dir", _TEXT),
-    "seed": ("run", "seed", _INT),
+    "seed": ("run", "seed", _SEED),
 }
 
 
@@ -194,8 +207,10 @@ def parse_config(text):
     """Build a RunConfig from 'key = value' lines.
 
     Blank lines and '#' comments are skipped; unknown keys, malformed
-    lines, non-finite numbers, phase and event counts below one and
-    values the state rejects are reported with their line number.
+    lines, non-finite numbers, counts below one, a negative seed,
+    kernel parameters outside the ranges KernelSpec and
+    build_kernel_table accept, and values the state rejects are
+    reported with their line number.
     """
     state = StateSpec(kind="vacuum")
     run = {}

@@ -161,7 +161,8 @@ def estimate_all(ms, k_max, tables):
     each record's segment index, segment offsets and tail positions are
     computed once and shared by all orders (kernels.table_evaluator);
     any other table set, such as tables at different grid steps or
-    objects with only .spec and .evaluate, is evaluated table by table.
+    objects with only .spec and .evaluate, is evaluated table by table
+    through each table's evaluate, which runs the same lookup code.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

@@ -33,12 +33,12 @@ importing phasekit loads neither mpmath nor scipy.
 
 Estimation evaluates tabulated kernels (KernelTable): linear
 interpolation on a uniform grid inside |x| <= x0, the classical tail
-outside.  Because the grid is uniform, the segment of a sample is found
-by direct indexing, j = floor((x - g0) / h) with one +-1 correction,
-not by a binary search; the arithmetic is np.interp's, so the values are
-bit-identical to it.  table_evaluator finds that segment once per sample
-for a set of tables on one grid, so each further order costs two gathers
-and a multiply-add.
+outside, NaN and +-inf included.  The grid is uniform, so a sample's
+segment is found by direct indexing, j = floor((x - g0) / h) with one
++-1 correction, not by a binary search; the arithmetic is np.interp's,
+so the values are bit-identical to it.  There is one lookup:
+table_evaluator finds the segments once per sample for tables on one
+grid, and KernelTable.evaluate is its one-table case.
 
 Two closed single-integral forms (k = 1, 2) are provided as independent
 cross-checks of the series construction.
@@ -78,6 +78,42 @@ def _working_dps(l):
     return 30 + int(0.32 * l)
 
 
+# Validators of the kernel parameters: each takes a number or its text
+# and returns the checked value, or raises ValueError stating the range.
+def _integer_at_least(name, low):
+    def check(value):
+        n = int(value)
+        if n < low or n != float(value):
+            raise ValueError("%s must be an integer >= %d, not %r"
+                             % (name, low, value))
+        return n
+    return check
+
+
+def _finite_positive(name):
+    def check(value):
+        if not 0.0 < float(value) < math.inf:
+            raise ValueError("%s must be finite and > 0, not %r"
+                             % (name, value))
+        return float(value)
+    return check
+
+
+def _check_eta(value):
+    if not 0.5 < float(value) <= 1.0:
+        raise ValueError("efficiency must satisfy 1/2 < eta <= 1; smearing "
+                         "cannot be compensated at or below one-half, not %r"
+                         % value)
+    return float(value)
+
+
+_check_k = _integer_at_least("k", 1)
+_check_l0 = _integer_at_least("l0", 0)
+_check_f_truncation = _integer_at_least("f_truncation", 1)
+_check_x0 = _finite_positive("x0")
+_check_grid_step = _finite_positive("grid step")
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Parameters that pin down one sampling kernel K_k(x; eta).
@@ -97,19 +133,11 @@ class KernelSpec:
     f_truncation: int = DEFAULT_F_TRUNCATION
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 1:
-            raise ValueError("k must be a positive integer")
-        if not 0.5 < self.eta <= 1.0:
-            raise ValueError(
-                "efficiency must satisfy 1/2 < eta <= 1; smearing cannot "
-                "be compensated at or below one-half"
-            )
-        if not (math.isfinite(self.x0) and self.x0 > 0):
-            raise ValueError("x0 must be finite and > 0, not %r" % self.x0)
-        if self.l0 < 0:
-            raise ValueError("l0 must be nonnegative")
-        if self.f_truncation < 1:
-            raise ValueError("f_truncation must be positive")
+        _check_k(self.k)
+        _check_eta(self.eta)
+        _check_x0(self.x0)
+        _check_l0(self.l0)
+        _check_f_truncation(self.f_truncation)
 
 
 @dataclass(frozen=True)
@@ -138,7 +166,7 @@ class KernelTable:
 
     The grid must be strictly increasing with every node within a
     quarter step of the uniform lattice g0 + i h through its end
-    points.  Lookup inside |x| <= x0 then indexes the grid directly,
+    points.  Lookup clamps x into the grid, indexes it directly,
     j = floor((x - g0) / h), and one +-1 correction against the stored
     nodes finds the segment grid[j] <= x < grid[j+1]; the value is
     slope[j] (x - grid[j]) + values[j] with slopes cached at
@@ -194,34 +222,27 @@ class KernelTable:
         object.__setattr__(self, "_lookup", lookup)
 
     def _segments(self, x):
-        """Padded segment p of each finite x and its offset x - left[p]."""
+        """Padded segment p of each x and its offset x - left[p], with x
+        clamped into the grid first (NaN to grid[0])."""
         base, inv_step, bounds, left = self._lookup[:4]
-        p = np.clip((x - base) * inv_step, 0.0, self.grid.size).astype(
-            np.intp
-        )
+        x = np.fmin(np.fmax(x, self.grid[0]), self.grid[-1])
+        p = ((x - base) * inv_step).astype(np.intp)
         p -= x < bounds[p]
         p += x >= bounds[p + 1]
         return p, x - left[p]
 
-    def _interpolate(self, x, segments=None):
-        """Interpolated values at x, on segments from _segments(x) when
-        given (shared by tables on one grid)."""
-        p, dx = self._segments(x) if segments is None else segments
+    def _interpolate(self, segments):
+        """Interpolated values on segments from _segments, which tables
+        on one grid share."""
+        p, dx = segments
         slope, values = self._lookup[4:]
         return slope[p] * dx + values[p]
 
     @scalar_in_scalar_out
     def evaluate(self, x):
-        """Kernel value at x (scalar or array)."""
-        out = np.empty_like(x)
-        inside = np.abs(x) <= self.spec.x0
-        if np.any(inside):
-            out[inside] = self._interpolate(x[inside])
-        if np.any(~inside):
-            out[~inside] = _tail_value(
-                self.spec.k, x[~inside], self.classical_tail
-            )
-        return out
+        """Kernel value at x (scalar or array of any shape, NaN and inf
+        included): the shared lookup of table_evaluator for this table."""
+        return next(_lookup_all([self], x.ravel())).reshape(x.shape)
 
     def to_text(self):
         """Two-column text block (x, K) with the full spec in the header."""
@@ -252,13 +273,14 @@ class KernelTable:
         """
         art = textio.parse(text.splitlines(), TABLE_COLUMNS)
         spec = KernelSpec(
-            k=art.field("k =", int),
-            eta=art.field("eta =", float),
-            l0=art.field("l0 =", int),
-            x0=art.field("x0 =", float),
-            f_truncation=art.field("f_truncation =", int),
+            k=art.field("k =", _check_k),
+            eta=art.field("eta =", _check_eta),
+            l0=art.field("l0 =", _check_l0),
+            x0=art.field("x0 =", _check_x0),
+            f_truncation=art.field("f_truncation =", _check_f_truncation),
         )
-        rule = TailRule(spec.x0, *art.field("tail:", _parse_tail),
+        rule = TailRule(spec.x0,
+                        *art.field("tail:", lambda t: _parse_tail(t, spec.k)),
                         art.field("offset removed:", float))
         grid, values = art.rows.T
         return cls(spec=spec, grid=grid, values=values, classical_tail=rule)
@@ -266,43 +288,51 @@ class KernelTable:
 
 def table_evaluator(tables):
     """Function x -> (t.evaluate(x) for t in tables), a generator, for
-    finite 1-d x; tables must not be empty.  Values come one table at a
-    time, so a caller that reduces each holds one array, not one per
-    table.
+    1-d x; tables must not be empty.  Values come one table at a time,
+    so a caller that reduces each holds one array, not one per table.
 
     When every table is a KernelTable (not a subclass or a stand-in)
-    and all share one grid (np.array_equal) and one x0, the segment
-    index, the offset into the segment and the tail positions |x| > x0
-    are found once per x for all tables; each table then costs two
-    gathers and a multiply-add, plus its tail rule on the shared tail
-    samples.  The values are bit-identical to evaluate.  Any other
-    table set, including objects that only offer .spec and .evaluate,
-    goes through evaluate.  x is indexed whole, so it must be finite
-    (as MeasurementSet records are); evaluate itself keeps NaN out of
-    the index.
+    and all share one grid (np.array_equal) and one x0, _lookup_all
+    finds the segments and tail positions once per x for all tables.
+    Any other table set, such as objects that only offer .spec and
+    .evaluate, goes through evaluate table by table, which runs the
+    same lookup for one KernelTable.
     """
     tables = list(tables)
     first = tables[0]
     if not all(type(t) is KernelTable and t.spec.x0 == first.spec.x0
                and np.array_equal(t.grid, first.grid) for t in tables):
         return lambda x: (t.evaluate(x) for t in tables)
-
-    def evaluate_all(x):
-        segments = first._segments(x)
-        tail = np.flatnonzero(np.abs(x) > first.spec.x0)
-        x_tail = x[tail]
-        for t in tables:
-            values = t._interpolate(x, segments)
-            values[tail] = _tail_value(t.spec.k, x_tail, t.classical_tail)
-            yield values
-
-    return evaluate_all
+    return lambda x: _lookup_all(tables, x)
 
 
-def _parse_tail(text):
-    """(edge_gap, decay_power) from 'classical + G * (x0/|x|)^P ...'."""
+def _lookup_all(tables, x):
+    """Values at 1-d x of KernelTables on one grid with one x0, one table
+    at a time: each costs two gathers and a multiply-add, plus its tail
+    rule where |x| <= x0 fails (NaN and +-inf included)."""
+    first = tables[0]
+    segments = first._segments(x)
+    tail = np.flatnonzero(~(np.abs(x) <= first.spec.x0))
+    x_tail = x[tail]
+    for t in tables:
+        values = t._interpolate(segments)
+        values[tail] = _tail_value(t.spec.k, x_tail, t.classical_tail)
+        yield values
+
+
+def _parse_tail(text, k):
+    """(edge_gap, decay_power) from 'classical + G * (x0/|x|)^P ...',
+    where P must be _decay_power(k)."""
     parts = text.split()
-    return float(parts[2]), int(parts[4].split(")^")[1])
+    power = int(parts[4].split(")^")[1])
+    if power != _decay_power(k):
+        raise ValueError("k = %d needs tail power %d" % (k, _decay_power(k)))
+    return float(parts[2]), power
+
+
+def _decay_power(k):
+    """K_k nears its classical limit as x^-(k+2) for odd k, x^-2 even."""
+    return k + 2 if k % 2 else 2
 
 
 @scalar_in_scalar_out
@@ -314,8 +344,7 @@ def classical_kernel(k, x):
     as zero: any constant is wiped out by the phase average over
     e^{ik theta} for k != 0.
     """
-    if k < 1 or int(k) != k:
-        raise ValueError("k must be a positive integer")
+    _check_k(k)
     m, odd = divmod(k, 2)
     if odd:
         return 0.25 * (-1.0) ** m * k * np.sign(x)
@@ -439,8 +468,7 @@ def poly_F(k, x, eta=1.0, f_truncation=DEFAULT_F_TRUNCATION):
     with T_n the inner l-sums handled by _f_inner_sum.  Degree k-2; the
     sum is empty (identically zero) for k <= 2.
     """
-    if k < 1 or int(k) != k:
-        raise ValueError("k must be a positive integer")
+    _check_k(k)
     out = np.zeros_like(x)
     for n in range(1, (k - 1) // 2 + 1):
         amp = (
@@ -479,8 +507,7 @@ def _edge_fit(k, eta, l0, x0, f_truncation):
     kernels need none.
 
     edge_gap: remaining series-minus-classical difference at x0 after
-    offset removal; the tail decays it algebraically, with the power set
-    by the kernel's asymptotic approach (x^-(k+2) odd, x^-2 even).
+    offset removal; the tail decays it with _decay_power(k).
     """
     if k % 2:
         offset = 0.0
@@ -500,7 +527,7 @@ def _edge_fit(k, eta, l0, x0, f_truncation):
     return TailRule(
         x0=x0,
         edge_gap=edge,
-        decay_power=(k + 2) if k % 2 else 2,
+        decay_power=_decay_power(k),
         offset=offset,
     )
 
@@ -636,9 +663,7 @@ def build_kernel_table(spec, grid_step=DEFAULT_GRID_STEP):
     rule outside.  The step default keeps the interpolation error far
     below the series accuracy.
     """
-    if not (math.isfinite(grid_step) and grid_step > 0):
-        raise ValueError("grid step must be finite and > 0, not %r"
-                         % grid_step)
+    _check_grid_step(grid_step)
     n_half = int(round(spec.x0 / grid_step))
     grid = np.linspace(-spec.x0, spec.x0, 2 * n_half + 1)
     values = quantum_kernel(

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import textio
 from .specfun import psi_matrix, scalar_in_scalar_out
 
 DEFAULT_N_MAX = 20
@@ -109,16 +110,12 @@ class DensityMatrix:
 
     def to_text(self):
         """Readable dump: one 'm n Re Im' row per nonnegligible element."""
-        lines = ["# density matrix, n_max = %d" % self.n_max,
-                 "# columns: m n Re(rho_mn) Im(rho_mn)"]
-        for m in range(self.n_max + 1):
-            for n in range(self.n_max + 1):
-                v = self.elements[m, n]
-                if abs(v) > 1.0e-14:
-                    lines.append(
-                        "%d %d %.15e %.15e" % (m, n, v.real, v.imag)
-                    )
-        return "\n".join(lines) + "\n"
+        header = ["density matrix, n_max = %d" % self.n_max,
+                  "columns: m n Re(rho_mn) Im(rho_mn)"]
+        return textio.render(header, (
+            "%d %d %.15e %.15e" % (m, n, v.real, v.imag)
+            for (m, n), v in np.ndenumerate(self.elements) if abs(v) > 1.0e-14
+        ))
 
 
 def _extended_amplitudes(spec, n_big):

@@ -378,6 +378,7 @@ def test_parse_config_rejects_non_finite_numbers(key, value):
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 counts = st.integers(min_value=1, max_value=10 ** 6)
 
 valid_configs = st.builds(
@@ -390,8 +391,8 @@ valid_configs = st.builds(
     ),
     capture_tol=finite, n_phases=counts,
     events_per_phase=st.lists(counts, min_size=1, max_size=5).map(tuple),
-    eta=finite, kernel_l0=st.integers(0, 80), kernel_x0=finite,
-    kernel_f_truncation=counts, kernel_grid_step=finite,
+    eta=finite, kernel_l0=st.integers(0, 80), kernel_x0=positive,
+    kernel_f_truncation=counts, kernel_grid_step=positive,
     compensate=st.booleans(), k_max=counts,
     recon_method=st.sampled_from(METHODS), recon_K=counts, recon_M=counts,
     reg_lambda=finite, normalize=st.booleans(),
@@ -457,6 +458,25 @@ def test_config_value_fuzz_raises_only_line_named_value_errors(cfg, data,
 def test_parse_config_rejects_counts_below_one(key, value):
     with pytest.raises(ValueError, match="^line 3: bad value for %s" % key):
         parse_config("seed = 1\n# counts\n%s = %s\n" % (key, value))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("kernel.l0", "-1"), ("kernel.f_truncation", "0"),
+    ("estimate.k_max", "0"), ("seed", "-1"),
+])
+def test_parse_config_rejects_out_of_range_values(key, value):
+    with pytest.raises(ValueError, match="^line 3: bad value for %s: " % key):
+        parse_config("seed = 1\n# ranges\n%s = %s\n" % (key, value))
+
+
+@given(key=st.sampled_from(["kernel.x0", "kernel.grid_step"]),
+       value=st.floats(max_value=0.0)
+       | st.sampled_from([math.inf, -math.inf, math.nan]))
+@settings(max_examples=60, deadline=None)
+def test_parse_config_rejects_nonpositive_or_non_finite_geometry(key,
+                                                                 value):
+    with pytest.raises(ValueError, match="^line 1: bad value for %s: " % key):
+        parse_config("%s = %r\n" % (key, value))
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -352,6 +352,18 @@ def test_table_evaluate_of_non_finite_input(k, default_tables):
     assert not np.any(np.isnan(out[1:]))
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_table_evaluate_of_2d_input_is_the_raveled_result(k,
+                                                          default_tables):
+    table = default_tables[k]
+    x = np.array([[np.nan, -np.inf, -7.5, -4.0, -1.234, -0.0],
+                  [0.0, 0.001, 3.999, 4.0, 4.5, np.inf]])
+    flat = bits(table.evaluate(x.ravel()))
+    assert np.array_equal(bits(table.evaluate(x)), flat.reshape(x.shape))
+    assert np.array_equal(bits(table.evaluate(x.T)),
+                          flat.reshape(x.shape).T)
+
+
 def test_table_text_round_trip_is_byte_identical(default_tables):
     for k in (1, 2):
         text = default_tables[k].to_text()
@@ -383,6 +395,23 @@ def test_table_parser_names_the_malformed_line(mangle, default_tables):
     idx = next(i for i, ln in enumerate(lines) if mangle(ln) is not None)
     lines[idx] = mangle(lines[idx])
     with pytest.raises(ValueError, match="line %d: " % (idx + 1)):
+        KernelTable.from_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("header, named", [
+    ("# eta = 0.3", "eta"), ("# eta = nan", "eta"), ("# x0 = nan", "x0"),
+    ("# l0 = -1", "l0"), ("# f_truncation = 0", "f_truncation"),
+    ("# k = 0", "k"), ("# k = 2", "tail"),
+])
+def test_table_parser_names_the_line_of_a_bad_header_value(header, named,
+                                                           default_tables):
+    lines = default_tables[1].to_text().splitlines()
+    key = header.split(" = ")[0] + " ="
+    lines = [header if ln.startswith(key) else ln for ln in lines]
+    line = next(i for i, ln in enumerate(lines, start=1)
+                if ln.startswith("# %s" % named))
+    with pytest.raises(ValueError,
+                       match="^line %d: bad %s value " % (line, named)):
         KernelTable.from_text("\n".join(lines))
 
 

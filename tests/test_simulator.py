@@ -257,6 +257,22 @@ def test_run_experiment_matches_per_phase_quadratic_form(monkeypatch):
         assert np.max(np.abs(ms.records[l] - expected)) < 1e-10
 
 
+@pytest.mark.parametrize("spec", [
+    SQUEEZED,
+    StateSpec(kind="displaced_fock", alpha=1.2 - 0.5j, fock_n=2, n_max=20),
+])
+def test_sample_quadrature_is_one_phase_of_run_experiment(spec):
+    # counts on both sides of the guide-table crossover
+    counts = (1, 20, 500, 3000, 10 ** 4)
+    plan = ExperimentPlan(state=spec, events_per_phase=counts, seed=19)
+    ms = run_experiment(plan, capture_tol=0.05)
+    rho = build_state(spec, capture_tol=0.05)
+    for l, (theta, count) in enumerate(zip(plan.phases, counts)):
+        samples = sample_quadrature(rho, theta, count,
+                                    phase_stream(plan.seed, l))
+        assert samples.tobytes() == ms.records[l].tobytes()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_measurement_set_rejects_non_finite_samples(bad):
     plan = ExperimentPlan.uniform(SQUEEZED, n_phases=2, events=3)

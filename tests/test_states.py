@@ -319,6 +319,20 @@ def test_phase_distribution_fourier_link(k, rho_squeezed):
     assert abs(complex(re_val, im_val) - exact_moments(rho_squeezed, k)) < 1e-8
 
 
+def test_density_matrix_text_dump_is_pinned():
+    rho = DensityMatrix(n_max=2, elements=[[0.5, 0.25j, 1e-15],
+                                           [complex(0.0, -0.25), 0.5, 0.0],
+                                           [1e-15, 0.0, 0.0]])
+    assert rho.to_text() == (
+        "# density matrix, n_max = 2\n"
+        "# columns: m n Re(rho_mn) Im(rho_mn)\n"
+        "0 0 5.000000000000000e-01 0.000000000000000e+00\n"
+        "0 1 0.000000000000000e+00 2.500000000000000e-01\n"
+        "1 0 0.000000000000000e+00 -2.500000000000000e-01\n"
+        "1 1 5.000000000000000e-01 0.000000000000000e+00\n"
+    )
+
+
 def test_density_matrix_text_dump(rho_coherent_unit):
     text = rho_coherent_unit.to_text()
     assert text.startswith("# density matrix, n_max = 25")

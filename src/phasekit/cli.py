@@ -35,7 +35,7 @@ from .kernels import KernelSpec, build_kernel_table, classical_kernel, \
 from .reconstruct import _check_method, fourier_reconstruct, \
     least_squares_reconstruct, save_distribution
 from .simulator import ExperimentPlan, run_experiment, save_records, \
-    load_records, _format_complex
+    load_records, _efficiency, _format_complex
 from .states import CAPTURE_TOL, StateSpec
 
 OUTPUT_DIR_ENV = "PHASEKIT_OUTPUT_DIR"
@@ -401,6 +401,18 @@ def cmd_verify(args):
     return 0
 
 
+def _flag(parse):
+    """argparse type from a config value parser: a value parse rejects
+    exits 2 with a message naming the flag and parse's reason, which
+    quotes the value."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="phasekit",
@@ -433,8 +445,8 @@ def build_parser():
         for pos in extra:
             p.add_argument(pos, help="%s file from the previous stage"
                            % pos)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--eta", type=float, default=None)
+        p.add_argument("--seed", type=_flag(_SEED[0]), default=None)
+        p.add_argument("--eta", type=_flag(_efficiency), default=None)
         p.add_argument("--output-dir", default=None)
         p.set_defaults(func=func)
 

@@ -64,6 +64,9 @@ DEFAULT_F_TRUNCATION = 1000
 # Tabulation step used by build_kernel_table, and the table row layout.
 DEFAULT_GRID_STEP = 0.005
 TABLE_COLUMNS = "x  K_k(x)"
+# How closely a loaded table's last value must match its tail rule at
+# x0; the '%.15e' text of a built table matches to ~4e-16.
+EDGE_MATCH_RTOL = 1.0e-9
 
 # Number of abscissas used to fit the even-k additive constant between
 # the series solution and the classical logarithm near the switch.
@@ -270,6 +273,11 @@ class KernelTable:
 
         Malformed input raises ValueError naming the offending line or
         the missing header key; the tail and offset lines are required.
+        The last row must hold the header's tail rule at x0 to
+        EDGE_MATCH_RTOL relative, as every built table does
+        (quantum_kernel switches to the tail at |x| = x0): a table whose
+        header names another k or tail is rejected, naming that row,
+        even where the tail power agrees, as it does for all even k.
         """
         art = textio.parse(text.splitlines(), TABLE_COLUMNS)
         spec = KernelSpec(
@@ -283,7 +291,14 @@ class KernelTable:
                         *art.field("tail:", lambda t: _parse_tail(t, spec.k)),
                         art.field("offset removed:", float))
         grid, values = art.rows.T
-        return cls(spec=spec, grid=grid, values=values, classical_tail=rule)
+        table = cls(spec=spec, grid=grid, values=values, classical_tail=rule)
+        edge = _tail_value(spec.k, spec.x0, rule)
+        if not abs(values[-1] - edge) <= EDGE_MATCH_RTOL * abs(edge):
+            raise art.error(
+                values.size - 1,
+                "last value %.17g is not the k = %d tail rule's %.17g at "
+                "x0 = %.12g" % (values[-1], spec.k, edge, spec.x0))
+        return table
 
 
 def table_evaluator(tables):

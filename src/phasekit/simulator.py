@@ -282,11 +282,11 @@ def save_records(ms, path, header_lines=()):
 
 
 def _record_lines(ms):
-    """'l, theta_l, x' rows, formatting theta_l once per phase."""
+    """One newline-joined block of 'l, theta_l, x' rows per phase, with
+    l and theta_l formatted once per phase."""
     for l, (theta, samples) in enumerate(zip(ms.plan.phases, ms.records)):
-        prefix = "%d, %.15e, " % (l, theta)
-        for x in samples.tolist():
-            yield prefix + "%.15e" % x
+        row = "%d, %.15e, " % (l, theta) + "%.15e"
+        yield "\n".join(map(row.__mod__, samples.tolist()))
 
 
 def _efficiency(text):

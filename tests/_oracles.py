@@ -2,9 +2,9 @@
 
 Quadrature rules for the estimator and acceptance tests, the direct
 forms the fast library paths are checked against (the quadratic-form
-quadrature density and np.interp kernel lookup), and the special
-functions only the tests use: log_factorial, log_rising and the angular
-weight omega.
+quadrature density, np.interp kernel lookup, the per-row record reader
+and the per-event record writer), and the special functions only the
+tests use: log_factorial, log_rising and the angular weight omega.
 """
 
 import math
@@ -208,6 +208,15 @@ def per_row_load_records(path):
         plan=plan,
         records=tuple(np.asarray(g, dtype=float) for g in groups),
     )
+
+
+def per_event_record_lines(ms):
+    """'l, theta_l, x' record rows one string per event: the writer
+    save_records used before it formatted one block per phase."""
+    for l, (theta, samples) in enumerate(zip(ms.plan.phases, ms.records)):
+        prefix = "%d, %.15e, " % (l, theta)
+        for x in samples.tolist():
+            yield prefix + "%.15e" % x
 
 
 def mpmath_alt_sum(k, l):

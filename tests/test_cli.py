@@ -122,6 +122,17 @@ def test_kernel_table_command_writes_loadable_tables(tmp_path, capsys):
         assert np.allclose(table.values, rebuilt.values, rtol=1e-14)
 
 
+def test_kernel_table_files_of_every_order_load(tmp_path):
+    assert main(["kernel-table", *("--k=%d" % k for k in range(1, 9)),
+                 "--eta", "0.8", "--grid-step", "0.0013",
+                 "--output-dir", str(tmp_path)]) == 0
+    for k in range(1, 9):
+        text = (tmp_path / ("kernel_k%d_eta0.8.txt" % k)).read_text()
+        table = KernelTable.from_text(text)
+        assert table.spec == KernelSpec(k=k, eta=0.8)
+        assert table.grid.size == 6155
+
+
 def test_pipeline_writes_all_stage_outputs(tmp_path):
     cfg = small_config(output_dir=str(tmp_path / "out"))
     ret = main(["pipeline", "--config", write_config(tmp_path, cfg)])
@@ -164,6 +175,36 @@ def test_stages_compose_to_the_pipeline(tmp_path):
         a = (tmp_path / "whole" / name).read_bytes()
         b = (tmp_path / "staged" / name).read_bytes()
         assert a == b
+
+
+STAGE_INPUTS = {"simulate": (), "estimate": ("records.txt",),
+                "reconstruct": ("moments.txt",), "pipeline": ()}
+
+
+@pytest.mark.parametrize("command", sorted(STAGE_INPUTS))
+@pytest.mark.parametrize("flag, value, reason", [
+    ("--seed", "-1", "'-1' is not a seed >= 0"),
+    ("--seed", "nan", "invalid literal for int() with base 10: 'nan'"),
+    ("--eta", "-0.5", "eta must lie in (0, 1], not -0.5"),
+    ("--eta", "nan", "eta must lie in (0, 1], not nan"),
+    ("--eta", "1.5", "eta must lie in (0, 1], not 1.5"),
+])
+def test_bad_seed_or_eta_flag_exits_2_naming_flag_and_value(
+        command, flag, value, reason, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", "run.cfg", *STAGE_INPUTS[command],
+              flag, value])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument %s: %s" % (flag, reason) in err, err
+
+
+@pytest.mark.parametrize("command", sorted(STAGE_INPUTS))
+def test_seed_above_one_and_eta_in_range_are_accepted(command):
+    args = build_parser().parse_args([command, "--config", "run.cfg",
+                                      *STAGE_INPUTS[command],
+                                      "--seed", "7", "--eta", "0.75"])
+    assert (args.seed, args.eta) == (7, 0.75)
 
 
 def test_seed_override_changes_the_draws(tmp_path):

@@ -427,6 +427,34 @@ def test_table_parser_requires_tail_and_offset_lines(prefix, key,
         KernelTable.from_text(text)
 
 
+@pytest.mark.parametrize("eta", [1.0, 0.8])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_table_text_ends_on_its_tail_rule(k, eta):
+    # 3.14159265 has more decimals than the '%.6f' grid column keeps, so
+    # the rule is checked at the header's x0, not at the last grid node
+    for x0, step in ((4.0, DEFAULT_GRID_STEP), (4.0, 0.0013),
+                     (3.14159265, 0.0013)):
+        table = build_kernel_table(KernelSpec(k=k, eta=eta, x0=x0),
+                                   grid_step=step)
+        text = table.to_text()
+        clone = KernelTable.from_text(text)
+        assert clone.grid[-1] == round(x0, 6)
+        assert clone.to_text() == text
+
+
+@pytest.mark.parametrize("label", [4, 6])
+def test_table_relabelled_to_another_even_order_names_its_last_row(
+        label, default_tables):
+    # every even k has tail power 2, so only the values can tell them apart
+    lines = default_tables[2].to_text().splitlines()
+    lines = ["# k = %d" % label if ln.startswith("# k =") else ln
+             for ln in lines]
+    with pytest.raises(ValueError,
+                       match=r"^line %d: last value .* k = %d tail rule"
+                             % (len(lines), label)):
+        KernelTable.from_text("\n".join(lines))
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_alt_sum_is_bit_identical_to_mpmath(k):
     for l in range(41):

@@ -1,14 +1,17 @@
 """The shared artifact codec: fuzzed corruption, byte-exact round trips,
-and the record loader against its per-row reference."""
+the record loader against its per-row reference and the record writer
+against its per-event one."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from _oracles import per_row_load_records
+from _oracles import per_event_record_lines, per_row_load_records
+from phasekit import textio
 from phasekit.estimator import MomentEstimate, load_moments, save_moments
 from phasekit.kernels import KernelSpec, KernelTable, build_kernel_table
 from phasekit.reconstruct import (
@@ -306,6 +309,134 @@ def test_record_loader_agrees_with_per_row_reference(tmp_path, data):
     path.write_text("\n".join(lines) + "\n")
     assert _outcome(load_records, path) == _outcome(per_row_load_records,
                                                     path)
+
+
+def _digit_underscore(line, data):
+    """line with '_' put between two adjacent digits, if it has any,
+    which float() and int() read as if it were not there."""
+    spots = [m.start() + 1 for m in re.finditer(r"(?=\d\d)", line)]
+    if not spots:
+        return line
+    at = data.draw(st.sampled_from(spots))
+    return line[:at] + "_" + line[at:]
+
+
+def _spaced(line, data):
+    """line with spaces drawn around each of its cells."""
+    pad = st.text(" \t", max_size=3)
+    return ",".join(data.draw(pad) + c.strip() + data.draw(pad)
+                    for c in line.split(","))
+
+
+def _off_plan_cell(line, data):
+    """line with one cell a number that the C reader reads and the plan
+    refuses, or counts against another phase."""
+    cells = line.split(",")
+    column = data.draw(st.integers(0, 2))
+    cells[column] = data.draw(st.sampled_from(
+        [["-1", "7", "1"], ["0.5", "1e300"], ["nan", "inf", "-inf"]][column]))
+    return ", ".join(cells)
+
+
+# Edits of a records body that the C reader must not read differently
+# from parse.  It reads spaces around cells; underscores, '#' lines and
+# an empty body make it refuse the rows; a blank line, which it skips,
+# would shift the line numbers of the rows after it.  A damaging edit
+# gives one row an error to name.  There is at most one, since the
+# codec reads every row before it checks them and so names the first
+# unreadable row, where the per-row reader names the first bad row.
+STRUCTURAL_EDITS = ("blank line", "comment line", "spaces", "underscore",
+                    "empty body")
+DAMAGING_EDITS = ("trailing comment", "off-plan cell")
+
+
+@FUZZ
+@given(edits=st.lists(st.sampled_from(STRUCTURAL_EDITS), max_size=3),
+       damage=st.sampled_from(DAMAGING_EDITS) | st.none(), data=st.data())
+def test_record_loader_agrees_with_per_row_reference_on_structural_edits(
+        tmp_path, edits, damage, data):
+    if damage or not edits:
+        edits.insert(data.draw(st.integers(0, len(edits))),
+                     damage or "blank line")
+    lines = _records_text(tmp_path).splitlines()
+    head = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    for edit in edits:
+        rows = [i for i in range(head, len(lines))
+                if lines[i].strip() and not lines[i].startswith("#")]
+        if edit == "empty body":
+            lines = [ln for i, ln in enumerate(lines) if i not in rows]
+        elif edit in ("blank line", "comment line"):
+            text = data.draw(st.sampled_from(
+                ["", "  ", "\t"] if edit == "blank line"
+                else ["#", "# note", "# remark: x = 1", "# seed: 3"]))
+            lines.insert(data.draw(st.integers(head, len(lines))), text)
+        elif rows:
+            i = data.draw(st.sampled_from(rows))
+            lines[i] = {
+                "trailing comment": lambda ln, _: ln + " # x",
+                "spaces": _spaced,
+                "underscore": _digit_underscore,
+                "off-plan cell": _off_plan_cell,
+            }[edit](lines[i], data)
+    path = _fresh(tmp_path / "edited.txt")
+    path.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(load_records, path) == _outcome(per_row_load_records,
+                                                        path)
+
+
+def _rows_parsed_per_line(monkeypatch, path):
+    """Rows that load_records(path) takes through textio.parse."""
+    parsed = []
+    parse_lines = textio.parse
+
+    def counting(lines, columns, sep=None):
+        art = parse_lines(lines, columns, sep)
+        parsed.append(len(art.rows))
+        return art
+
+    monkeypatch.setattr(textio, "parse", counting)
+    load_records(path)
+    monkeypatch.undo()
+    return sum(parsed)
+
+
+def test_clean_records_go_through_the_c_reader(tmp_path, monkeypatch):
+    lines = _records_text(tmp_path).splitlines()
+    path = _fresh(tmp_path / "records.txt")
+    path.write_text("\n".join(lines) + "\n")
+    assert _rows_parsed_per_line(monkeypatch, path) == 0
+    # a blank line would shift the C reader's line numbers of the rows
+    # after it, so parse reads all 12 rows instead
+    lines.insert(-1, "")
+    path = _fresh(path)
+    path.write_text("\n".join(lines) + "\n")
+    assert _rows_parsed_per_line(monkeypatch, path) == 12
+
+
+# Samples the writer must format as the per-event writer did: signed
+# zeros, subnormals and the ends of the round-trip range among them.
+samples = finite | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-309, 1e300, -1e300])
+
+
+@FUZZ
+@given(counts=st.lists(st.integers(1, 50), min_size=1, max_size=5),
+       data=st.data())
+def test_records_file_matches_the_per_event_writer(tmp_path, counts, data):
+    ms = MeasurementSet(
+        plan=ExperimentPlan(state=StateSpec(kind="vacuum"),
+                            events_per_phase=tuple(counts)),
+        records=tuple(np.array(data.draw(st.lists(samples, min_size=n,
+                                                  max_size=n)))
+                      for n in counts))
+    path = _fresh(tmp_path / "records.txt")
+    save_records(ms, path, header_lines=("config: x",))
+    text = path.read_bytes().decode()
+    head = "".join(ln for ln in text.splitlines(keepends=True)
+                   if ln.startswith("# "))
+    assert text == head + "\n".join(per_event_record_lines(ms)) + "\n"
 
 
 def _with_first_row_cell(text, sep, column, token):

@@ -17,6 +17,20 @@ fewer than one event per GUIDE_NODES_PER_EVENT nodes binary-search
 instead, which costs less than the guide build.  Either way the value
 is np.interp's own arithmetic on np.interp's own segment, so samples
 are bit-identical to np.interp(u, cdf, xs).
+
+The CDF grid step follows from a stated error bound.  The sampled law
+is the linear interpolant of the trapezoid cumulative on a grid of step
+h, so its Kolmogorov distance to the exact law is at most C(rho) h^2,
+with C = max_theta [max_x |p'| / 8 + int |p''| dx / 12] estimated from
+the state alone (_cdf_error_coefficient).  The step is h = m GRID_STEP
+with m = max(1, floor(sqrt(CDF_TOL / C) / GRID_STEP)), the largest
+multiple of GRID_STEP that keeps C h^2 within CDF_TOL.  CDF_TOL is the
+acceptance state's own bound at GRID_STEP, rounded up, so that state
+keeps GRID_STEP.  No state samples on a finer grid than GRID_STEP: one
+narrower than C = CDF_TOL / GRID_STEP^2 = 2.5 keeps it, with a bound
+above CDF_TOL as before.  Broad states coarsen: vacuum and coherent
+states (C = 0.222) sample at 3 GRID_STEP, Fock 1 and squeezed vacuum
+with |xi| = 0.3 at 2 GRID_STEP.
 """
 
 import math
@@ -37,6 +51,12 @@ from .states import (
 
 GRID_STEP = 1.0e-3
 OUTSIDE_MASS_TOL = 1.0e-9
+# Kolmogorov-distance bound C(rho) h^2 the CDF step h is chosen to meet:
+# the acceptance state's own bound at GRID_STEP (squeezed vacuum,
+# xi = -1.31, n_max = 20: C = 2.330, so 2.330e-6), rounded up.
+CDF_TOL = 2.5e-6
+# Step of the coarse grid on which C(rho) is estimated.
+BOUND_STEP = 0.02
 # Guide-table crossover: a phase with count * GUIDE_NODES_PER_EVENT <
 # len(cdf) binary-searches instead of building the guide.  Measured on
 # 20k-node CDFs (2-vCPU x86-64 VM, numpy 2.4): the guide costs ~45 us
@@ -63,9 +83,13 @@ class ExperimentPlan:
     seed: int = 0
 
     def __post_init__(self):
-        counts = tuple(int(n) for n in np.atleast_1d(
-            np.asarray(self.events_per_phase, dtype=int)
-        ))
+        counts = []
+        for l, n in enumerate(np.atleast_1d(self.events_per_phase).tolist()):
+            if not float(n).is_integer():
+                raise ValueError("phase %d: event count %r is not a whole "
+                                 "number" % (l, n))
+            counts.append(int(n))
+        counts = tuple(counts)
         if len(counts) == 0:
             raise ValueError("plan needs at least one phase")
         if min(counts) < 1:
@@ -85,7 +109,7 @@ class ExperimentPlan:
     @classmethod
     def uniform(cls, state, n_phases, events, eta=1.0, seed=0):
         """Plan with the same event count at every phase."""
-        return cls(state=state, events_per_phase=(int(events),) * n_phases,
+        return cls(state=state, events_per_phase=(events,) * n_phases,
                    eta=eta, seed=seed)
 
 
@@ -120,15 +144,61 @@ class MeasurementSet:
         object.__setattr__(self, "records", tuple(records))
 
 
-def _cdf_grid(n_max):
-    """Sampling grid for states truncated at n_max.
+def _cdf_grid(n_max, step=GRID_STEP):
+    """Sampling grid for states truncated at n_max, about step apart.
 
     It spans the classically allowed region of the highest Fock level
     plus a generous margin.
     """
     x_lim = math.sqrt(2.0 * n_max + 1.0) + 5.0
-    n_pts = int(round(2.0 * x_lim / GRID_STEP)) + 1
+    n_pts = int(round(2.0 * x_lim / step)) + 1
     return np.linspace(-x_lim, x_lim, n_pts)
+
+
+def _cdf_error_coefficient(rho):
+    """C(rho) = max_theta [max_x |p'| / 8 + int |p''| dx / 12].
+
+    Sampling by linear interpolation in the trapezoid cumulative of a
+    step-h grid draws from a law within Kolmogorov distance C h^2 of
+    p(x, theta): the trapezoid rule errs by at most h^2/12 int |p''| at
+    the nodes, and linear interpolation by h^2/8 max |p'| between them.
+    The derivatives are finite differences of p on the BOUND_STEP grid,
+    at the 4 (n_max + 1) phases 2 pi j / (4 (n_max + 1)), which sample
+    the degree-n_max Fourier series in theta four times over; C does
+    not depend on the phases a plan measures.
+    """
+    grid = _cdf_grid(rho.n_max, BOUND_STEP)
+    h = grid[1] - grid[0]
+    n_theta = 4 * (rho.n_max + 1)
+    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    p = harmonic_density(quadrature_harmonics(rho, grid), thetas)
+    dp = np.diff(p, axis=1)
+    d2p = np.diff(dp, axis=1)
+    # in place, and scaled by h per phase: full-size temporaries took
+    # 0.9 ms against 0.45 ms on the reference state (2-vCPU x86-64 VM)
+    np.abs(dp, out=dp)
+    np.abs(d2p, out=d2p)
+    per_phase = (np.max(dp, axis=1) / (8.0 * h)
+                 + np.sum(d2p, axis=1) / (12.0 * h))
+    return float(np.max(per_phase))
+
+
+def _cdf_step(rho):
+    """CDF grid step for rho: the largest multiple m GRID_STEP whose
+    bound C(rho) h^2 stays within CDF_TOL, and GRID_STEP (m = 1) when
+    no multiple does.
+
+    m > 1 needs C <= CDF_TOL / (2 GRID_STEP)^2 = 0.625, a state far
+    broader than BOUND_STEP: for vacuum, coherent, Fock and squeezed
+    states the coarse C is within 0.3% of C on a 1e-4 grid.
+    """
+    ratio = math.sqrt(CDF_TOL / _cdf_error_coefficient(rho)) / GRID_STEP
+    return max(1, math.floor(ratio)) * GRID_STEP
+
+
+def _sampling_grid(rho):
+    """The CDF grid sample_quadrature and run_experiment sample rho on."""
+    return _cdf_grid(rho.n_max, _cdf_step(rho))
 
 
 def _cdf_table(grid, pdf):
@@ -203,7 +273,7 @@ def _inverse_transform(u, cdf, xs):
 
 def _inverse_cdf_table(rho, theta):
     """Tabulated quantile function of p(x, theta) for rho."""
-    grid = _cdf_grid(rho.n_max)
+    grid = _sampling_grid(rho)
     return _cdf_table(grid, quadrature_pdf(rho, grid, theta))
 
 
@@ -230,13 +300,19 @@ def run_experiment(plan, capture_tol=CAPTURE_TOL):
     sample_quadrature: a guide table built in O(G) places each draw in
     O(1), and phases with fewer than one event per
     GUIDE_NODES_PER_EVENT CDF nodes binary-search instead.
+    The CDF grid, the same one sample_quadrature uses, has the largest
+    step m GRID_STEP whose Kolmogorov-distance bound C(rho) h^2 stays
+    within CDF_TOL (m = 1 when none does; see the module docstring).
+    C comes from the state alone, not from the plan's phases, in under
+    a millisecond.  Broad states such as vacuum and coherent states
+    sample on a 3x coarser grid; the acceptance state keeps GRID_STEP.
     Each phase draws from its own deterministic child stream, so the
     set is reproducible and phase results do not depend on execution
     order.  With eta < 1 the stream also supplies the Gaussian detector
     noise added to each ideal sample.
     """
     rho = build_state(plan.state, capture_tol=capture_tol)
-    grid = _cdf_grid(rho.n_max)
+    grid = _sampling_grid(rho)
     harmonics = quadrature_harmonics(rho, grid)
     sigma = smearing_sigma(plan.eta)
     records = []
@@ -317,9 +393,42 @@ def load_records(path):
     Raises ValueError with the offending line number on malformed rows,
     on non-finite samples, on rows whose phase index or angle disagrees
     with the plan in the header, and on per-phase counts that do not
-    match the header.
+    match the header.  Rows are checked in file order: a row the plan
+    refuses is named before a later row that does not parse.
     """
-    art = textio.load(path, RECORD_COLUMNS, sep=",")
+    try:
+        art = textio.load(path, RECORD_COLUMNS, sep=",")
+    except textio.RowError as exc:
+        _check_rows_before(exc.partial)
+        raise
+    plan = _record_plan(art)
+    phase, x = _checked_rows(art, plan)
+    got = np.bincount(phase, minlength=plan.n_phases)
+    for p, (have, want) in enumerate(zip(got, plan.events_per_phase)):
+        if have != want:
+            raise ValueError(
+                "phase %d: file holds %d records, header says %d"
+                % (p, have, want)
+            )
+    grouped = x[np.argsort(phase, kind="stable")]
+    return MeasurementSet(
+        plan=plan, records=tuple(np.split(grouped, np.cumsum(got)[:-1]))
+    )
+
+
+def _check_rows_before(partial):
+    """Raise the error of the first bad row of partial, the records read
+    before an unreadable row, when the header lines read so far give
+    the plan."""
+    try:
+        plan = _record_plan(partial)
+    except ValueError:
+        return
+    _checked_rows(partial, plan)
+
+
+def _record_plan(art):
+    """The ExperimentPlan in the header of a record Artifact."""
     n_phases = art.field("n_phases:", int)
 
     def counts(text):
@@ -330,12 +439,20 @@ def load_records(path):
             )
         return values
 
-    plan = ExperimentPlan(
+    return ExperimentPlan(
         state=art.field("state:", _parse_state),
         events_per_phase=art.field("events_per_phase:", counts),
         eta=art.field("eta:", _efficiency),
         seed=art.field("seed:", int),
     )
+
+
+def _checked_rows(art, plan):
+    """The phase index and sample of each row of a record Artifact.
+    Raises ValueError naming the line of the first row with a
+    non-finite sample, a phase index outside the plan or an angle off
+    its phase."""
+    n_phases = plan.n_phases
     l, theta, x = art.rows.T
     finite = np.isfinite(x)
     in_plan = (l >= 0) & (l < n_phases) & (l == np.floor(l))
@@ -351,14 +468,4 @@ def load_records(path):
                             % (l[i], n_phases - 1))
         raise art.error(i, "theta %.12g does not match phase %d (%.12g)"
                         % (theta[i], phase[i], plan.phases[phase[i]]))
-    got = np.bincount(phase, minlength=n_phases)
-    for p, (have, want) in enumerate(zip(got, plan.events_per_phase)):
-        if have != want:
-            raise ValueError(
-                "phase %d: file holds %d records, header says %d"
-                % (p, have, want)
-            )
-    grouped = x[np.argsort(phase, kind="stable")]
-    return MeasurementSet(
-        plan=plan, records=tuple(np.split(grouped, np.cumsum(got)[:-1]))
-    )
+    return phase, x

@@ -227,11 +227,15 @@ def quadrature_harmonics(rho, x):
 def harmonic_density(harmonics, theta):
     """p(x, theta) from the matrix W of quadrature_harmonics.
 
-    p is nonnegative for any positive semidefinite rho; tiny negative
-    round-off is clamped to zero.
+    A scalar theta gives one density row; an array of phases gives one
+    row per phase, from one matrix product.  p is nonnegative for any
+    positive semidefinite rho; tiny negative round-off is clamped to
+    zero.
     """
-    d_theta = theta * np.arange(1, harmonics.shape[0] // 2 + 1)
-    t = np.concatenate(([1.0], np.cos(d_theta), np.sin(d_theta)))
+    d_theta = np.multiply.outer(theta,
+                                np.arange(1, harmonics.shape[0] // 2 + 1))
+    t = np.concatenate((np.ones(d_theta.shape[:-1] + (1,)),
+                        np.cos(d_theta), np.sin(d_theta)), axis=-1)
     out = t @ harmonics
     out[(out < 0) & (out > -1.0e-12)] = 0.0
     return out

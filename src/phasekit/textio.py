@@ -104,14 +104,29 @@ class Artifact:
         return ValueError("line %d: %s" % (self.line_numbers[row], message))
 
 
+class RowError(ValueError):
+    """A row parse cannot read.  partial is the Artifact of the lines
+    before it, so that a loader can first name an earlier row that its
+    own checks refuse, as a reader checking each row in turn would."""
+
+    def __init__(self, message, partial):
+        super().__init__(message)
+        self.partial = partial
+
+
 def parse(lines, columns, sep=None):
     """Artifact of the given lines.  columns spells the row layout as
     the '# columns:' header does ('phi P', 'l, theta_l, x'); each row
-    must split on sep into as many floats, else ValueError names it."""
+    must split on sep into as many floats, else RowError names it."""
     width = len(columns.split(sep))
     fields = {}
     values = array("d")
     numbers = array("q")
+
+    def artifact():
+        return Artifact(fields, np.frombuffer(values).reshape(-1, width),
+                        np.frombuffer(numbers, dtype=np.int64))
+
     for n, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line.startswith("#"):
@@ -121,16 +136,16 @@ def parse(lines, columns, sep=None):
         elif line:
             cells = line.split(sep)
             if len(cells) != width:
-                raise ValueError("line %d: expected '%s', got %r"
-                                 % (n, columns, line))
+                raise RowError("line %d: expected '%s', got %r"
+                               % (n, columns, line), artifact())
             try:
                 values.extend(map(float, cells))
             except ValueError:
-                raise ValueError("line %d: unparsable row %r"
-                                 % (n, line)) from None
+                del values[len(numbers) * width:]
+                raise RowError("line %d: unparsable row %r" % (n, line),
+                               artifact()) from None
             numbers.append(n)
-    return Artifact(fields, np.frombuffer(values).reshape(-1, width),
-                    np.frombuffer(numbers, dtype=np.int64))
+    return artifact()
 
 
 def load(path, columns, sep=None):

@@ -64,6 +64,25 @@ def test_plan_validation():
         ExperimentPlan(state=SQUEEZED, events_per_phase=(100,), eta=1.2)
 
 
+@pytest.mark.parametrize("make, phase, count", [
+    (lambda: ExperimentPlan(state=SQUEEZED, events_per_phase=(2.5, 3.9)),
+     0, "2.5"),
+    (lambda: ExperimentPlan(state=SQUEEZED, events_per_phase=(2, 3.9)),
+     1, "3.9"),
+    (lambda: ExperimentPlan.uniform(SQUEEZED, 2, 2.7), 0, "2.7"),
+], ids=["both", "second", "uniform"])
+def test_plan_rejects_fractional_event_counts(make, phase, count):
+    with pytest.raises(ValueError,
+                       match="phase %d: event count %s " % (phase, count)):
+        make()
+
+
+def test_plan_takes_whole_float_event_counts():
+    plan = ExperimentPlan(state=SQUEEZED, events_per_phase=(2.0, 3))
+    assert plan.events_per_phase == (2, 3)
+    assert ExperimentPlan.uniform(SQUEEZED, 2, 4.0).events_per_phase == (4, 4)
+
+
 def test_plan_phases_are_uniform():
     plan = ExperimentPlan.uniform(SQUEEZED, n_phases=12, events=50)
     assert plan.n_phases == 12
@@ -293,3 +312,31 @@ def test_load_rejects_non_finite_sample(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="line %d: non-finite" % (row + 1)):
         load_records(path)
+
+
+def test_acceptance_state_samples_on_the_fixed_grid(monkeypatch):
+    import phasekit.simulator as sim
+
+    rho = build_state(SQUEEZED, capture_tol=0.05)
+    assert sim._cdf_step(rho) == sim.GRID_STEP
+    plan = ExperimentPlan.uniform(SQUEEZED, n_phases=6, events=2000,
+                                  eta=0.8, seed=3)
+    got = run_experiment(plan, capture_tol=0.05)
+    monkeypatch.setattr(sim, "_sampling_grid",
+                        lambda rho: sim._cdf_grid(rho.n_max))
+    want = run_experiment(plan, capture_tol=0.05)
+    for a, b in zip(got.records, want.records):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    StateSpec(kind="vacuum"),
+    StateSpec(kind="coherent", alpha=1.0, n_max=25),
+])
+def test_broad_states_sample_on_a_coarser_grid(spec):
+    import phasekit.simulator as sim
+
+    rho = build_state(spec)
+    assert sim._cdf_step(rho) > sim.GRID_STEP
+    cdf, _ = sim._inverse_cdf_table(rho, 0.4)
+    assert cdf.size < sim._cdf_grid(rho.n_max).size / 2

@@ -386,6 +386,36 @@ def test_record_loader_agrees_with_per_row_reference_on_structural_edits(
                                                         path)
 
 
+@pytest.mark.parametrize("damage", [" # x", ", 0"])
+def test_record_loader_names_a_bad_row_before_an_unreadable_one(tmp_path,
+                                                               damage):
+    lines = _records_text(tmp_path).splitlines()
+    i = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    lines[i] = "7, " + lines[i].split(",", 1)[1].strip()
+    lines[i + 1] += damage
+    path = _fresh(tmp_path / "corrupt.txt")
+    path.write_text("\n".join(lines) + "\n")
+    assert (_outcome(load_records, path)
+            == _outcome(per_row_load_records, path) == ("line", i + 1))
+
+
+def test_record_loader_names_the_unreadable_row_before_the_header_ends(
+        tmp_path):
+    # the seed line comes after the rows, so the lines before the
+    # unreadable row do not give the plan to check the rows against
+    lines = _records_text(tmp_path).splitlines()
+    seed = next(i for i, ln in enumerate(lines) if ln.startswith("# seed"))
+    lines.append(lines.pop(seed))
+    i = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    lines[i] = "7, " + lines[i].split(",", 1)[1].strip()
+    lines[i + 1] += " # x"
+    path = _fresh(tmp_path / "corrupt.txt")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError,
+                       match="line %d: unparsable row" % (i + 2)):
+        load_records(path)
+
+
 def _rows_parsed_per_line(monkeypatch, path):
     """Rows that load_records(path) takes through textio.parse."""
     parsed = []

@@ -369,19 +369,24 @@ def save_moments(estimates, path, header_lines=()):
 def load_moments(path):
     """Parse a moments file written by save_moments.
 
-    A row whose order is not an integer, whose compensation flag is not
-    0 or 1, whose sigma is negative or NaN, or which MomentEstimate
-    rejects (eta_assumed NaN or outside (0, 1] among others) raises
-    ValueError naming its line.
+    A row whose order is not an integer or repeats an earlier row's,
+    whose compensation flag is not 0 or 1, whose sigma is negative or
+    NaN, or which MomentEstimate rejects (eta_assumed NaN or outside
+    (0, 1] among others) raises ValueError naming its line.
     """
     art = textio.load(path, MOMENT_COLUMNS)
     n_phases = art.field("n_phases:", int)
     estimates = []
+    seen = {}
     for i, row in enumerate(art.rows.tolist()):
         k, re, im, s_re, s_im, flag, eta = row
         try:
             if not k.is_integer():
                 raise ValueError("moment order %r is not an integer" % k)
+            if k in seen:
+                raise ValueError("order k = %d already on line %d"
+                                 % (k, seen[k]))
+            seen[k] = art.line_numbers[i]
             if flag not in (0.0, 1.0):
                 raise ValueError("compensated flag %r is not 0 or 1" % flag)
             if not (s_re >= 0 and s_im >= 0):

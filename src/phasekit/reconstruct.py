@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import textio
+from .kernels import _integer_at_least
 
 METHODS = ("fourier", "least_squares")
 
@@ -26,10 +27,7 @@ def _check_method(text):
     return text
 
 
-def _check_K(value):
-    if int(value) < 0:
-        raise ValueError("K_used must be >= 0, not %s" % value)
-    return int(value)
+_check_K = _integer_at_least("K_used", 0)
 
 
 def _check_reg_lambda(value):
@@ -42,7 +40,7 @@ def _check_reg_lambda(value):
 class PhaseDistribution:
     """P(phi) sampled on the uniform grid phi_m = 2 pi m / M; every
     grid point and value must be finite, method one of METHODS, K_used
-    >= 0 and reg_lambda finite and >= 0."""
+    an integer >= 0 and reg_lambda finite and >= 0."""
 
     grid: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
@@ -251,7 +249,8 @@ def save_distribution(dist, path, header_lines=()):
 def load_distribution(path):
     """Parse a distribution file written by save_distribution.
 
-    A non-finite row, and a method, K or reg_lambda that
+    A non-finite row, a row whose phi is more than 1e-9 off its grid
+    point 2 pi m / M, and a method, K or reg_lambda that
     PhaseDistribution rejects, raise ValueError naming the line.
     """
     art = textio.load(path, DISTRIBUTION_COLUMNS)
@@ -265,6 +264,12 @@ def load_distribution(path):
             "header says M=%d but file holds %d rows" % (m, len(art.rows))
         )
     grid, values = art.rows.T
+    expected = 2.0 * np.pi * np.arange(m) / m
+    off = np.flatnonzero(np.abs(grid - expected) > 1.0e-9)
+    if off.size:
+        i = off[0]
+        raise art.error(i, "phi %.12g does not match grid point %d (%.12g)"
+                        % (grid[i], i, expected[i]))
     return PhaseDistribution(
         grid=grid, values=values, method=art.field("method:", _check_method),
         K_used=art.field("K:", _check_K),

@@ -12,9 +12,7 @@ The inverse transform interpolates linearly in the tabulated CDF.  A
 uniform draw u finds its CDF segment through a guide table (indexed
 search: Chen and Asau, AIIE Trans. 6, 163 (1974); Devroye, Non-Uniform
 Random Variate Generation (1986), sec. III.2), built in O(G) per phase
-on the G-node CDF, instead of a binary search per sample.  Phases with
-fewer than one event per GUIDE_NODES_PER_EVENT nodes binary-search
-instead, which costs less than the guide build.  Either way the value
+on the G-node CDF, instead of a binary search per sample.  The value
 is np.interp's own arithmetic on np.interp's own segment, so samples
 are bit-identical to np.interp(u, cdf, xs).
 
@@ -57,12 +55,6 @@ OUTSIDE_MASS_TOL = 1.0e-9
 CDF_TOL = 2.5e-6
 # Step of the coarse grid on which C(rho) is estimated.
 BOUND_STEP = 0.02
-# Guide-table crossover: a phase with count * GUIDE_NODES_PER_EVENT <
-# len(cdf) binary-searches instead of building the guide.  Measured on
-# 20k-node CDFs (2-vCPU x86-64 VM, numpy 2.4): the guide costs ~45 us
-# per phase plus ~8 ns per draw, the binary search ~72 ns per draw, so
-# they break even near 660 draws, one draw per ~31 nodes.
-GUIDE_NODES_PER_EVENT = 32
 RECORD_COLUMNS = "l, theta_l, x"
 
 
@@ -257,10 +249,7 @@ def _inverse_transform(u, cdf, xs):
     formula misses only when a subnormal CDF step overflows the slope.
     Like np.interp, it raises no floating-point warning there.
     """
-    if u.size * GUIDE_NODES_PER_EVENT < cdf.size:
-        j = np.searchsorted(cdf, u, "right") - 1
-    else:
-        j = _guide_segments(u, cdf)
+    j = _guide_segments(u, cdf)
     c0 = cdf[j]
     x0 = xs[j]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -298,8 +287,7 @@ def run_experiment(plan, capture_tol=CAPTURE_TOL):
     CDF grid), so each phase's density costs one O(n_max G) matvec
     before it goes through the same CDF table and inverse transform as
     sample_quadrature: a guide table built in O(G) places each draw in
-    O(1), and phases with fewer than one event per
-    GUIDE_NODES_PER_EVENT CDF nodes binary-search instead.
+    O(1).
     The CDF grid, the same one sample_quadrature uses, has the largest
     step m GRID_STEP whose Kolmogorov-distance bound C(rho) h^2 stays
     within CDF_TOL (m = 1 when none does; see the module docstring).

@@ -425,6 +425,17 @@ def test_moment_file_rejects_negative_sigma(tmp_path, row):
         load_moments(path)
 
 
+def test_moment_file_rejects_a_repeated_order(tmp_path):
+    # reconstruction keys moments by order, so a repeat would silently
+    # replace the earlier row
+    path = tmp_path / "moments.txt"
+    path.write_text("# n_phases: 12\n1 0.5 0.1 0.2 0.1 0 1\n"
+                    "2 0.3 0.1 0.2 0.1 0 1\n1 0.9 0.1 0.2 0.1 0 1\n")
+    with pytest.raises(ValueError,
+                       match="^line 4: order k = 1 already on line 2$"):
+        load_moments(path)
+
+
 @pytest.mark.parametrize("eta", [math.nan, 0.0, -0.5, 1.5, math.inf])
 def test_moment_estimate_rejects_eta_outside_unit_interval(eta):
     kwargs = dict(k=1, value=0j, var_re=0.0, var_im=0.0, n_phases=4,
@@ -506,6 +517,7 @@ def test_mismatched_grids_fall_back_to_evaluate(monkeypatch,
     assert calls == []
 
 
+# Stays exact until perfbench stops passing TracedTable wrappers (ROADMAP C).
 def test_tables_with_only_spec_and_evaluate_are_accepted(default_tables):
     class SpecAndEvaluate:
         __slots__ = ("spec", "evaluate")

@@ -1,9 +1,9 @@
 """Guide-table inverse transform: byte identity with np.interp.
 
 The simulator places each uniform draw in its CDF segment by indexed
-search (or by binary search for phases with few events) and then applies
-np.interp's arithmetic; every sample must equal np.interp(u, cdf, xs)
-byte for byte, on both sides of the crossover and at the values where a
+search, whatever the number of draws, and then applies np.interp's
+arithmetic; every sample must equal np.interp(u, cdf, xs) byte for
+byte, from a single draw to many per CDF node and at the values where a
 segment search can go wrong: u = 0, u just below 1, the guide's bucket
 edges and the CDF nodes themselves, each +-1 ulp.
 """
@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 import phasekit.simulator as sim
 from _oracles import interp_sample_quadrature
 from phasekit.simulator import (
-    GUIDE_NODES_PER_EVENT,
     ExperimentPlan,
     _cdf_grid,
     _cdf_table,
@@ -65,12 +64,6 @@ def assert_bytes_equal(got, want):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def below_crossover_chunks(u, cdf):
-    """u cut into pieces small enough to take the binary-search branch."""
-    size = max(1, (cdf.size - 1) // GUIDE_NODES_PER_EVENT)
-    return [u[i:i + size] for i in range(0, u.size, size)]
-
-
 @given(spec=states, theta=st.floats(0.0, 2.0 * np.pi),
        count=st.integers(1, 4000), seed=st.integers(0, 2 ** 32))
 @settings(max_examples=30, deadline=None)
@@ -81,19 +74,18 @@ def test_guide_inverse_equals_interp_on_random_states(spec, theta, count,
     assert_bytes_equal(_inverse_transform(u, cdf, xs),
                        np.interp(u, cdf, xs))
     edges = edge_draws(cdf)
-    assert edges.size * GUIDE_NODES_PER_EVENT >= cdf.size
     assert_bytes_equal(_inverse_transform(edges, cdf, xs),
                        np.interp(edges, cdf, xs))
-    for chunk in below_crossover_chunks(edges[::7], cdf):
+    spread = edges[::97]
+    for i in range(0, spread.size, 7):
+        chunk = spread[i:i + 7]
         assert_bytes_equal(_inverse_transform(chunk, cdf, xs),
                            np.interp(chunk, cdf, xs))
 
 
-@pytest.mark.parametrize("per_crossover", [0.01, 0.5, 0.999, 1.0, 1.001,
-                                           4.0, 20.0])
-def test_both_sides_of_the_crossover_match_interp(per_crossover):
+@pytest.mark.parametrize("count", [1, 6, 319, 637, 638, 639, 2554, 12771])
+def test_few_and_many_draws_per_node_match_interp(count):
     cdf, xs = cdf_table(SQUEEZED, 0.7)
-    count = max(1, int(per_crossover * cdf.size / GUIDE_NODES_PER_EVENT))
     u = np.random.default_rng(count).random(count)
     assert_bytes_equal(_inverse_transform(u, cdf, xs),
                        np.interp(u, cdf, xs))

@@ -58,7 +58,9 @@ def test_distribution_validation():
     ("reg_lambda", math.nan, "reg_lambda must be finite and >= 0, not nan"),
     ("reg_lambda", -1.0, "reg_lambda must be finite and >= 0, not -1.0"),
     ("reg_lambda", math.inf, "reg_lambda must be finite and >= 0, not inf"),
-    ("K_used", -3, "K_used must be >= 0, not -3"),
+    ("K_used", -3, "K_used must be an integer >= 0, not -3"),
+    ("K_used", 2.7, "K_used must be an integer >= 0, not 2.7"),
+    ("K_used", -0.5, "K_used must be an integer >= 0, not -0.5"),
 ])
 def test_distribution_rejects_bad_header_values(field, value, message):
     kwargs = dict(grid=np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False),
@@ -317,6 +319,31 @@ def test_distribution_rejects_non_finite_points(bad, token):
     arrays[bad][3] = token
     with pytest.raises(ValueError, match="non-finite point"):
         PhaseDistribution(method="fourier", K_used=2, **arrays)
+
+
+def test_distribution_file_with_phi_off_the_grid_names_the_line(tmp_path):
+    # the norm is a Riemann sum on phi_m = 2 pi m / M, so another phi
+    # column would be summed as if it were that grid
+    path = tmp_path / "distribution.txt"
+    path.write_text("# method: fourier\n# K: 0\n# M: 4\n# reg_lambda: 0\n"
+                    "5 0.1\n1 0.2\n-3 0.3\n0.5 0.4\n")
+    with pytest.raises(ValueError,
+                       match=r"^line 5: phi 5 does not match grid point 0 "
+                             r"\(0\)$"):
+        load_distribution(path)
+
+
+@pytest.mark.parametrize("offset, loads", [(0.9e-9, True), (1.1e-9, False)])
+def test_distribution_file_phi_tolerance_is_1e_9(tmp_path, offset, loads):
+    phi = 2.0 * np.pi * np.arange(4) / 4 + np.array([0, 1, -1, 1]) * offset
+    path = tmp_path / "distribution.txt"
+    path.write_text("# method: fourier\n# K: 0\n# M: 4\n# reg_lambda: 0\n"
+                    + "".join("%.17g 0.15\n" % p for p in phi))
+    if loads:
+        assert load_distribution(path).n_grid == 4
+    else:
+        with pytest.raises(ValueError, match="^line 6: phi "):
+            load_distribution(path)
 
 
 def test_distribution_file_with_non_finite_rows_names_the_line(tmp_path):

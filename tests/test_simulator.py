@@ -281,7 +281,7 @@ def test_run_experiment_matches_per_phase_quadratic_form(monkeypatch):
     StateSpec(kind="displaced_fock", alpha=1.2 - 0.5j, fock_n=2, n_max=20),
 ])
 def test_sample_quadrature_is_one_phase_of_run_experiment(spec):
-    # counts on both sides of the guide-table crossover
+    # from a single draw to about one draw per two CDF nodes
     counts = (1, 20, 500, 3000, 10 ** 4)
     plan = ExperimentPlan(state=spec, events_per_phase=counts, seed=19)
     ms = run_experiment(plan, capture_tol=0.05)

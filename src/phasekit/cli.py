@@ -32,8 +32,8 @@ from .estimator import _KernelQuadrature, estimate_all, save_moments, \
 from .kernels import KernelSpec, build_kernel_table, classical_kernel, \
     DEFAULT_F_TRUNCATION, DEFAULT_GRID_STEP, DEFAULT_L0, DEFAULT_X0, \
     _check_f_truncation, _check_grid_step, _check_l0, _check_x0
-from .reconstruct import _check_method, fourier_reconstruct, \
-    least_squares_reconstruct, save_distribution
+from .reconstruct import _check_K, _check_method, _check_reg_lambda, \
+    fourier_reconstruct, least_squares_reconstruct, save_distribution
 from .simulator import ExperimentPlan, run_experiment, save_records, \
     load_records, _efficiency, _format_complex
 from .states import CAPTURE_TOL, StateSpec
@@ -96,11 +96,15 @@ _REAL = (_finite(float), lambda v: "%.17g" % v)
 _COMPLEX = (_finite(complex), _format_complex)
 _BOOL = (_parse_bool, lambda v: "true" if v else "false")
 _METHOD = (_check_method, str)
-# Kernel parameters, in the ranges the kernel module itself checks.
+# Parameters in the ranges their consumers check: the kernel module,
+# the simulator's efficiency and the reconstruction.
 _L0 = (_check_l0, _INT[1])
 _F_TRUNCATION = (_check_f_truncation, _INT[1])
 _X0 = (_check_x0, _REAL[1])
 _GRID_STEP = (_check_grid_step, _REAL[1])
+_ETA = (_efficiency, _REAL[1])
+_RECON_K = (_check_K, _INT[1])
+_REG_LAMBDA = (_check_reg_lambda, _REAL[1])
 
 # Every config key, in listing order: key -> (owner, attribute, kind).
 # The owner "state" is the RunConfig's StateSpec, "run" the RunConfig;
@@ -114,7 +118,7 @@ _CONFIG_KEYS = {
     "state.capture_tol": ("run", "capture_tol", _REAL),
     "plan.n_phases": ("run", "n_phases", _COUNT),
     "plan.events_per_phase": ("run", "events_per_phase", _COUNTS),
-    "plan.eta": ("run", "eta", _REAL),
+    "plan.eta": ("run", "eta", _ETA),
     "kernel.l0": ("run", "kernel_l0", _L0),
     "kernel.x0": ("run", "kernel_x0", _X0),
     "kernel.f_truncation": ("run", "kernel_f_truncation", _F_TRUNCATION),
@@ -122,9 +126,9 @@ _CONFIG_KEYS = {
     "kernel.compensate": ("run", "compensate", _BOOL),
     "estimate.k_max": ("run", "k_max", _COUNT),
     "reconstruct.method": ("run", "recon_method", _METHOD),
-    "reconstruct.K": ("run", "recon_K", _INT),
+    "reconstruct.K": ("run", "recon_K", _RECON_K),
     "reconstruct.M": ("run", "recon_M", _INT),
-    "reconstruct.reg_lambda": ("run", "reg_lambda", _REAL),
+    "reconstruct.reg_lambda": ("run", "reg_lambda", _REG_LAMBDA),
     "reconstruct.normalize": ("run", "normalize", _BOOL),
     "output_dir": ("output", "output_dir", _TEXT),
     "seed": ("run", "seed", _SEED),
@@ -209,8 +213,9 @@ def parse_config(text):
     Blank lines and '#' comments are skipped; unknown keys, malformed
     lines, non-finite numbers, counts below one, a negative seed,
     kernel parameters outside the ranges KernelSpec and
-    build_kernel_table accept, and values the state rejects are
-    reported with their line number.
+    build_kernel_table accept, an efficiency outside (0, 1], a
+    reconstruction K or reg_lambda that PhaseDistribution rejects, and
+    values the state rejects are reported with their line number.
     """
     state = StateSpec(kind="vacuum")
     run = {}

@@ -83,16 +83,6 @@ def _working_dps(l):
 
 # Validators of the kernel parameters: each takes a number or its text
 # and returns the checked value, or raises ValueError stating the range.
-def _integer_at_least(name, low):
-    def check(value):
-        n = int(value)
-        if n < low or n != float(value):
-            raise ValueError("%s must be an integer >= %d, not %r"
-                             % (name, low, value))
-        return n
-    return check
-
-
 def _finite_positive(name):
     def check(value):
         if not 0.0 < float(value) < math.inf:
@@ -110,9 +100,9 @@ def _check_eta(value):
     return float(value)
 
 
-_check_k = _integer_at_least("k", 1)
-_check_l0 = _integer_at_least("l0", 0)
-_check_f_truncation = _integer_at_least("f_truncation", 1)
+_check_k = textio.integer_at_least("k", 1)
+_check_l0 = textio.integer_at_least("l0", 0)
+_check_f_truncation = textio.integer_at_least("f_truncation", 1)
 _check_x0 = _finite_positive("x0")
 _check_grid_step = _finite_positive("grid step")
 

@@ -3,7 +3,8 @@
 Two routes from a finite set of exponential phase moments to P(phi) on
 a uniform grid: direct truncated Fourier synthesis, and weighted
 least-squares inversion of the moment equations with an optional
-curvature (periodic second-difference) penalty for noisy inputs.
+curvature (periodic second-difference) penalty for noisy inputs.  The
+latter is the synthesis with a ridge filter factor on each moment part.
 """
 
 import math
@@ -12,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import textio
-from .kernels import _integer_at_least
 
 METHODS = ("fourier", "least_squares")
 
@@ -27,7 +27,7 @@ def _check_method(text):
     return text
 
 
-_check_K = _integer_at_least("K_used", 0)
+_check_K = textio.integer_at_least("K_used", 0)
 
 
 def _check_reg_lambda(value):
@@ -94,6 +94,20 @@ def _collect(moments, K):
     return [by_k[k] for k in range(1, K + 1)]
 
 
+def _synthesis(chosen, M, filters, mean):
+    """The grid phi_m = 2 pi m / M and P on it: mean / (2 pi) plus the
+    Fourier synthesis of the chosen moments, each order's Re and Im term
+    scaled by its pair (f_re, f_im) in filters."""
+    grid = 2.0 * np.pi * np.arange(M) / M
+    acc = np.full(M, mean)
+    for m, (f_re, f_im) in zip(chosen, filters):
+        acc += 2.0 * (
+            f_re * m.value.real * np.cos(m.k * grid)
+            + f_im * m.value.imag * np.sin(m.k * grid)
+        )
+    return grid, acc / (2.0 * np.pi)
+
+
 def fourier_reconstruct(moments, K, M):
     """Truncated Fourier synthesis of the phase distribution.
 
@@ -104,25 +118,9 @@ def fourier_reconstruct(moments, K, M):
     """
     if M <= 2 * K:
         raise ValueError("need M > 2K grid points to resolve K harmonics")
-    chosen = _collect(moments, K)
-    grid = 2.0 * np.pi * np.arange(M) / M
-    acc = np.ones(M)
-    for m in chosen:
-        acc += 2.0 * (
-            m.value.real * np.cos(m.k * grid)
-            + m.value.imag * np.sin(m.k * grid)
-        )
-    return PhaseDistribution(
-        grid=grid, values=acc / (2.0 * np.pi), method="fourier", K_used=K,
-    )
-
-
-def _second_difference(M):
-    d = -2.0 * np.eye(M)
-    idx = np.arange(M)
-    d[idx, (idx + 1) % M] = 1.0
-    d[idx, (idx - 1) % M] = 1.0
-    return d
+    grid, values = _synthesis(_collect(moments, K), M, [(1.0, 1.0)] * K, 1.0)
+    return PhaseDistribution(grid=grid, values=values, method="fourier",
+                             K_used=K)
 
 
 def least_squares_reconstruct(moments, K, M, reg_lambda=0.0,
@@ -136,13 +134,25 @@ def least_squares_reconstruct(moments, K, M, reg_lambda=0.0,
             + reg_lambda * sum_m [P_{m-1} - 2 P_m + P_{m+1}]^2
 
     over P on the periodic grid, optionally under the normalization
-    constraint (2pi/M) sum_m P_m = 1.
+    constraint (2pi/M) sum_m P_m = 1.  The minimizer is, in closed form,
 
-    With reg_lambda = 0 the grid is underdetermined: the 2K moment
-    equations plus the constraint are consistent for any input, and the
-    minimum-norm solution (which coincides with the Fourier synthesis)
-    is returned.  Without the constraint nothing pins the mean level of
-    P, so that combination is rejected.
+      P(phi_m) = (2 pi)^{-1} [mean + 2 sum_k (f_re,k Re Psi_k cos k phi_m
+                                              + f_im,k Im Psi_k sin k phi_m)]
+      with f = 1 / (1 + d_k var),  d_k = 8 M reg_lambda sin^4(pi k/M) / pi^2,
+
+    mean 1 under the constraint and 0 without it (the minimum-norm
+    solution), and f = 0 for a part of infinite variance.  It is exact
+    because the grid is uniform and periodic: the moment sums read pi
+    times the k-th cosine and sine coefficient of P (M >= 8K keeps k
+    below M/2), and the circulant second difference scales harmonic j by
+    -4 sin^2(pi j/M).  So chi^2 splits into one scalar ridge problem per
+    order and part, whose solutions are these Tikhonov filter factors,
+    and every other harmonic is zero.
+
+    With reg_lambda = 0 every finite-variance f is exactly 1, so the
+    result is fourier_reconstruct's synthesis bit for bit.  Without the
+    constraint nothing then pins the mean level of P, so that combination
+    is rejected.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -159,45 +169,18 @@ def least_squares_reconstruct(moments, K, M, reg_lambda=0.0,
                 "moment k=%d carries a nonpositive variance; least "
                 "squares needs positive error bars" % m.k
             )
-    grid = 2.0 * np.pi * np.arange(M) / M
-    base = 2.0 * np.pi / M
-
-    rows = []
-    targets = []
+    if reg_lambda == 0.0 and not normalize:
+        raise ValueError(
+            "system is rank-deficient at reg_lambda = 0 without the "
+            "normalization constraint; enable normalization or set "
+            "reg_lambda > 0"
+        )
+    filters = []
     for m in chosen:
-        w_re = 1.0 / m.sigma_re
-        w_im = 1.0 / m.sigma_im
-        rows.append(w_re * base * np.cos(m.k * grid))
-        targets.append(w_re * m.value.real)
-        rows.append(w_im * base * np.sin(m.k * grid))
-        targets.append(w_im * m.value.imag)
-    design = np.array(rows)
-    target = np.array(targets)
-
-    if reg_lambda == 0.0:
-        if not normalize:
-            raise ValueError(
-                "system is rank-deficient at reg_lambda = 0 without the "
-                "normalization constraint; enable normalization or set "
-                "reg_lambda > 0"
-            )
-        stacked = np.vstack([design, base * np.ones((1, M))])
-        rhs = np.concatenate([target, [1.0]])
-        values = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
-    else:
-        d2 = _second_difference(M)
-        gram = design.T @ design + reg_lambda * (d2.T @ d2)
-        rhs = design.T @ target
-        if normalize:
-            kkt = np.zeros((M + 1, M + 1))
-            kkt[:M, :M] = gram
-            kkt[:M, M] = base
-            kkt[M, :M] = base
-            full_rhs = np.concatenate([rhs, [1.0]])
-            values = np.linalg.solve(kkt, full_rhs)[:M]
-        else:
-            values = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-
+        d = 8.0 * M * reg_lambda * math.sin(math.pi * m.k / M)**4 / math.pi**2
+        filters.append([1.0 / (1.0 + d * var) if var < math.inf else 0.0
+                        for var in (m.var_re, m.var_im)])
+    grid, values = _synthesis(chosen, M, filters, 1.0 if normalize else 0.0)
     dist = PhaseDistribution(
         grid=grid, values=values, method="least_squares", K_used=K,
         reg_lambda=reg_lambda,

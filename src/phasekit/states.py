@@ -33,6 +33,9 @@ NEGATIVITY_TOL = 1.0e-10
 STATE_KINDS = ("vacuum", "fock", "coherent", "squeezed_vacuum",
                "displaced_fock")
 
+_check_n_max = textio.integer_at_least("n_max", 0)
+_check_fock_n = textio.integer_at_least("fock_n", 0)
+
 
 @dataclass(frozen=True)
 class StateSpec:
@@ -42,8 +45,8 @@ class StateSpec:
                  displaced_fock
     alpha        displacement amplitude (coherent, displaced_fock)
     squeeze      squeeze parameter xi = s e^{i theta} (squeezed_vacuum)
-    fock_n       photon number (fock, displaced_fock)
-    n_max        Fock-space truncation
+    fock_n       photon number (fock, displaced_fock), an integer >= 0
+    n_max        Fock-space truncation, an integer >= 0
     """
 
     kind: str
@@ -58,10 +61,8 @@ class StateSpec:
                 "unknown state kind %r; expected one of %s"
                 % (self.kind, ", ".join(STATE_KINDS))
             )
-        if self.n_max < 0:
-            raise ValueError("n_max must be nonnegative")
-        if self.fock_n < 0:
-            raise ValueError("fock_n must be nonnegative")
+        object.__setattr__(self, "n_max", _check_n_max(self.n_max))
+        object.__setattr__(self, "fock_n", _check_fock_n(self.fock_n))
 
 
 @dataclass(frozen=True)

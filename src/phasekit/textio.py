@@ -7,7 +7,8 @@ other header line is a title.  Rows are read into one float matrix with
 the source line of each row, so loaders check whole columns at once and
 still name the offending line.  Savers check their numbers with
 check_finite_text first, so no finite value is written as a text that
-reads back as an infinity.
+reads back as an infinity.  integer_at_least is the one integer rule
+that header fields, config values and in-memory specs share.
 
 parse reads one line at a time and is the reader that defines the
 format.  load, the file reader, parses only the leading header lines
@@ -50,6 +51,18 @@ def check_finite_text(fmt, values):
         if math.isfinite(v) and not math.isfinite(float(text)):
             raise ValueError("value %r would be written as %r, which "
                              "reads back as %s" % (v, text, float(text)))
+
+
+def integer_at_least(name, low):
+    """Validator of an integer parameter given as a number or its text:
+    returns it as an int, or raises ValueError stating the range for
+    any other value, inf and NaN included."""
+    def check(value):
+        if not low <= float(value) < math.inf or int(value) != float(value):
+            raise ValueError("%s must be an integer >= %d, not %r"
+                             % (name, low, value))
+        return int(value)
+    return check
 
 
 def render(header, lines):

@@ -2,9 +2,10 @@
 
 Quadrature rules for the estimator and acceptance tests, the direct
 forms the fast library paths are checked against (the quadratic-form
-quadrature density, np.interp kernel lookup, the per-row record reader
-and the per-event record writer), and the special functions only the
-tests use: log_factorial, log_rising and the angular weight omega.
+quadrature density, np.interp kernel lookup, the per-row record reader,
+the per-event record writer and a dense high-precision least-squares
+solve), and the special functions only the tests use: log_factorial,
+log_rising and the angular weight omega.
 """
 
 import math
@@ -272,6 +273,55 @@ def mpmath_f_inner_sum(k, n, truncation):
             + d3 * mpmath.zeta(a + 3.0, truncation + 1)
         ) / mpmath.gamma(n)
         return float(total + tail)
+
+
+def mpmath_least_squares(moments, M, reg_lambda, dps=40):
+    """P minimizing least_squares_reconstruct's objective, from a dense
+    solve of its normal equations at dps digits: the pair (P under the
+    normalization constraint, P without it).
+
+    The matrix is A^T W A + reg_lambda D^T D, with A the moment sums of
+    the listed moments on the M-point grid, W their inverse variances
+    and D the periodic second difference.  Every row of A and D sums to
+    zero over the grid, so the matrix leaves the mean of P free: adding
+    1 1^T to it and sum(P) to each right-hand side entry pins sum(P) to
+    M / (2 pi) under the constraint and to 0 without it, which is the
+    minimum-norm solution.  The pinned matrix is symmetric positive
+    definite, so Gaussian elimination needs no pivoting.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        base = 2 * mpmath.pi / M
+        phis = [2 * mpmath.pi * j / M for j in range(M)]
+        a_rows, weights, targets = [], [], []
+        for m in moments:
+            for part, var, target in ((mpmath.cos, m.var_re, m.value.real),
+                                      (mpmath.sin, m.var_im, m.value.imag)):
+                a_rows.append([base * part(m.k * phi) for phi in phis])
+                weights.append(1 / mpmath.mpf(var))
+                targets.append(mpmath.mpf(target))
+        columns = list(zip(*a_rows))
+        rows = []
+        for i in range(M):
+            weighted = [w * a for w, a in zip(weights, columns[i])]
+            fit = mpmath.fdot(weighted, targets)
+            rows.append([1 + mpmath.fdot(weighted, col) for col in columns]
+                        + [M / (2 * mpmath.pi) + fit, fit])
+            for offset, weight in ((-2, 1), (-1, -4), (0, 6), (1, -4),
+                                   (2, 1)):
+                rows[i][(i + offset) % M] += reg_lambda * weight
+        for c in range(M):
+            for r in range(c + 1, M):
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+        solution = [[0] * M, [0] * M]
+        for i in reversed(range(M)):
+            for s, rhs in enumerate((M, M + 1)):
+                known = sum(rows[i][j] * solution[s][j]
+                            for j in range(i + 1, M))
+                solution[s][i] = (rows[i][rhs] - known) / rows[i][i]
+        return tuple(np.array([float(v) for v in p]) for p in solution)
 
 
 def displaced_fock_amplitudes(spec):

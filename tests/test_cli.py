@@ -432,11 +432,13 @@ valid_configs = st.builds(
     ),
     capture_tol=finite, n_phases=counts,
     events_per_phase=st.lists(counts, min_size=1, max_size=5).map(tuple),
-    eta=finite, kernel_l0=st.integers(0, 80), kernel_x0=positive,
+    eta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    kernel_l0=st.integers(0, 80), kernel_x0=positive,
     kernel_f_truncation=counts, kernel_grid_step=positive,
     compensate=st.booleans(), k_max=counts,
     recon_method=st.sampled_from(METHODS), recon_K=counts, recon_M=counts,
-    reg_lambda=finite, normalize=st.booleans(),
+    reg_lambda=st.floats(min_value=0.0, allow_infinity=False),
+    normalize=st.booleans(),
     output_dir=st.text("abcXYZ019/._-=#", max_size=20),
     seed=st.integers(0, 2 ** 63),
 )
@@ -508,6 +510,27 @@ def test_parse_config_rejects_counts_below_one(key, value):
 def test_parse_config_rejects_out_of_range_values(key, value):
     with pytest.raises(ValueError, match="^line 3: bad value for %s: " % key):
         parse_config("seed = 1\n# ranges\n%s = %s\n" % (key, value))
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("reconstruct.K", "-1", "K_used must be an integer >= 0, not '-1'"),
+    ("reconstruct.reg_lambda", "-1",
+     "reg_lambda must be finite and >= 0, not -1"),
+    ("plan.eta", "1.5", "eta must lie in (0, 1], not 1.5"),
+])
+def test_bad_later_stage_value_exits_2_naming_its_line_before_any_output(
+        tmp_path, capsys, key, value, reason):
+    lines = small_config().to_text().splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(key + " ="))
+    lines[i] = "%s = %s" % (key, value)
+    path = tmp_path / "run.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    ret = main(["pipeline", "--config", str(path), "--output-dir", str(out)])
+    assert ret == 2
+    assert capsys.readouterr().err == (
+        "error: line %d: bad value for %s: %s\n" % (i + 1, key, reason))
+    assert not (out / "records.txt").exists()
 
 
 @given(key=st.sampled_from(["kernel.x0", "kernel.grid_step"]),

@@ -207,6 +207,13 @@ def test_kernel_spec_rejects_non_finite_x0(x0):
         KernelSpec(k=1, x0=x0)
 
 
+@pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
+def test_kernel_spec_rejects_non_finite_k(k):
+    with pytest.raises(ValueError,
+                       match=r"^k must be an integer >= 1, not %r$" % k):
+        KernelSpec(k=k)
+
+
 @pytest.mark.parametrize("step", [math.inf, -math.inf, math.nan, 0.0, -0.1])
 def test_build_kernel_table_rejects_bad_grid_step(step):
     with pytest.raises(ValueError,

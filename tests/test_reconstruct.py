@@ -8,6 +8,7 @@ synthesis, for any moment values and any positive error bars.
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from phasekit.reconstruct import (
     save_distribution,
 )
 from phasekit.states import StateSpec, build_state, exact_moments, exact_phase_dist
+
+from _oracles import mpmath_least_squares
 
 
 def as_estimates(values, sigmas=None, n_phases=64):
@@ -61,6 +64,7 @@ def test_distribution_validation():
     ("K_used", -3, "K_used must be an integer >= 0, not -3"),
     ("K_used", 2.7, "K_used must be an integer >= 0, not 2.7"),
     ("K_used", -0.5, "K_used must be an integer >= 0, not -0.5"),
+    ("K_used", math.inf, "K_used must be an integer >= 0, not inf"),
 ])
 def test_distribution_rejects_bad_header_values(field, value, message):
     kwargs = dict(grid=np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False),
@@ -185,8 +189,48 @@ def test_minimum_norm_least_squares_equals_fourier(seed, k_top, log_sigma):
     M = 8 * k_top + 8
     ls = least_squares_reconstruct(moments, k_top, M, reg_lambda=0.0)
     fr = fourier_reconstruct(moments, k_top, M)
-    assert np.max(np.abs(ls.values - fr.values)) < 1e-8
+    assert np.array_equal(ls.values, fr.values)
     assert np.isclose(ls.norm(), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("reg_lambda", [1e-12, 1e-6, 1e-2, 1.0, 1e3])
+@pytest.mark.parametrize("M, K", [(24, 3), (32, 4), (33, 4)])
+def test_least_squares_matches_a_high_precision_dense_solve(M, K,
+                                                            reg_lambda):
+    rng = np.random.default_rng(M)
+    values = 0.4 * (rng.normal(size=K) + 1j * rng.normal(size=K))
+    sigmas = 10.0 ** rng.uniform(-3.0, -1.0, size=(K, 2))
+    moments = [
+        MomentEstimate(k=k, value=complex(v), var_re=s_re**2,
+                       var_im=s_im**2, n_phases=64, compensated=False,
+                       eta_assumed=1.0)
+        for k, v, (s_re, s_im) in zip(range(1, K + 1), values, sigmas)
+    ]
+    references = mpmath_least_squares(moments, M, reg_lambda)
+    for normalize, reference in zip((True, False), references):
+        got = least_squares_reconstruct(moments, K, M, reg_lambda=reg_lambda,
+                                        normalize=normalize).values
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(got - reference)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("reg_lambda", [0.0, 1e-2])
+@pytest.mark.parametrize("part", ["var_re", "var_im"])
+def test_least_squares_drops_a_part_of_infinite_variance(part, reg_lambda):
+    # a part with infinite variance has zero weight in the fit, so it
+    # acts as that part read as 0 with any finite error bar
+    values = [0.3 - 0.2j, -0.25 + 0.15j, 0.1 + 0.05j]
+    dropped = as_estimates(values, [0.01] * 3)
+    zeroed = as_estimates(values, [0.01] * 3)
+    dropped[1] = replace(dropped[1], **{part: math.inf})
+    v = zeroed[1].value
+    kept = complex(v.real, 0.0) if part == "var_im" else complex(0.0, v.imag)
+    zeroed[1] = replace(zeroed[1], value=kept)
+    ls = least_squares_reconstruct(dropped, 3, 32, reg_lambda=reg_lambda)
+    assert np.array_equal(
+        ls.values,
+        least_squares_reconstruct(zeroed, 3, 32, reg_lambda=reg_lambda).values,
+    )
 
 
 def test_least_squares_rejections():

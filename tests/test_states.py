@@ -44,6 +44,22 @@ def test_state_spec_validation():
         StateSpec(kind="vacuum", n_max=-2)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_max", 2.5), ("n_max", math.inf), ("fock_n", 1.5), ("fock_n", math.nan),
+])
+def test_state_spec_rejects_non_integral_sizes(field, value):
+    with pytest.raises(ValueError,
+                       match=r"^%s must be an integer >= 0, not %r$"
+                             % (field, value)):
+        StateSpec(kind="fock", **{field: value})
+
+
+def test_state_spec_stores_integral_sizes_as_int():
+    spec = StateSpec(kind="fock", fock_n=2.0, n_max=6.0)
+    assert (spec.fock_n, spec.n_max) == (2, 6)
+    assert build_state(spec).n_max == 6
+
+
 def test_density_matrix_rejects_unphysical_input():
     good = np.eye(3) / 3.0
     with pytest.raises(ValueError):

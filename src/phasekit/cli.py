@@ -8,7 +8,7 @@ inspected, and rerun independently:
   estimate       sample exponential phase moments from records
   reconstruct    build the phase distribution from a moments file
   pipeline       simulate + estimate + reconstruct in one call
-  verify         run the kernel identity suites and report residuals
+  verify         run the kernel check suites and report residuals
 
 All experiment parameters live in a flat key-value config file with
 dotted sections, each key listed once in _CONFIG_KEYS, which both
@@ -30,10 +30,12 @@ from . import textio
 from .estimator import _KernelQuadrature, estimate_all, save_moments, \
     load_moments
 from .kernels import KernelSpec, build_kernel_table, classical_kernel, \
+    integral_kernel_k1, integral_kernel_k2, quantum_kernel, \
     DEFAULT_F_TRUNCATION, DEFAULT_GRID_STEP, DEFAULT_L0, DEFAULT_X0, \
     _check_f_truncation, _check_grid_step, _check_l0, _check_x0
 from .reconstruct import _check_K, _check_method, _check_reg_lambda, \
-    fourier_reconstruct, least_squares_reconstruct, save_distribution
+    check_grid, fourier_reconstruct, least_squares_reconstruct, \
+    save_distribution
 from .simulator import ExperimentPlan, run_experiment, save_records, \
     load_records, _efficiency, _format_complex
 from .states import CAPTURE_TOL, StateSpec
@@ -41,10 +43,12 @@ from .states import CAPTURE_TOL, StateSpec
 OUTPUT_DIR_ENV = "PHASEKIT_OUTPUT_DIR"
 
 QI_TOL = 1.0e-3
+CF_TOL = 1.0e-4
 CL_TOL = 1.0e-6
 VERIFY_K_MAX = 5
 VERIFY_N_MAX = 30
 VERIFY_RADII = (0.5, 1.0, 2.0, 5.0, 10.0)
+VERIFY_CLOSED_FORM_X = tuple(0.25 * i for i in range(17))
 
 
 def _parse_bool(text):
@@ -343,6 +347,17 @@ def cmd_reconstruct(args):
 
 def cmd_pipeline(args):
     cfg = _run_config(args)
+    # The last stage's settings are checked before the first one writes.
+    try:
+        check_grid(cfg.recon_method, cfg.recon_K, cfg.recon_M)
+    except ValueError as exc:
+        raise ValueError(
+            "reconstruct.method = %s, reconstruct.K = %d, reconstruct.M = "
+            "%d: %s" % (cfg.recon_method, cfg.recon_K, cfg.recon_M, exc)
+        ) from None
+    if cfg.recon_K > cfg.k_max:
+        raise ValueError("reconstruct.K = %d exceeds estimate.k_max = %d"
+                         % (cfg.recon_K, cfg.k_max))
     records = _do_simulate(cfg)
     moments = _do_estimate(cfg, records)
     dist = _do_reconstruct(cfg, moments)
@@ -372,6 +387,17 @@ def _verify_quantum_identities():
     return failures
 
 
+def _verify_closed_forms():
+    """Series kernels against the closed integral forms: K_1 absolutely,
+    K_2 by the spread of the gap, as its series drops a constant."""
+    gap_1 = [quantum_kernel(1, x) - integral_kernel_k1(x)
+             for x in VERIFY_CLOSED_FORM_X]
+    gap_2 = [quantum_kernel(2, x) - integral_kernel_k2(x)
+             for x in VERIFY_CLOSED_FORM_X]
+    return (_report("closed-form", 1, max(map(abs, gap_1)), CF_TOL)
+            + _report("closed-form", 2, max(gap_2) - min(gap_2), CF_TOL))
+
+
 def _verify_classical_identities():
     """Phase-average identity of the classical kernel on circles."""
     from scipy.integrate import quad
@@ -397,6 +423,7 @@ def _verify_classical_identities():
 
 def cmd_verify(args):
     failures = _verify_quantum_identities()
+    failures += _verify_closed_forms()
     failures += _verify_classical_identities()
     if failures:
         print("verification FAILED: %d check group(s) out of tolerance"
@@ -455,7 +482,7 @@ def build_parser():
         p.add_argument("--output-dir", default=None)
         p.set_defaults(func=func)
 
-    p = sub.add_parser("verify", help="run kernel identity suites")
+    p = sub.add_parser("verify", help="run the kernel check suites")
     p.set_defaults(func=cmd_verify)
     return parser
 

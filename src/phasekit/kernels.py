@@ -40,8 +40,9 @@ so the values are bit-identical to it.  There is one lookup:
 table_evaluator finds the segments once per sample for tables on one
 grid, and KernelTable.evaluate is its one-table case.
 
-Two closed single-integral forms (k = 1, 2) are provided as independent
-cross-checks of the series construction.
+Two closed single-integral forms (k = 1, 2), quadratures over
+scipy.special's hyp1f1 and i0 imported on first use, are independent
+cross-checks of the series construction; `phasekit verify` runs them.
 """
 
 import decimal
@@ -52,8 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import textio
-from .specfun import (bessel_i0, hermite_fn_sum, hermite_poly, kummer_phi,
-                      scalar_in_scalar_out)
+from .specfun import hermite_fn_sum, hermite_poly, scalar_in_scalar_out
 
 # Series defaults: series order, classical switch point, and the
 # truncation of the slowly converging l-sums inside F_k.
@@ -578,10 +578,11 @@ def integral_kernel_k1(x):
     K_1(x) = pi^{-3/2} x Int_0^inf dt Phi(2, 3/2, -x^2 tanh t)
              / (sqrt(t) cosh^2 t),
     evaluated after t = u^2, which removes the endpoint divergence of
-    1/sqrt(t).  Serves as an arbitrary-precision cross-check of the
-    series construction.
+    1/sqrt(t).  A double-precision quad over scipy.special.hyp1f1 that
+    cross-checks the series construction independently of it.
     """
     from scipy.integrate import quad
+    from scipy.special import hyp1f1
 
     x = float(x)
     if x == 0.0:
@@ -589,7 +590,7 @@ def integral_kernel_k1(x):
 
     def integrand(u):
         t = u * u
-        return 2.0 * kummer_phi(2.0, 1.5, -x * x * math.tanh(t)) / (
+        return 2.0 * hyp1f1(2.0, 1.5, -x * x * math.tanh(t)) / (
             math.cosh(t) ** 2
         )
 
@@ -610,16 +611,17 @@ def integral_kernel_k2(x):
     to 1 as t -> 0, so the quotient stays finite (limit 4x^2 - 2).
     """
     from scipy.integrate import quad
+    from scipy.special import hyp1f1, i0
 
     x = float(x)
 
     def integrand(t):
         if t < 1.0e-12:
             return 4.0 * x * x - 2.0
-        bracket = math.exp(-2.0 * t) - kummer_phi(
+        bracket = math.exp(-2.0 * t) - hyp1f1(
             2.0, 0.5, -x * x * math.tanh(t)
         ) / math.cosh(t) ** 2
-        return bessel_i0(t) * bracket / math.sinh(t)
+        return i0(t) * bracket / math.sinh(t)
 
     value, err = quad(integrand, 0.0, 40.0, limit=300)
     if err > 1.0e-6:

@@ -36,6 +36,17 @@ def _check_reg_lambda(value):
     return float(value)
 
 
+def check_grid(method, K, M):
+    """Raise ValueError unless method can resolve K harmonics on M grid
+    points: M > 2K for fourier, K >= 1 and M >= 8K for least squares."""
+    if _check_method(method) == "fourier" and M <= 2 * K:
+        raise ValueError("need M > 2K grid points to resolve K harmonics "
+                         "(got M=%d, K=%d)" % (M, K))
+    if method == "least_squares" and not (K >= 1 and M >= 8 * K):
+        raise ValueError("least squares needs K >= 1 and M >= 8K grid "
+                         "points (got M=%d, K=%d)" % (M, K))
+
+
 @dataclass(frozen=True)
 class PhaseDistribution:
     """P(phi) sampled on the uniform grid phi_m = 2 pi m / M; every
@@ -116,8 +127,7 @@ def fourier_reconstruct(moments, K, M):
     the negative-k half of the series folded in through the conjugation
     symmetry of the moments.  Normalized by construction.
     """
-    if M <= 2 * K:
-        raise ValueError("need M > 2K grid points to resolve K harmonics")
+    check_grid("fourier", K, M)
     grid, values = _synthesis(_collect(moments, K), M, [(1.0, 1.0)] * K, 1.0)
     return PhaseDistribution(grid=grid, values=values, method="fourier",
                              K_used=K)
@@ -154,13 +164,7 @@ def least_squares_reconstruct(moments, K, M, reg_lambda=0.0,
     constraint nothing then pins the mean level of P, so that combination
     is rejected.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if M < 8 * K:
-        raise ValueError(
-            "least squares needs M >= 8K grid points (got M=%d, K=%d)"
-            % (M, K)
-        )
+    check_grid("least_squares", K, M)
     reg_lambda = _check_reg_lambda(reg_lambda)
     chosen = _collect(moments, K)
     for m in chosen:

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import displaced_fock_amplitudes
+from phasekit import cli
 from phasekit.cli import (_CONFIG_KEYS, RunConfig, build_parser, main,
                           parse_config)
 from phasekit.kernels import (
@@ -292,9 +293,38 @@ def test_verify_command_passes(capsys):
     ret = main(["verify"])
     out = capsys.readouterr().out
     assert ret == 0
-    assert out.count("[PASS]") == 10
+    assert out.count("[PASS]") == 12
+    assert "[PASS] closed-form identity k=1" in out
+    assert "[PASS] closed-form identity k=2" in out
     assert "[FAIL]" not in out
     assert "all identity suites passed" in out
+
+
+def test_verify_fails_when_the_closed_form_disagrees(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "integral_kernel_k1", lambda x: x + 1.0)
+    ret = main(["verify"])
+    out = capsys.readouterr().out
+    assert ret == 1
+    assert "[FAIL] closed-form identity k=1" in out
+    assert "verification FAILED: 1 check group(s)" in out
+
+
+@pytest.mark.parametrize("overrides, keys", [
+    (dict(recon_K=4, recon_M=4), "reconstruct.K = 4, reconstruct.M = 4"),
+    (dict(recon_K=6, recon_M=64), "reconstruct.K = 6 exceeds "
+                                  "estimate.k_max = 4"),
+    (dict(recon_method="least_squares", recon_K=4, recon_M=31),
+     "reconstruct.K = 4, reconstruct.M = 31"),
+])
+def test_pipeline_refuses_reconstruction_settings_before_any_output(
+        tmp_path, capsys, overrides, keys):
+    cfg = small_config(n_phases=8, events_per_phase=(50,), **overrides)
+    out = tmp_path / "out"
+    ret = main(["pipeline", "--config", write_config(tmp_path, cfg),
+                "--output-dir", str(out)])
+    assert ret == 2
+    assert keys in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_default_config_hash_is_pinned():

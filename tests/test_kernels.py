@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from _oracles import (interp_table_value, mpmath_alt_sum, mpmath_f_inner_sum,
                       omega)
@@ -30,7 +30,7 @@ from phasekit.kernels import (
     smear_error_kernel,
     smearing_sigma,
 )
-from phasekit.specfun import bessel_i0, hermite_fn
+from phasekit.specfun import hermite_fn
 
 
 @pytest.mark.parametrize(
@@ -236,7 +236,7 @@ def test_angular_weight_closed_forms():
     assert np.allclose(omega(1, z), 2.0 * np.exp(-z), rtol=1e-10)
     assert np.allclose(
         omega(2, z),
-        2.0 * np.pi * np.exp(-1.5 * z) * bessel_i0(0.5 * z),
+        2.0 * np.pi * np.exp(-1.5 * z) * special.i0(0.5 * z),
         rtol=1e-9,
     )
 

@@ -1,8 +1,7 @@
-"""Special-function layer checked against scipy, mpmath, and closed forms."""
+"""Special-function layer checked against scipy and closed forms."""
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,13 +10,10 @@ from scipy import integrate, special
 
 from _oracles import log_factorial, log_rising
 from phasekit.specfun import (
-    KUMMER_SWITCH,
     MAX_HERMITE_ORDER,
-    bessel_i0,
     hermite_fn,
     hermite_fn_sum,
     hermite_poly,
-    kummer_phi,
     psi_matrix,
     psi_rows,
 )
@@ -104,51 +100,6 @@ def test_hermite_fn_sum_matches_term_by_term():
 
 def test_hermite_fn_sum_empty_is_zero():
     assert np.all(hermite_fn_sum({}, np.linspace(-1, 1, 5)) == 0.0)
-
-
-@pytest.mark.parametrize("a, b", [(0.5, 0.5), (1.0, 1.5), (2.0, 0.5), (3.5, 1.5), (6.0, 0.5)])
-@pytest.mark.parametrize("y", [-0.5, -5.0, -29.9, -30.1, -120.0, -600.0])
-def test_kummer_phi_matches_mpmath(a, b, y):
-    ref = float(mpmath.hyp1f1(a, b, y))
-    assert np.isclose(kummer_phi(a, b, y), ref, rtol=1e-8, atol=1e-300)
-
-
-def test_kummer_phi_continuous_at_branch_switch():
-    below = kummer_phi(2.0, 0.5, -(KUMMER_SWITCH - 1e-9))
-    above = kummer_phi(2.0, 0.5, -(KUMMER_SWITCH + 1e-9))
-    assert np.isclose(below, above, rtol=1e-7)
-
-
-def test_kummer_phi_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        kummer_phi(0.0, 0.5, -1.0)
-    with pytest.raises(ValueError):
-        kummer_phi(1.0, 0.5, 0.25)
-
-
-def test_kummer_phi_vectorizes():
-    y = np.array([-1.0, -10.0, -40.0])
-    vec = kummer_phi(1.5, 0.5, y)
-    scalars = [kummer_phi(1.5, 0.5, float(v)) for v in y]
-    assert np.allclose(vec, scalars, rtol=1e-14)
-
-
-def test_bessel_i0_matches_scipy():
-    t = np.linspace(0.0, 60.0, 121)
-    assert np.allclose(bessel_i0(t), special.i0(t), rtol=1e-10)
-
-
-def test_bessel_i0_continuous_at_switch():
-    # A 1e-12 gap straddles the series/asymptotic split while the true
-    # function changes by only ~1e-12 relative, so any branch mismatch
-    # beyond that shows up directly.
-    v = bessel_i0(np.array([15.0, 15.0 + 1e-12]))
-    assert np.isclose(v[0], v[1], rtol=1e-9)
-
-
-def test_bessel_i0_rejects_negative():
-    with pytest.raises(ValueError):
-        bessel_i0(-0.1)
 
 
 @given(

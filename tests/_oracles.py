@@ -4,7 +4,8 @@ Quadrature rules for the estimator and acceptance tests, the direct
 forms the fast library paths are checked against (the quadratic-form
 quadrature density, np.interp kernel lookup, the per-row record reader,
 the per-event record writer and a dense high-precision least-squares
-solve), and the special functions only the tests use: log_factorial,
+solve), the closed integral kernels K_1 and K_2 in 20-digit mpmath,
+and the special functions only the tests use: log_factorial,
 log_rising and the angular weight omega.
 """
 
@@ -273,6 +274,30 @@ def mpmath_f_inner_sum(k, n, truncation):
             + d3 * mpmath.zeta(a + 3.0, truncation + 1)
         ) / mpmath.gamma(n)
         return float(total + tail)
+
+
+def mpmath_integral_kernel(k, x):
+    """K_1(x) or K_2(x) from its closed single integral with mpmath.quad
+    over mpmath.hyp1f1 and mpmath.besseli at 20 digits, on the same
+    substitutions as kernels.integral_kernel_k1/k2 but with no scipy."""
+    import mpmath
+
+    with mpmath.workdps(20):
+        x = mpmath.mpf(x)
+        if k == 1:
+            def f(u):
+                t = u * u
+                return 2 * mpmath.hyp1f1(2, 1.5, -x * x * mpmath.tanh(t)) \
+                    / mpmath.cosh(t) ** 2
+            return float(mpmath.pi ** -1.5 * x
+                         * mpmath.quad(f, [0, 1, 2, 4, 12]))
+        if k == 2:
+            def f(t):
+                bracket = mpmath.exp(-2 * t) - mpmath.hyp1f1(
+                    2, 0.5, -x * x * mpmath.tanh(t)) / mpmath.cosh(t) ** 2
+                return mpmath.besseli(0, t) * bracket / mpmath.sinh(t)
+            return float(mpmath.quad(f, [0, 1, 4, 10, 40]) / (2 * mpmath.pi))
+    raise ValueError("closed integral forms exist for k = 1, 2 only")
 
 
 def mpmath_least_squares(moments, M, reg_lambda, dps=40):

@@ -309,12 +309,31 @@ def test_verify_fails_when_the_closed_form_disagrees(capsys, monkeypatch):
     assert "verification FAILED: 1 check group(s)" in out
 
 
+def test_verify_fails_when_the_k2_gap_is_not_constant(capsys, monkeypatch):
+    # A constant offset is what the even series drops, so it must pass;
+    # an x-dependent one must not.
+    real = cli.integral_kernel_k2
+    monkeypatch.setattr(cli, "integral_kernel_k2", lambda x: real(x) + 0.3)
+    assert main(["verify"]) == 0
+    assert "[PASS] closed-form identity k=2" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "integral_kernel_k2",
+                        lambda x: real(x) + 1e-3 * x)
+    ret = main(["verify"])
+    out = capsys.readouterr().out
+    assert ret == 1
+    assert "[FAIL] closed-form identity k=2" in out
+    assert "[PASS] closed-form identity k=1" in out
+
+
 @pytest.mark.parametrize("overrides, keys", [
     (dict(recon_K=4, recon_M=4), "reconstruct.K = 4, reconstruct.M = 4"),
     (dict(recon_K=6, recon_M=64), "reconstruct.K = 6 exceeds "
                                   "estimate.k_max = 4"),
     (dict(recon_method="least_squares", recon_K=4, recon_M=31),
      "reconstruct.K = 4, reconstruct.M = 31"),
+    (dict(recon_K=3, recon_M=6), "reconstruct.K = 3, reconstruct.M = 6"),
+    (dict(recon_method="least_squares", recon_K=0, recon_M=64),
+     "reconstruct.K = 0, reconstruct.M = 64"),
 ])
 def test_pipeline_refuses_reconstruction_settings_before_any_output(
         tmp_path, capsys, overrides, keys):

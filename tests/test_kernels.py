@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from _oracles import (interp_table_value, mpmath_alt_sum, mpmath_f_inner_sum,
-                      omega)
+                      mpmath_integral_kernel, omega)
 from phasekit import kernels
 from phasekit.kernels import (
     DEFAULT_GRID_STEP,
@@ -143,6 +143,23 @@ def test_series_matches_closed_integral_k2_up_to_constant():
     integral = [integral_kernel_k2(x) for x in xs]
     gaps = [s - i for s, i in zip(series, integral)]
     assert max(gaps) - min(gaps) < 1e-4
+
+
+@pytest.mark.parametrize("k, closed", [(1, integral_kernel_k1),
+                                      (2, integral_kernel_k2)])
+@pytest.mark.parametrize("x", [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+def test_closed_integral_kernels_match_mpmath(k, closed, x):
+    # scipy's hyp1f1 and i0 under a double-precision quad against the
+    # same integrals in 20-digit mpmath: agreement to a few ulps of the
+    # O(1) kernel values, far inside the 1e-4 of the series checks.
+    assert abs(closed(x) - mpmath_integral_kernel(k, x)) < 1e-13
+
+
+def test_closed_integral_kernels_have_the_kernel_parity():
+    for x in (0.5, 1.7, 3.2):
+        assert integral_kernel_k1(-x) == -integral_kernel_k1(x)
+        assert integral_kernel_k2(-x) == integral_kernel_k2(x)
+    assert integral_kernel_k1(0.0) == 0.0
 
 
 def test_kernel_parity(default_tables):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from phasekit.estimator import MomentEstimate
 from phasekit.reconstruct import (
     PhaseDistribution,
+    check_grid,
     chi_squared,
     fourier_reconstruct,
     least_squares_reconstruct,
@@ -96,6 +97,27 @@ def test_fourier_rejects_sparse_grid():
     moments = as_estimates([0.1, 0.0, 0.0])
     with pytest.raises(ValueError, match="M > 2K"):
         fourier_reconstruct(moments, 3, 6)
+
+
+@pytest.mark.parametrize("method, K, M", [
+    ("fourier", 3, 7), ("fourier", 0, 1), ("least_squares", 1, 8),
+    ("least_squares", 4, 32),
+])
+def test_check_grid_accepts_the_smallest_resolving_grid(method, K, M):
+    check_grid(method, K, M)
+
+
+@pytest.mark.parametrize("method, K, M, message", [
+    ("fourier", 3, 6, "M > 2K"),
+    ("fourier", 0, 0, "M > 2K"),
+    ("least_squares", 0, 64, "K >= 1"),
+    ("least_squares", 1, 7, "M >= 8K"),
+    ("least_squares", 4, 31, "M >= 8K"),
+    ("lsq", 2, 64, "method must be one of"),
+])
+def test_check_grid_rejections(method, K, M, message):
+    with pytest.raises(ValueError, match=message):
+        check_grid(method, K, M)
 
 
 def test_missing_orders_are_listed():

@@ -12,6 +12,7 @@ from .estimator import (
     aliasing_bias_approx,
     estimate_all,
     estimate_moment,
+    kernel_overlaps,
     load_moments,
     q_matrix_element,
     save_moments,
@@ -68,6 +69,7 @@ __all__ = [
     "exact_moments",
     "exact_phase_dist",
     "fourier_reconstruct",
+    "kernel_overlaps",
     "least_squares_reconstruct",
     "load_distribution",
     "load_moments",

@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from . import textio
-from .estimator import _KernelQuadrature, estimate_all, save_moments, \
+from .estimator import estimate_all, kernel_overlaps, save_moments, \
     load_moments
 from .kernels import KernelSpec, build_kernel_table, classical_kernel, \
     integral_kernel_k1, integral_kernel_k2, quantum_kernel, \
@@ -300,7 +300,19 @@ def _do_estimate(cfg, records_path):
     return _save(cfg, save_moments, estimates, "moments.txt")
 
 
+def _check_recon_grid(cfg):
+    """check_grid on the config, naming its keys in the error."""
+    try:
+        check_grid(cfg.recon_method, cfg.recon_K, cfg.recon_M)
+    except ValueError as exc:
+        raise ValueError(
+            "reconstruct.method = %s, reconstruct.K = %d, reconstruct.M = "
+            "%d: %s" % (cfg.recon_method, cfg.recon_K, cfg.recon_M, exc)
+        ) from None
+
+
 def _do_reconstruct(cfg, moments_path):
+    _check_recon_grid(cfg)
     moments = load_moments(moments_path)
     if _check_method(cfg.recon_method) == "fourier":
         dist = fourier_reconstruct(moments, cfg.recon_K, cfg.recon_M)
@@ -347,14 +359,11 @@ def cmd_reconstruct(args):
 
 def cmd_pipeline(args):
     cfg = _run_config(args)
-    # The last stage's settings are checked before the first one writes.
-    try:
-        check_grid(cfg.recon_method, cfg.recon_K, cfg.recon_M)
-    except ValueError as exc:
-        raise ValueError(
-            "reconstruct.method = %s, reconstruct.K = %d, reconstruct.M = "
-            "%d: %s" % (cfg.recon_method, cfg.recon_K, cfg.recon_M, exc)
-        ) from None
+    # The later stages' settings are checked before the first one writes.
+    _check_recon_grid(cfg)
+    if cfg.k_max >= cfg.n_phases:
+        raise ValueError("estimate.k_max = %d must be smaller than "
+                         "plan.n_phases = %d" % (cfg.k_max, cfg.n_phases))
     if cfg.recon_K > cfg.k_max:
         raise ValueError("reconstruct.K = %d exceeds estimate.k_max = %d"
                          % (cfg.recon_K, cfg.k_max))
@@ -379,10 +388,8 @@ def _verify_quantum_identities():
     failures = 0
     for k in range(1, VERIFY_K_MAX + 1):
         table = build_kernel_table(KernelSpec(k=k))
-        quadrature = _KernelQuadrature(table, VERIFY_N_MAX + k)
-        worst = 0.0
-        for n in range(VERIFY_N_MAX + 1):
-            worst = max(worst, abs(quadrature.q(n + k, n) - 1.0))
+        q = kernel_overlaps(table.evaluate, table.spec.x0, VERIFY_N_MAX + k)
+        worst = float(abs(q.diagonal(-k) - 1.0).max())
         failures += _report("moment", k, worst, QI_TOL)
     return failures
 

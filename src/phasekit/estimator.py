@@ -8,7 +8,11 @@ finite number of phases (aliasing), and systematic bias from detector
 smearing when no compensated kernel is used.
 
 estimate_moment is the one-order case of estimate_all: both run one
-reduction over the records through kernels.table_evaluator.
+reduction over the records through kernels.table_evaluator.  Every
+kernel integral of the error analysis is an entry of one overlap
+matrix, kernel_overlaps: q_matrix_element reads one element,
+aliasing_bias sums the elements that fold into order k, and smear_bias
+reads the k-th subdiagonal for the smearing-error kernel.
 """
 
 import cmath
@@ -18,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .kernels import smear_error_kernel, smearing_sigma, table_evaluator
+from .kernels import DEFAULT_X0, smear_error_kernel, smearing_sigma, \
+    table_evaluator
 from .specfun import psi_matrix
 from .states import exact_moments
 
@@ -194,35 +199,33 @@ def _panel_rule(edges):
             np.concatenate([w_pos[::-1], w_pos]))
 
 
-class _KernelQuadrature:
-    """Composite Gauss-Legendre rule bound to one kernel table.
+def kernel_overlaps(kernel, x0, order_max):
+    """Kernel matrix Q_mn = 2 pi Int kernel(x) psi_m(x) psi_n(x) dx for
+    m, n = 0..order_max, a symmetric (order_max + 1)^2 array.
 
-    Caches node positions, weights, kernel values on the nodes, and the
-    oscillator eigenfunctions up to order_max, so matrix elements for
-    many index pairs reuse one evaluation sweep.  Panels are split at
-    the table edge (where the tail rule takes over) and at the origin
-    (where the kernel kinks or has its logarithmic spike).
+    kernel is a vectorized callable such as a table's evaluate.  One
+    composite Gauss-Legendre rule serves every element; its panels are
+    split at the origin (where the kernel kinks or has its logarithmic
+    spike) and at x0 (where a table's tail rule takes over).
     """
+    x_max = math.sqrt(2.0 * order_max + 1.0) + 8.0
+    if x_max <= x0 + 1.0:
+        x_max = x0 + 8.0
+    n_out = max(16, int(math.ceil(OUTER_PANELS_PER_UNIT * (x_max - x0))))
+    x, w = _panel_rule(np.concatenate([
+        np.linspace(0.0, x0, INNER_PANELS + 1),
+        np.linspace(x0, x_max, n_out + 1)[1:],
+    ]))
+    psi = psi_matrix(order_max, x)
+    return 2.0 * np.pi * (psi * (w * kernel(x))) @ psi.T
 
-    def __init__(self, table, order_max):
-        x0 = table.spec.x0
-        x_max = math.sqrt(2.0 * order_max + 1.0) + 8.0
-        if x_max <= x0 + 1.0:
-            x_max = x0 + 8.0
-        edges_in = np.linspace(0.0, x0, INNER_PANELS + 1)
-        n_out = max(16, int(math.ceil(
-            OUTER_PANELS_PER_UNIT * (x_max - x0)
-        )))
-        edges_out = np.linspace(x0, x_max, n_out + 1)
-        self.x, self.w = _panel_rule(
-            np.concatenate([edges_in, edges_out[1:]])
-        )
-        self.kernel = table.evaluate(self.x)
-        self.psi = psi_matrix(order_max, self.x)
 
-    def q(self, m, n):
-        return 2.0 * np.pi * float(
-            np.sum(self.w * self.kernel * self.psi[m] * self.psi[n])
+def _check_order(k, table):
+    if k < 1:
+        raise ValueError("moment order k must be >= 1")
+    if table.spec.k != k:
+        raise ValueError(
+            "kernel table is built for k=%d, not k=%d" % (table.spec.k, k)
         )
 
 
@@ -232,43 +235,31 @@ def q_matrix_element(k, m, n, table):
     Vanishes (to quadrature accuracy) when m + n + k is odd; equals 1
     in the defining case m = n + k.
     """
-    if table.spec.k != k:
-        raise ValueError(
-            "kernel table is built for k=%d, not k=%d" % (table.spec.k, k)
-        )
+    _check_order(k, table)
     if m < 0 or n < 0:
         raise ValueError("matrix element indices must be nonnegative")
-    quad = _KernelQuadrature(table, max(m, n))
-    return quad.q(m, n)
+    return float(kernel_overlaps(table.evaluate, table.spec.x0,
+                                 max(m, n))[m, n])
 
 
 def aliasing_bias(rho, k, N, table):
     """Exact phase-discretization bias of the k-th moment at N phases.
 
     Measuring at N equidistant phases folds every density-matrix
-    element rho_{n+k+sN, n} and rho_{n, n+sN-k} (s >= 1) into the k-th
-    moment, weighted by the kernel matrix elements.  The s-sum is
-    finite here because the state is truncated: terms whose indices
-    exceed n_max vanish identically.
+    element rho_mn with m - n = k + sN (s != 0) into the k-th moment,
+    weighted by the kernel matrix element Q_mn.  The sum is finite
+    here because the state is truncated at n_max.
     """
+    _check_order(k, table)
     if N <= k:
         raise ValueError("aliasing analysis assumes N > k")
-    quad = None
-    bias = 0.0j
-    s = 1
-    while True:
-        gap_hi = k + s * N
-        gap_lo = s * N - k
-        if gap_hi > rho.n_max and gap_lo > rho.n_max:
-            break
-        if quad is None:
-            quad = _KernelQuadrature(table, rho.n_max)
-        for n in range(rho.n_max - gap_hi + 1):
-            bias += rho.elements[n + gap_hi, n] * quad.q(n + gap_hi, n)
-        for n in range(rho.n_max - gap_lo + 1):
-            bias += rho.elements[n, n + gap_lo] * quad.q(n, n + gap_lo)
-        s += 1
-    return bias
+    if k + N > rho.n_max and N - k > rho.n_max:
+        return 0j
+    q = kernel_overlaps(table.evaluate, table.spec.x0, rho.n_max)
+    index = np.arange(rho.n_max + 1)
+    gap = index[:, None] - index[None, :]
+    folds = ((gap - k) % N == 0) & (gap != k)
+    return complex(np.sum(rho.elements[folds] * q[folds]))
 
 
 def aliasing_bias_approx(rho, k, N):
@@ -307,18 +298,14 @@ def aliasing_bias_approx(rho, k, N):
     return bias
 
 
-def smear_bias(rho, k, eta, g_table=None):
+def smear_bias(rho, k, eta):
     """Systematic moment error from estimating smeared data with the
     plain (eta = 1) kernel.
 
     The bias is the phase-weighted average of the smearing-error kernel
     g_k over the state.  The angular integral picks out the k-th
-    subdiagonal, leaving
-
-        2 pi sum_n rho_{n+k,n} Int g_k(x; eta) psi_{n+k} psi_n dx.
-
-    g_table may supply precomputed g values as a vectorized callable;
-    by default the exact convolution difference is evaluated.
+    subdiagonal, leaving sum_n rho_{n+k,n} Q_{n+k,n} with Q the
+    kernel_overlaps of g_k(x; eta).
     """
     if smearing_sigma(eta) == 0.0:
         return 0.0j
@@ -326,20 +313,9 @@ def smear_bias(rho, k, eta, g_table=None):
         raise ValueError("moment order k must be >= 1")
     if k > rho.n_max:
         return 0.0j
-    order_max = rho.n_max
-    x_max = math.sqrt(2.0 * order_max + 1.0) + 8.0
-    n_panels = max(24, int(math.ceil(2.0 * x_max)))
-    x, w = _panel_rule(np.linspace(0.0, x_max, n_panels + 1))
-    if g_table is None:
-        g = smear_error_kernel(k, x, eta)
-    else:
-        g = np.asarray(g_table(x), dtype=float)
-    psi = psi_matrix(order_max, x)
-    bias = 0.0j
-    for n in range(rho.n_max - k + 1):
-        overlap = float(np.sum(w * g * psi[n + k] * psi[n]))
-        bias += rho.elements[n + k, n] * overlap
-    return 2.0 * np.pi * bias
+    q = kernel_overlaps(lambda x: smear_error_kernel(k, x, eta),
+                        DEFAULT_X0, rho.n_max)
+    return complex(np.sum(np.diagonal(rho.elements, -k) * np.diagonal(q, -k)))
 
 
 def save_moments(estimates, path, header_lines=()):

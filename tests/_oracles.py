@@ -1,7 +1,8 @@
 """Reference implementations shared by the tests.
 
 Quadrature rules for the estimator and acceptance tests, the direct
-forms the fast library paths are checked against (the quadratic-form
+forms the fast library paths are checked against (the loop form of the
+aliasing bias, the quadratic-form
 quadrature density, np.interp kernel lookup, the per-row record reader,
 the per-event record writer and a dense high-precision least-squares
 solve), the closed integral kernels K_1 and K_2 in 20-digit mpmath,
@@ -48,6 +49,26 @@ def moment_by_phase_quadrature(rho, k, n_phases, table, xs, ws):
         pdf = quadrature_pdf(rho, xs, theta)
         total += np.exp(1j * k * theta) * np.sum(ws * kernel_vals * pdf)
     return total * 2.0 * math.pi / n_phases
+
+
+def aliasing_bias_by_loops(rho, k, N, q):
+    """The aliasing bias as the explicit loops over s >= 1 and n: each
+    rho_{n+k+sN, n} and rho_{n, n+sN-k} weighted by its element of the
+    kernel matrix q, the form estimator.aliasing_bias used before its
+    masked sum."""
+    bias = 0.0j
+    s = 1
+    while True:
+        gap_hi = k + s * N
+        gap_lo = s * N - k
+        if gap_hi > rho.n_max and gap_lo > rho.n_max:
+            break
+        for n in range(rho.n_max - gap_hi + 1):
+            bias += rho.elements[n + gap_hi, n] * q[n + gap_hi, n]
+        for n in range(rho.n_max - gap_lo + 1):
+            bias += rho.elements[n, n + gap_lo] * q[n, n + gap_lo]
+        s += 1
+    return bias
 
 
 def quadratic_form_pdf(rho, x, theta):

@@ -235,7 +235,7 @@ def test_output_dir_environment_fallback(tmp_path, monkeypatch):
 
 
 def test_uncompensatable_efficiency_exits_2(tmp_path, capsys):
-    cfg = small_config(eta=0.4, n_phases=2, events_per_phase=(20,))
+    cfg = small_config(eta=0.4, n_phases=6, events_per_phase=(20,))
     ret = main(["pipeline", "--config", write_config(tmp_path, cfg),
                 "--output-dir", str(tmp_path / "out")])
     assert ret == 2
@@ -334,6 +334,8 @@ def test_verify_fails_when_the_k2_gap_is_not_constant(capsys, monkeypatch):
     (dict(recon_K=3, recon_M=6), "reconstruct.K = 3, reconstruct.M = 6"),
     (dict(recon_method="least_squares", recon_K=0, recon_M=64),
      "reconstruct.K = 0, reconstruct.M = 64"),
+    (dict(k_max=8), "estimate.k_max = 8 must be smaller than "
+                    "plan.n_phases = 8"),
 ])
 def test_pipeline_refuses_reconstruction_settings_before_any_output(
         tmp_path, capsys, overrides, keys):
@@ -343,6 +345,18 @@ def test_pipeline_refuses_reconstruction_settings_before_any_output(
                 "--output-dir", str(out)])
     assert ret == 2
     assert keys in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_reconstruct_refuses_its_grid_before_reading_moments(tmp_path,
+                                                            capsys):
+    # The moments file does not exist: the grid is refused first.
+    cfg = small_config(recon_K=4, recon_M=4)
+    out = tmp_path / "out"
+    ret = main(["reconstruct", "--config", write_config(tmp_path, cfg),
+                "--output-dir", str(out), str(tmp_path / "moments.txt")])
+    assert ret == 2
+    assert "reconstruct.K = 4, reconstruct.M = 4" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 

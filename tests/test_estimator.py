@@ -13,21 +13,21 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from _oracles import moment_by_phase_quadrature, panel_rule
+from _oracles import aliasing_bias_by_loops, moment_by_phase_quadrature, panel_rule
 from phasekit.estimator import (
     MomentEstimate,
-    _KernelQuadrature,
     _panel_rule,
     aliasing_bias,
     aliasing_bias_approx,
     estimate_all,
     estimate_moment,
+    kernel_overlaps,
     load_moments,
     q_matrix_element,
     save_moments,
     smear_bias,
 )
-from phasekit.kernels import KernelSpec, build_kernel_table, classical_kernel, smear_error_kernel
+from phasekit.kernels import KernelSpec, build_kernel_table, classical_kernel
 from phasekit.kernels import KernelTable, table_evaluator
 from phasekit.simulator import ExperimentPlan, MeasurementSet, run_experiment
 from phasekit.specfun import hermite_fn
@@ -198,6 +198,41 @@ def test_aliasing_bias_requires_more_phases_than_order(default_tables, rho_squee
         aliasing_bias(rho_squeezed, 2, 2, default_tables[2])
 
 
+@pytest.mark.parametrize("k, N, message", [
+    (0, 12, "moment order k must be >= 1"),
+    (-3, 12, "moment order k must be >= 1"),
+    (2, 12, "kernel table is built for k=1, not k=2"),
+])
+def test_aliasing_bias_rejects_bad_order(default_tables, rho_squeezed,
+                                         k, N, message):
+    with pytest.raises(ValueError, match=message):
+        aliasing_bias(rho_squeezed, k, N, default_tables[1])
+
+
+@pytest.mark.parametrize("k, N", [
+    (k, N) for k in (1, 2, 3) for N in (k + 1, 5, 12, 13)
+])
+def test_aliasing_bias_equals_the_loop_over_folded_elements(
+        default_tables, rho_squeezed, k, N):
+    table = default_tables[k]
+    q = kernel_overlaps(table.evaluate, table.spec.x0, rho_squeezed.n_max)
+    expected = aliasing_bias_by_loops(rho_squeezed, k, N, q)
+    assert abs(aliasing_bias(rho_squeezed, k, N, table) - expected) < 1e-15
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_kernel_overlaps_is_symmetric_and_holds_the_identity(default_tables,
+                                                             k):
+    table = default_tables[k]
+    q = kernel_overlaps(table.evaluate, table.spec.x0, 30 + k)
+    assert q.shape == (31 + k, 31 + k)
+    # symmetric to rounding: the elements reach 5.9 at k = 5
+    assert np.max(np.abs(q - q.T)) < 1e-15 * np.max(np.abs(q))
+    assert np.max(np.abs(np.diagonal(q, -k) - 1.0)) < 1e-3
+    # the rule reaches further for a larger matrix; the elements stay put
+    assert abs(q_matrix_element(k, 10 + k, 10, table) - q[10 + k, 10]) < 1e-12
+
+
 def test_aliasing_bias_matches_discrete_phase_quadrature(default_tables, rho_squeezed):
     # Oracle: the discrete-phase moment at N=12 minus the same object at
     # N=360 (where no populated order can alias) equals the bias; the
@@ -277,15 +312,6 @@ def test_smear_bias_shrinks_squeezed_moments(rho_squeezed):
         psi = exact_moments(rho_squeezed, k)
         smeared = psi + smear_bias(rho_squeezed, k, 0.6)
         assert abs(smeared) <= abs(psi)
-
-
-def test_smear_bias_accepts_custom_error_kernel(rho_squeezed):
-    def g_table(x):
-        return smear_error_kernel(2, x, 0.7)
-
-    default = smear_bias(rho_squeezed, 2, 0.7)
-    custom = smear_bias(rho_squeezed, 2, 0.7, g_table=g_table)
-    assert np.isclose(custom, default, rtol=1e-12)
 
 
 def test_replications_are_unbiased_and_calibrated(default_tables, rho_squeezed):

@@ -7,7 +7,7 @@ inspected, and rerun independently:
   simulate       draw homodyne records for the configured experiment
   estimate       sample exponential phase moments from records
   reconstruct    build the phase distribution from a moments file
-  pipeline       simulate + estimate + reconstruct in one call
+  pipeline       simulate + estimate + reconstruct, run by the same code
   verify         run the kernel check suites and report residuals
 
 All experiment parameters live in a flat key-value config file with
@@ -32,7 +32,8 @@ from .estimator import estimate_all, kernel_overlaps, save_moments, \
 from .kernels import KernelSpec, build_kernel_table, classical_kernel, \
     integral_kernel_k1, integral_kernel_k2, quantum_kernel, \
     DEFAULT_F_TRUNCATION, DEFAULT_GRID_STEP, DEFAULT_L0, DEFAULT_X0, \
-    _check_f_truncation, _check_grid_step, _check_l0, _check_x0
+    _check_f_truncation, _check_grid_step, _check_l0, _check_x0, \
+    _half_nodes
 from .reconstruct import _check_K, _check_method, _check_reg_lambda, \
     check_grid, fourier_reconstruct, least_squares_reconstruct, \
     save_distribution
@@ -162,15 +163,15 @@ class RunConfig:
     output_dir: str = "."
     seed: int = 0
 
-    def _lines(self):
-        """(owner, 'key = value') for each key, in table order."""
-        for key, (owner, attr, (_, fmt)) in _CONFIG_KEYS.items():
-            value = getattr(self.state if owner == "state" else self, attr)
-            yield owner, "%s = %s" % (key, fmt(value))
+    def _entry(self, key):
+        """'key = value' as the config listing writes it."""
+        owner, attr, (_, fmt) = _CONFIG_KEYS[key]
+        value = getattr(self.state if owner == "state" else self, attr)
+        return "%s = %s" % (key, fmt(value))
 
     def to_text(self):
         """Canonical config listing; parsing it back is lossless."""
-        return "".join(line + "\n" for _, line in self._lines())
+        return "".join(self._entry(key) + "\n" for key in _CONFIG_KEYS)
 
     def config_hash(self):
         """Short provenance hash over the data-generating settings.
@@ -178,9 +179,8 @@ class RunConfig:
         The output directory is presentation only: the same experiment
         written to two places must carry the same hash.
         """
-        physics = "\n".join(
-            line for owner, line in self._lines() if owner != "output"
-        )
+        physics = "\n".join(self._entry(key) for key, (owner, _, _)
+                            in _CONFIG_KEYS.items() if owner != "output")
         return hashlib.sha256(physics.encode()).hexdigest()[:12]
 
     def plan(self):
@@ -195,20 +195,49 @@ class RunConfig:
         return ExperimentPlan(state=self.state, events_per_phase=counts,
                               eta=self.eta, seed=self.seed)
 
-    def kernel_tables(self, k_values, eta_data):
-        """Kernel tables for the given orders, compensated when the
-        config asks for it and the data efficiency calls for it."""
-        eta_kernel = eta_data if (self.compensate and eta_data < 1.0) \
-            else 1.0
-        return {
-            k: build_kernel_table(
-                KernelSpec(k=k, eta=eta_kernel, l0=self.kernel_l0,
+    def kernel_specs(self):
+        """KernelSpecs of orders 1..k_max at the eta the estimate stage
+        uses: plan.eta when kernel.compensate is on and eta < 1, else 1."""
+        eta = self.eta if self.compensate and self.eta < 1.0 else 1.0
+        return [KernelSpec(k=k, eta=eta, l0=self.kernel_l0,
                            x0=self.kernel_x0,
-                           f_truncation=self.kernel_f_truncation),
-                grid_step=self.kernel_grid_step,
-            )
-            for k in k_values
-        }
+                           f_truncation=self.kernel_f_truncation)
+                for k in range(1, self.k_max + 1)]
+
+    def _keyed(self, keys, rule, *args):
+        """rule(*args), its ValueError prefixed by the keys involved."""
+        try:
+            rule(*args)
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (", ".join(map(self._entry, keys)),
+                                         exc)) from None
+
+    def check(self, stages):
+        """Refuse, naming its keys, any setting that one of stages (run
+        in STAGES order, each on the one before's output) would refuse
+        after the first had written.  Per stage: simulate, the length of
+        the events list; estimate, each order's KernelSpec at the eta it
+        uses and the table grid step; reconstruct, check_grid.  Across
+        stages: k_max < n_phases when estimate reads simulate's records,
+        K <= k_max when reconstruct reads its moments.  No table is
+        built; rules on one key alone are parse_config's."""
+        stages = set(stages)
+        if "simulate" in stages:
+            self._keyed(("plan.events_per_phase", "plan.n_phases"), self.plan)
+        if "estimate" in stages:
+            self._keyed(("plan.eta", "kernel.compensate"), self.kernel_specs)
+            self._keyed(("kernel.grid_step", "kernel.x0"), _half_nodes,
+                        self.kernel_x0, self.kernel_grid_step)
+        if "reconstruct" in stages:
+            self._keyed(("reconstruct.method", "reconstruct.K",
+                         "reconstruct.M"), check_grid, self.recon_method,
+                        self.recon_K, self.recon_M)
+        if {"simulate", "estimate"} <= stages and self.k_max >= self.n_phases:
+            raise ValueError("%s must be smaller than %s" % (
+                self._entry("estimate.k_max"), self._entry("plan.n_phases")))
+        if {"estimate", "reconstruct"} <= stages and self.recon_K > self.k_max:
+            raise ValueError("%s exceeds %s" % (
+                self._entry("reconstruct.K"), self._entry("estimate.k_max")))
 
 
 def parse_config(text):
@@ -259,11 +288,11 @@ def _output_dir(flag):
 def _run_config(args):
     """The --config file with the command-line overrides applied."""
     cfg = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "eta", None) is not None:
+    if args.eta is not None:
         cfg = replace(cfg, eta=args.eta)
-    out = _output_dir(getattr(args, "output_dir", None))
+    out = _output_dir(args.output_dir)
     if out:
         cfg = replace(cfg, output_dir=out)
     return cfg
@@ -286,35 +315,26 @@ def _save(cfg, save, artifact, name):
     return path
 
 
-def _do_simulate(cfg):
+def _simulate(cfg, _):
     ms = run_experiment(cfg.plan(), capture_tol=cfg.capture_tol)
     return _save(cfg, save_records, ms, "records.txt")
 
 
-def _do_estimate(cfg, records_path):
+def _estimate(cfg, records_path):
     ms = load_records(records_path)
-    estimates = estimate_all(
-        ms, cfg.k_max,
-        cfg.kernel_tables(range(1, cfg.k_max + 1), ms.plan.eta),
-    )
-    return _save(cfg, save_moments, estimates, "moments.txt")
+    if ms.plan.eta != cfg.eta:
+        raise ValueError("%s, but %s holds records taken at eta = %r"
+                         % (cfg._entry("plan.eta"), records_path,
+                            ms.plan.eta))
+    tables = {s.k: build_kernel_table(s, grid_step=cfg.kernel_grid_step)
+              for s in cfg.kernel_specs()}
+    return _save(cfg, save_moments, estimate_all(ms, cfg.k_max, tables),
+                 "moments.txt")
 
 
-def _check_recon_grid(cfg):
-    """check_grid on the config, naming its keys in the error."""
-    try:
-        check_grid(cfg.recon_method, cfg.recon_K, cfg.recon_M)
-    except ValueError as exc:
-        raise ValueError(
-            "reconstruct.method = %s, reconstruct.K = %d, reconstruct.M = "
-            "%d: %s" % (cfg.recon_method, cfg.recon_K, cfg.recon_M, exc)
-        ) from None
-
-
-def _do_reconstruct(cfg, moments_path):
-    _check_recon_grid(cfg)
+def _reconstruct(cfg, moments_path):
     moments = load_moments(moments_path)
-    if _check_method(cfg.recon_method) == "fourier":
+    if cfg.recon_method == "fourier":
         dist = fourier_reconstruct(moments, cfg.recon_K, cfg.recon_M)
     else:
         dist = least_squares_reconstruct(
@@ -322,6 +342,11 @@ def _do_reconstruct(cfg, moments_path):
             reg_lambda=cfg.reg_lambda, normalize=cfg.normalize,
         )
     return _save(cfg, save_distribution, dist, "distribution.txt")
+
+
+# Each stage: run(cfg, path of the file the stage before it wrote).
+STAGES = {"simulate": _simulate, "estimate": _estimate,
+          "reconstruct": _reconstruct}
 
 
 def cmd_kernel_table(args):
@@ -342,35 +367,14 @@ def cmd_kernel_table(args):
     return 0
 
 
-def cmd_simulate(args):
-    print("wrote %s" % _do_simulate(_run_config(args)))
-    return 0
-
-
-def cmd_estimate(args):
-    print("wrote %s" % _do_estimate(_run_config(args), args.records))
-    return 0
-
-
-def cmd_reconstruct(args):
-    print("wrote %s" % _do_reconstruct(_run_config(args), args.moments))
-    return 0
-
-
-def cmd_pipeline(args):
+def cmd_stages(args):
+    """Run args.stages in order on the checked config, each reading the
+    file the one before it wrote (the first reads args.input)."""
     cfg = _run_config(args)
-    # The later stages' settings are checked before the first one writes.
-    _check_recon_grid(cfg)
-    if cfg.k_max >= cfg.n_phases:
-        raise ValueError("estimate.k_max = %d must be smaller than "
-                         "plan.n_phases = %d" % (cfg.k_max, cfg.n_phases))
-    if cfg.recon_K > cfg.k_max:
-        raise ValueError("reconstruct.K = %d exceeds estimate.k_max = %d"
-                         % (cfg.recon_K, cfg.k_max))
-    records = _do_simulate(cfg)
-    moments = _do_estimate(cfg, records)
-    dist = _do_reconstruct(cfg, moments)
-    for path in (records, moments, dist):
+    cfg.check(args.stages)
+    path = args.input
+    for stage in args.stages:
+        path = STAGES[stage](cfg, path)
         print("wrote %s" % path)
     return 0
 
@@ -472,22 +476,19 @@ def build_parser():
     p.add_argument("--output-dir", default=None)
     p.set_defaults(func=cmd_kernel_table)
 
-    for name, func, extra in (
-        ("simulate", cmd_simulate, ()),
-        ("estimate", cmd_estimate, ("records",)),
-        ("reconstruct", cmd_reconstruct, ("moments",)),
-        ("pipeline", cmd_pipeline, ()),
-    ):
+    for name in (*STAGES, "pipeline"):
+        stages = tuple(STAGES) if name == "pipeline" else (name,)
         p = sub.add_parser(name, help="%s stage" % name)
         p.add_argument("--config", required=True,
                        help="experiment config file")
-        for pos in extra:
-            p.add_argument(pos, help="%s file from the previous stage"
-                           % pos)
+        source = {"estimate": "records", "reconstruct": "moments"}.get(name)
+        if source:
+            p.add_argument("input", metavar=source,
+                           help="%s file from the previous stage" % source)
         p.add_argument("--seed", type=_flag(_SEED[0]), default=None)
         p.add_argument("--eta", type=_flag(_efficiency), default=None)
         p.add_argument("--output-dir", default=None)
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_stages, stages=stages, input=None)
 
     p = sub.add_parser("verify", help="run the kernel check suites")
     p.set_defaults(func=cmd_verify)

@@ -662,6 +662,16 @@ def smear_error_kernel(k, x, eta):
     return smeared - quantum_kernel(k, x)
 
 
+def _half_nodes(x0, grid_step):
+    """Table nodes on (0, x0], round(x0 / grid_step); refuses a step
+    that leaves none."""
+    n_half = int(round(x0 / _check_grid_step(grid_step)))
+    if n_half < 1:
+        raise ValueError("grid step %r leaves no table node inside x0 = %r; "
+                         "it must be below 2 x0" % (grid_step, x0))
+    return n_half
+
+
 def build_kernel_table(spec, grid_step=DEFAULT_GRID_STEP):
     """Tabulate quantum_kernel on [-x0, x0] for fast repeated lookups.
 
@@ -670,8 +680,7 @@ def build_kernel_table(spec, grid_step=DEFAULT_GRID_STEP):
     rule outside.  The step default keeps the interpolation error far
     below the series accuracy.
     """
-    _check_grid_step(grid_step)
-    n_half = int(round(spec.x0 / grid_step))
+    n_half = _half_nodes(spec.x0, grid_step)
     grid = np.linspace(-spec.x0, spec.x0, 2 * n_half + 1)
     values = quantum_kernel(
         spec.k, grid, spec.eta, spec.l0, spec.x0, spec.f_truncation

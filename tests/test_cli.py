@@ -6,6 +6,8 @@ property is composability: running the three stages separately must
 produce byte-identical outputs to the one-shot pipeline.
 """
 
+import contextlib
+import io
 import math
 import os
 import re
@@ -629,3 +631,104 @@ def test_output_dir_flag_overrides_the_environment_for_kernel_tables(
     assert main(["kernel-table", "--k", "1", "--grid-step", "0.5",
                  "--output-dir", str(tmp_path / "from_flag")]) == 0
     assert (tmp_path / "from_flag" / "kernel_k1_eta1.txt").exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(eta=0.4), "plan.eta = 0.40000000000000002, kernel.compensate = "
+                    "true: efficiency must satisfy 1/2 < eta <= 1"),
+    (dict(kernel_grid_step=10.0), "kernel.grid_step = 10, kernel.x0 = 4: "
+                                  "grid step 10.0 leaves no table node "
+                                  "inside x0 = 4.0"),
+])
+def test_pipeline_refuses_kernel_settings_before_any_output(
+        tmp_path, capsys, overrides, message):
+    cfg = small_config(n_phases=6, events_per_phase=(20,), **overrides)
+    out = tmp_path / "out"
+    ret = main(["pipeline", "--config", write_config(tmp_path, cfg),
+                "--output-dir", str(out)])
+    assert ret == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_kernel_table_names_a_grid_step_without_a_table_node(tmp_path,
+                                                             capsys):
+    ret = main(["kernel-table", "--k", "1", "--grid-step", "10",
+                "--output-dir", str(tmp_path / "tables")])
+    assert ret == 2
+    assert capsys.readouterr().err == (
+        "error: grid step 10.0 leaves no table node inside x0 = 4.0; "
+        "it must be below 2 x0\n")
+    assert not (tmp_path / "tables").exists()
+
+
+def test_estimate_refuses_records_taken_at_another_eta(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, small_config(n_phases=6,
+                                                   events_per_phase=(20,)))
+    records = str(tmp_path / "sim" / "records.txt")
+    assert main(["simulate", "--config", cfg_path,
+                 "--output-dir", str(tmp_path / "sim")]) == 0
+    out = tmp_path / "est"
+    ret = main(["estimate", "--config", cfg_path, "--eta", "0.8",
+                "--output-dir", str(out), records])
+    assert ret == 2
+    assert capsys.readouterr().err == (
+        "error: plan.eta = 0.80000000000000004, but %s holds records "
+        "taken at eta = 1.0\n" % records)
+    assert not out.exists()
+
+
+@st.composite
+def run_configs(draw):
+    """Small vacuum runs drawn on both sides of every RunConfig.check
+    rule; returns (config, whether one of those rules is broken)."""
+    k_max = draw(st.integers(1, 4))
+    n_phases = min(6, k_max + draw(st.integers(0, 3)))
+    counts = draw(st.sampled_from([1, n_phases, n_phases, n_phases + 1]))
+    counts = tuple(draw(st.lists(st.integers(1, 20), min_size=counts,
+                                 max_size=counts)))
+    eta = draw(st.sampled_from([0.4, 0.5, 0.5001, 0.8, 1.0]))
+    compensate = draw(st.booleans())
+    x0 = draw(st.sampled_from([1.0, DEFAULT_X0]))
+    step = 2.0 * x0 * draw(st.sampled_from([0.05, 0.5, 0.99, 1.0, 1.3]))
+    method = draw(st.sampled_from(METHODS))
+    K = draw(st.integers(0, k_max + 1))
+    M = max(1, (2 if method == "fourier" else 8) * K
+            + draw(st.sampled_from([-1, 0, 1, 5, 20])))
+    broken = (
+        len(counts) not in (1, n_phases)
+        or (compensate and eta <= 0.5)
+        or step >= 2.0 * x0
+        or (method == "fourier" and M <= 2 * K)
+        or (method == "least_squares" and not (K >= 1 and M >= 8 * K))
+        or k_max >= n_phases
+        or K > k_max
+    )
+    cfg = RunConfig(n_phases=n_phases, events_per_phase=counts, eta=eta,
+                    compensate=compensate, kernel_x0=x0,
+                    kernel_grid_step=step, k_max=k_max, recon_method=method,
+                    recon_K=K, recon_M=M, reg_lambda=0.01,
+                    seed=draw(st.integers(0, 9)))
+    return cfg, broken
+
+
+@given(drawn=run_configs())
+@settings(max_examples=150, deadline=None)
+def test_pipeline_runs_or_refuses_naming_a_key_before_any_output(
+        tmp_path_factory, drawn):
+    cfg, broken = drawn
+    work = tmp_path_factory.mktemp("run")
+    out = work / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        ret = main(["pipeline", "--config", write_config(work, cfg),
+                    "--output-dir", str(out)])
+    if ret == 0:
+        assert sorted(os.listdir(out)) == ["distribution.txt",
+                                           "moments.txt", "records.txt"]
+    else:
+        assert ret == 2, err.getvalue()
+        assert not out.exists() or not any(out.iterdir())
+        assert any("%s = " % key in err.getvalue() for key in _CONFIG_KEYS)
+    assert (ret == 2) == broken, err.getvalue()

@@ -239,6 +239,18 @@ def test_build_kernel_table_rejects_bad_grid_step(step):
         build_kernel_table(KernelSpec(k=1), grid_step=step)
 
 
+@pytest.mark.parametrize("x0, step", [(4.0, 8.0), (4.0, 10.0), (1.0, 2.0)])
+def test_build_kernel_table_refuses_a_step_with_no_node_inside_x0(x0, step):
+    with pytest.raises(ValueError, match=r"^grid step %r leaves no table "
+                       r"node inside x0 = %r" % (step, x0)):
+        build_kernel_table(KernelSpec(k=1, x0=x0), grid_step=step)
+
+
+def test_build_kernel_table_takes_the_largest_step_below_2_x0():
+    table = build_kernel_table(KernelSpec(k=1), grid_step=7.99)
+    assert table.grid.tolist() == [-4.0, 0.0, 4.0]
+
+
 def test_smearing_sigma_is_the_lossy_detector_noise_width():
     assert smearing_sigma(1.0) == 0.0
     assert np.isclose(smearing_sigma(0.8), math.sqrt(0.125), rtol=1e-15)

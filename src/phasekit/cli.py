@@ -334,6 +334,12 @@ def _estimate(cfg, records_path):
 
 def _reconstruct(cfg, moments_path):
     moments = load_moments(moments_path)
+    have = {m.k for m in moments}
+    missing = [k for k in range(1, cfg.recon_K + 1) if k not in have]
+    if missing:
+        raise ValueError("%s, but %s holds no moment of order k = %s"
+                         % (cfg._entry("reconstruct.K"), moments_path,
+                            ", ".join(map(str, missing))))
     if cfg.recon_method == "fourier":
         dist = fourier_reconstruct(moments, cfg.recon_K, cfg.recon_M)
     else:

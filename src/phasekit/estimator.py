@@ -95,11 +95,19 @@ def _check_table(ms, k, table):
 def _phase_stats(kernel_values):
     """Sample mean and (unbiased) sample variance of kernel values at
     one phase; a single event cannot estimate a spread, so its variance
-    is flagged as infinite rather than dropped."""
+    is flagged as infinite rather than dropped.
+
+    One pass for the sum, the same arithmetic as mean() and var(ddof=1)
+    (which would sum twice): the results are bit-identical.  No BLAS
+    dot: a threaded one would make the bits depend on the thread count.
+    """
     n = kernel_values.size
-    mean = float(kernel_values.mean())
-    var = float(kernel_values.var(ddof=1)) if n > 1 else math.inf
-    return mean, var, n
+    mean = float(kernel_values.sum() / n)
+    if n < 2:
+        return mean, math.inf, n
+    dev = kernel_values - mean
+    np.multiply(dev, dev, out=dev)
+    return mean, float(dev.sum() / (n - 1)), n
 
 
 def _assemble(k, phases, stats, compensated, eta_assumed):

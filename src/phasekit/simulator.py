@@ -8,27 +8,33 @@ eta < 1 as additive Gaussian noise of width kernels.smearing_sigma(eta)
 on the ideal samples (the convolution picture of a lossy detector), and
 persists measurement records as plain text.
 
-The inverse transform interpolates linearly in the tabulated CDF.  A
-uniform draw u finds its CDF segment through a guide table (indexed
-search: Chen and Asau, AIIE Trans. 6, 163 (1974); Devroye, Non-Uniform
-Random Variate Generation (1986), sec. III.2), built in O(G) per phase
-on the G-node CDF, instead of a binary search per sample.  The value
-is np.interp's own arithmetic on np.interp's own segment, so samples
-are bit-identical to np.interp(u, cdf, xs).
+The sampled law is the piecewise-linear density through p(x, theta) at
+the nodes of a uniform grid of step h, each segment rescaled to its
+Euler-Maclaurin mass h (p_j + p_{j+1}) / 2 - h^2/12 (p'_{j+1} - p'_j),
+with p' from np.gradient and negative masses clamped to zero.  Its CDF
+is quadratic in each segment and inverts with one stable square root:
+numerical inversion with a stated error (W. Hormann and J. Leydold, ACM
+TOMACS 13, 347 (2003); G. Derflinger, W. Hormann and J. Leydold, ACM
+TOMACS 20, 18 (2010)).  A uniform draw u finds its segment through a
+guide table (indexed search: Chen and Asau, AIIE Trans. 6, 163 (1974);
+Devroye, Non-Uniform Random Variate Generation (1986), sec. III.2),
+built in O(G) per phase on the G-node CDF, instead of a binary search
+per sample.
 
-The CDF grid step follows from a stated error bound.  The sampled law
-is the linear interpolant of the trapezoid cumulative on a grid of step
-h, so its Kolmogorov distance to the exact law is at most C(rho) h^2,
-with C = max_theta [max_x |p'| / 8 + int |p''| dx / 12] estimated from
-the state alone (_cdf_error_coefficient).  The step is h = m GRID_STEP
-with m = max(1, floor(sqrt(CDF_TOL / C) / GRID_STEP)), the largest
-multiple of GRID_STEP that keeps C h^2 within CDF_TOL.  CDF_TOL is the
-acceptance state's own bound at GRID_STEP, rounded up, so that state
-keeps GRID_STEP.  No state samples on a finer grid than GRID_STEP: one
-narrower than C = CDF_TOL / GRID_STEP^2 = 2.5 keeps it, with a bound
-above CDF_TOL as before.  Broad states coarsen: vacuum and coherent
-states (C = 0.222) sample at 3 GRID_STEP, Fock 1 and squeezed vacuum
-with |xi| = 0.3 at 2 GRID_STEP.
+The grid step follows from a stated error bound (_cdf_bound).  The
+Kolmogorov distance to the exact law is at most
+C3(h) h^3 + C4 h^4 + 2 OUTSIDE_MASS_TOL: the shape error inside a
+segment, h^3 |p''| / (72 sqrt 3) where p is flat across the segment and
+up to 3.6 times that beside a zero of p; the node term
+h^4 max|p'''| / 36 that the np.gradient slopes leave in the cumulative
+masses; and the mass the checks admit outside the grid or clamped off
+negative segments.  C3 and C4 are estimated from the state alone on the
+BOUND_STEP grid at 4 (n_max + 1) phases (_cdf_error_terms), and the
+step is the largest multiple m GRID_STEP whose bound stays within
+CDF_TOL (m = 1 when none does).  The acceptance state (squeezed vacuum,
+xi = -1.31, n_max = 20) samples at 18 GRID_STEP on 1269 nodes, against
+22 807 at GRID_STEP; vacuum and coherent states sample at 58 GRID_STEP
+(421 nodes for a coherent state at n_max = 25), Fock 3 at 28 GRID_STEP.
 """
 
 import math
@@ -47,14 +53,17 @@ from .states import (
     quadrature_pdf,
 )
 
+# The CDF grid step is a whole multiple of GRID_STEP.
 GRID_STEP = 1.0e-3
 OUTSIDE_MASS_TOL = 1.0e-9
-# Kolmogorov-distance bound C(rho) h^2 the CDF step h is chosen to meet:
-# the acceptance state's own bound at GRID_STEP (squeezed vacuum,
-# xi = -1.31, n_max = 20: C = 2.330, so 2.330e-6), rounded up.
+# Kolmogorov-distance bound the CDF step is chosen to meet: the
+# acceptance state's own bound at GRID_STEP under the linear-in-CDF law
+# sampled before (2.330e-6), rounded up.
 CDF_TOL = 2.5e-6
-# Step of the coarse grid on which C(rho) is estimated.
+# Step of the coarse grid on which the bound's terms are estimated.
 BOUND_STEP = 0.02
+# max over tau in [0, 1] of |tau (1 - tau) (tau - 1/2)|
+_M_HALF = 1.0 / (12.0 * math.sqrt(3.0))
 RECORD_COLUMNS = "l, theta_l, x"
 
 
@@ -137,27 +146,27 @@ class MeasurementSet:
 
 
 def _cdf_grid(n_max, step=GRID_STEP):
-    """Sampling grid for states truncated at n_max, about step apart.
+    """Sampling grid for states truncated at n_max, step apart.
 
     It spans the classically allowed region of the highest Fock level
-    plus a generous margin.
+    plus a generous margin, rounded out to whole steps, so the step the
+    error bound is taken at is the grid's own.
     """
-    x_lim = math.sqrt(2.0 * n_max + 1.0) + 5.0
-    n_pts = int(round(2.0 * x_lim / step)) + 1
-    return np.linspace(-x_lim, x_lim, n_pts)
+    half = math.ceil((math.sqrt(2.0 * n_max + 1.0) + 5.0) / step)
+    return step * np.arange(-half, half + 1)
 
 
-def _cdf_error_coefficient(rho):
-    """C(rho) = max_theta [max_x |p'| / 8 + int |p''| dx / 12].
+def _cdf_error_terms(rho):
+    """Per-state terms of the bound on the Kolmogorov distance between
+    p(x, theta) and the law sampled on a step-h grid (see _cdf_bound).
 
-    Sampling by linear interpolation in the trapezoid cumulative of a
-    step-h grid draws from a law within Kolmogorov distance C h^2 of
-    p(x, theta): the trapezoid rule errs by at most h^2/12 int |p''| at
-    the nodes, and linear interpolation by h^2/8 max |p'| between them.
-    The derivatives are finite differences of p on the BOUND_STEP grid,
-    at the 4 (n_max + 1) phases 2 pi j / (4 (n_max + 1)), which sample
-    the degree-n_max Fourier series in theta four times over; C does
-    not depend on the phases a plan measures.
+    Returns (k2, r, c4): |p''| / 6 and |p'| / (16 p) at each node of
+    the BOUND_STEP grid and each of the 4 (n_max + 1) phases
+    2 pi j / (4 (n_max + 1)), which sample the degree-n_max Fourier
+    series in theta four times over, and C4 = max |p'''| / 36.  The
+    derivatives are central differences of p; nodes whose k2 is too
+    small ever to set the bound are dropped.  The terms do not depend
+    on the phases a plan measures.
     """
     grid = _cdf_grid(rho.n_max, BOUND_STEP)
     h = grid[1] - grid[0]
@@ -166,26 +175,48 @@ def _cdf_error_coefficient(rho):
     p = harmonic_density(quadrature_harmonics(rho, grid), thetas)
     dp = np.diff(p, axis=1)
     d2p = np.diff(dp, axis=1)
-    # in place, and scaled by h per phase: full-size temporaries took
-    # 0.9 ms against 0.45 ms on the reference state (2-vCPU x86-64 VM)
-    np.abs(dp, out=dp)
+    c4 = float(np.max(np.abs(np.diff(d2p, axis=1)))) / (36.0 * h ** 3)
     np.abs(d2p, out=d2p)
-    per_phase = (np.max(dp, axis=1) / (8.0 * h)
-                 + np.sum(d2p, axis=1) / (12.0 * h))
-    return float(np.max(per_phase))
+    at = np.flatnonzero(d2p >= np.max(d2p) * _M_HALF / (_M_HALF + 0.125))
+    phase, node = np.divmod(at, d2p.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (np.abs(dp[phase, node] + dp[phase, node + 1])
+             / (32.0 * h * p[phase, node + 1]))
+    return d2p.ravel()[at] / (6.0 * h * h), r, c4
+
+
+def _cdf_bound(terms, h):
+    """Bound on the Kolmogorov distance of the law sampled at step h.
+
+    In a segment with alpha = p_j / (p_j + p_{j+1}) the sampled CDF
+    differs from the exact one by h^3 p''/6 tau (1 - tau) (tau - alpha)
+    at tau = t / h, for p'' constant across the segment.  Over tau that
+    peaks at h^3 |p''| M(alpha) / 6, where M(1/2) = _M_HALF and
+    M(alpha) <= _M_HALF + |1/2 - alpha| / 4.  |1/2 - alpha| is taken as
+    h |p'| / (4 p) at the node, and at most 1/2, which it reaches at a
+    zero of p.  At the nodes the np.gradient slopes leave h^2/6 p''' in
+    each end correction, so the cumulative masses err by h^4/72 times a
+    difference of two p''' values (the sum telescopes), and normalising
+    at most doubles that: C4 h^4 with C4 = max |p'''| / 36.  The checks
+    in _cdf_table admit up to OUTSIDE_MASS_TOL outside the grid and as
+    much clamped off negative segments.
+    """
+    k2, r, c4 = terms
+    c3 = float(np.max(k2 * (_M_HALF + np.fmin(h * r, 0.125))))
+    return c3 * h ** 3 + c4 * h ** 4 + 2.0 * OUTSIDE_MASS_TOL
 
 
 def _cdf_step(rho):
     """CDF grid step for rho: the largest multiple m GRID_STEP whose
-    bound C(rho) h^2 stays within CDF_TOL, and GRID_STEP (m = 1) when
-    no multiple does.
-
-    m > 1 needs C <= CDF_TOL / (2 GRID_STEP)^2 = 0.625, a state far
-    broader than BOUND_STEP: for vacuum, coherent, Fock and squeezed
-    states the coarse C is within 0.3% of C on a 1e-4 grid.
-    """
-    ratio = math.sqrt(CDF_TOL / _cdf_error_coefficient(rho)) / GRID_STEP
-    return max(1, math.floor(ratio)) * GRID_STEP
+    bound _cdf_bound stays within CDF_TOL, and GRID_STEP (m = 1) when
+    no multiple does.  The search starts at the largest m whose shape
+    term alone, at alpha = 1/2 everywhere, stays within CDF_TOL."""
+    terms = _cdf_error_terms(rho)
+    m = max(1, math.floor((CDF_TOL / (np.max(terms[0]) * _M_HALF))
+                          ** (1.0 / 3.0) / GRID_STEP))
+    while m > 1 and _cdf_bound(terms, m * GRID_STEP) > CDF_TOL:
+        m -= 1
+    return m * GRID_STEP
 
 
 def _sampling_grid(rho):
@@ -194,14 +225,27 @@ def _sampling_grid(rho):
 
 
 def _cdf_table(grid, pdf):
-    """Tabulated quantile function of the density pdf on grid.
+    """Node CDF of the law sampled for the density pdf on the uniform
+    grid, and its nodes (grid, pdf).
 
-    A state leaking more probability than OUTSIDE_MASS_TOL past the
-    grid edge cannot be sampled faithfully and is rejected.
+    Segment j holds the trapezoid mass with the Euler-Maclaurin end
+    correction, h (p_j + p_{j+1}) / 2 - h^2/12 (p'_{j+1} - p'_j), p'
+    from np.gradient; a negative mass is clamped to zero.  A state
+    leaking more probability than OUTSIDE_MASS_TOL past the grid edge,
+    or a grid so coarse that more than that is clamped, cannot be
+    sampled faithfully and is rejected.
     """
-    cdf = np.concatenate(
-        ([0.0], np.cumsum((pdf[1:] + pdf[:-1]) * np.diff(grid) / 2.0))
-    )
+    h = (grid[-1] - grid[0]) / (grid.size - 1)
+    mass = (pdf[1:] + pdf[:-1]) * (h / 2.0)
+    mass -= np.diff(np.gradient(pdf, h)) * (h * h / 12.0)
+    clamped = -mass[mass < 0.0].sum()
+    if clamped > OUTSIDE_MASS_TOL:
+        raise ValueError("CDF grid too coarse: %.3e of probability mass "
+                         "in segments of negative mass" % clamped)
+    np.maximum(mass, 0.0, out=mass)
+    cdf = np.empty(grid.size)
+    cdf[0] = 0.0
+    np.cumsum(mass, out=cdf[1:])
     total = cdf[-1]
     if abs(total - 1.0) > OUTSIDE_MASS_TOL:
         raise ValueError(
@@ -210,10 +254,7 @@ def _cdf_table(grid, pdf):
             % (abs(total - 1.0), grid[-1], grid[-1])
         )
     cdf /= total
-    keep = np.empty(cdf.size, dtype=bool)
-    keep[0] = True
-    keep[1:] = np.diff(cdf) > 0.0
-    return cdf[keep], grid[keep]
+    return cdf, (grid, pdf)
 
 
 def _guide_segments(u, cdf):
@@ -224,7 +265,8 @@ def _guide_segments(u, cdf):
     b.  Multiplying by M rounds monotonically, so that node lies below
     every u of the bucket (node 0, cdf = 0, starts bucket 0).  Three +1
     steps place all but the samples in buckets spanning many nodes (the
-    flat tails, under 1% of samples); those binary-search.
+    flat tails, under 1% of samples); those binary-search.  A segment
+    of zero mass, cdf[j] == cdf[j+1], holds no u and is never chosen.
     """
     m = cdf.size
     buckets = np.bincount((cdf * m).astype(np.intp) + 1, minlength=m + 2)
@@ -239,37 +281,46 @@ def _guide_segments(u, cdf):
     return j
 
 
-def _inverse_transform(u, cdf, xs):
-    """Quantiles at uniform draws u in [0, 1) of the piecewise-linear
-    CDF table (cdf strictly increasing from 0 to 1, nodes xs).
+def _quantiles(u, cdf, xs, pdf):
+    """Quantiles at uniform draws u in [0, 1) of the law with node CDF
+    cdf (from 0 to 1) and, in each segment, the linear density through
+    (xs, pdf) rescaled to the segment's mass.
 
-    Bit-identical to np.interp(u, cdf, xs): the same segment and the
-    same slope (xs[j+1] - xs[j]) / (cdf[j+1] - cdf[j]) (u - cdf[j]) +
-    xs[j], and the node itself on an exact hit u == cdf[j], which the
-    formula misses only when a subnormal CDF step overflows the slope.
-    Like np.interp, it raises no floating-point warning there.
+    With w = (u - c_j) / (c_{j+1} - c_j) in [0, 1] and the linear
+    density's area A = h (p_j + p_{j+1}) / 2, the quadratic CDF gives
+    t = 2 w A / (p_j + sqrt(p_j^2 + 2 (p_{j+1} - p_j) w A / h)), stable
+    where p_j = 0.  p_j and p_{j+1} enter divided by the larger of the
+    two, so no square underflows.  Where that form is 0/0 (an exact hit
+    u == c_j on a node of zero density, or a segment whose density
+    vanishes at both nodes) the draw is the uniform one, x_j + w h; no
+    draw is NaN.
     """
+    h = (xs[-1] - xs[0]) / (xs.size - 1)
     j = _guide_segments(u, cdf)
-    c0 = cdf[j]
-    x0 = xs[j]
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = (xs[j + 1] - x0) / (cdf[j + 1] - c0) * (u - c0) + x0
-    if not np.isfinite(out).all():
-        hit = u == c0
-        out[hit] = x0[hit]
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.maximum(pdf[:-1], pdf[1:])
+        a = pdf[:-1] / scale
+        b = pdf[1:] / scale
+        a_sq = a * a
+        w = (u - cdf[j]) / np.diff(cdf)[j]
+        t = (w * (h * (a + b))[j]
+             / (a[j] + np.sqrt(a_sq[j] + w * (b * b - a_sq)[j])))
+    bad = ~np.isfinite(t)
+    if bad.any():
+        t[bad] = w[bad] * h
+    return xs[j] + t
 
 
 def _inverse_cdf_table(rho, theta):
-    """Tabulated quantile function of p(x, theta) for rho."""
+    """Node CDF and density nodes of the law sampled for p(x, theta)."""
     grid = _sampling_grid(rho)
     return _cdf_table(grid, quadrature_pdf(rho, grid, theta))
 
 
 def sample_quadrature(rho, theta, count, rng_stream):
     """Draw count i.i.d. samples of the quadrature at phase theta."""
-    cdf, xs = _inverse_cdf_table(rho, theta)
-    return _inverse_transform(rng_stream.random(int(count)), cdf, xs)
+    cdf, nodes = _inverse_cdf_table(rho, theta)
+    return _quantiles(rng_stream.random(int(count)), cdf, *nodes)
 
 
 def phase_stream(seed, l):
@@ -287,13 +338,16 @@ def run_experiment(plan, capture_tol=CAPTURE_TOL):
     CDF grid), so each phase's density costs one O(n_max G) matvec
     before it goes through the same CDF table and inverse transform as
     sample_quadrature: a guide table built in O(G) places each draw in
-    O(1).
-    The CDF grid, the same one sample_quadrature uses, has the largest
-    step m GRID_STEP whose Kolmogorov-distance bound C(rho) h^2 stays
-    within CDF_TOL (m = 1 when none does; see the module docstring).
-    C comes from the state alone, not from the plan's phases, in under
-    a millisecond.  Broad states such as vacuum and coherent states
-    sample on a 3x coarser grid; the acceptance state keeps GRID_STEP.
+    O(1), and one square root inverts the segment's quadratic CDF.
+    Each draw follows the piecewise-linear density through the nodes,
+    rescaled to each segment's Euler-Maclaurin mass.  The CDF grid, the
+    same one sample_quadrature uses, has the largest step m GRID_STEP
+    whose Kolmogorov-distance bound C3(h) h^3 + C4 h^4 (plus the mass
+    the checks admit) stays within CDF_TOL (m = 1 when none does; see
+    the module docstring).  C3 and C4 come from the state alone, not
+    from the plan's phases, in a few milliseconds.  The acceptance state
+    samples at 18 GRID_STEP (1269 nodes, not 22 807), the coherent state
+    of the replications benchmark at 58 GRID_STEP (421 nodes, not 8095).
     Each phase draws from its own deterministic child stream, so the
     set is reproducible and phase results do not depend on execution
     order.  With eta < 1 the stream also supplies the Gaussian detector
@@ -308,8 +362,8 @@ def run_experiment(plan, capture_tol=CAPTURE_TOL):
         zip(plan.phases, plan.events_per_phase)
     ):
         rng = phase_stream(plan.seed, l)
-        cdf, xs = _cdf_table(grid, harmonic_density(harmonics, theta))
-        samples = _inverse_transform(rng.random(count), cdf, xs)
+        cdf, nodes = _cdf_table(grid, harmonic_density(harmonics, theta))
+        samples = _quantiles(rng.random(count), cdf, *nodes)
         if sigma > 0.0:
             samples = samples + rng.normal(0.0, sigma, size=count)
         records.append(samples)

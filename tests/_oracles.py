@@ -3,7 +3,8 @@
 Quadrature rules for the estimator and acceptance tests, the direct
 forms the fast library paths are checked against (the loop form of the
 aliasing bias, the quadratic-form
-quadrature density, np.interp kernel lookup, the per-row record reader,
+quadrature density, a bisection inverse of the simulator's sampled law,
+np.interp kernel lookup, the per-row record reader,
 the per-event record writer and a dense high-precision least-squares
 solve), the closed integral kernels K_1 and K_2 in 20-digit mpmath,
 and the special functions only the tests use: log_factorial,
@@ -16,7 +17,6 @@ import numpy as np
 
 from phasekit.kernels import _tail_value
 from phasekit.simulator import ExperimentPlan, MeasurementSet
-from phasekit.simulator import _inverse_cdf_table
 from phasekit.states import StateSpec
 from phasekit.states import quadrature_pdf
 
@@ -95,12 +95,59 @@ def quadratic_form_pdf(rho, x, theta):
     return out
 
 
-def interp_sample_quadrature(rho, theta, count, rng_stream):
-    """Quadrature samples at phase theta by np.interp in the tabulated
-    CDF: the sampler the guide-table inverse transform replaced."""
-    cdf, xs = _inverse_cdf_table(rho, theta)
-    u = rng_stream.random(int(count))
-    return np.interp(u, cdf, xs)
+def _segment_law(cdf, xs, pdf, j):
+    """Extended-precision (c_j, m_j, h, p_j, p_{j+1}, A_j) of segment j
+    of the simulator's sampled law."""
+    ld = np.longdouble
+    c0 = cdf[j].astype(ld)
+    h = ld((xs[-1] - xs[0]) / (xs.size - 1))
+    p0 = pdf[j].astype(ld)
+    p1 = pdf[j + 1].astype(ld)
+    return c0, cdf[j + 1].astype(ld) - c0, h, p0, p1, h * (p0 + p1) / 2
+
+
+def _segment_fraction(t, h, p0, p1, area):
+    """Share of a segment's mass below offset t: the integral of the
+    linear density through p0 and p1 over [0, t] divided by its area,
+    t / h where the density vanishes at both nodes."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(area > 0, (p0 * t + (p1 - p0) * t * t / (2 * h)) / area,
+                        t / h)
+
+
+def law_cdf(x, j, cdf, xs, pdf):
+    """The sampled law's CDF at x, taken in segment j, in extended
+    precision."""
+    c0, mass, h, p0, p1, area = _segment_law(cdf, xs, pdf, j)
+    t = np.asarray(x, dtype=float).astype(np.longdouble) - xs[j]
+    return c0 + mass * _segment_fraction(t, h, p0, p1, area)
+
+
+def bisection_quantiles(u, cdf, xs, pdf):
+    """Quantiles of the simulator's sampled law (node CDF cdf, in each
+    segment the linear density through (xs, pdf) rescaled to the
+    segment's mass) by bisection: for each u, the largest double x whose
+    law CDF is <= u.
+
+    The segment is searchsorted's, cdf[j] <= u < cdf[j+1].  Inside it,
+    90 halvings of [0, h] in extended precision (64-bit mantissa) find
+    the offset t where the segment's mass share reaches
+    w = (u - c_j) / m_j; x_j + t is then rounded down to a double.
+    """
+    u = np.asarray(u, dtype=float)
+    j = np.searchsorted(cdf, u, "right") - 1
+    c0, mass, h, p0, p1, area = _segment_law(cdf, xs, pdf, j)
+    w = (u.astype(np.longdouble) - c0) / mass
+    lo = np.zeros(u.size, dtype=np.longdouble)
+    hi = np.full(u.size, h)
+    for _ in range(90):
+        mid = (lo + hi) / 2
+        below = _segment_fraction(mid, h, p0, p1, area) <= w
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    exact = xs[j] + lo
+    x = exact.astype(float)
+    return np.where(x > exact, np.nextafter(x, -np.inf), x)
 
 
 def interp_table_value(table, x):

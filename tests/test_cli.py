@@ -678,6 +678,25 @@ def test_estimate_refuses_records_taken_at_another_eta(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_reconstruct_refuses_orders_the_moments_file_lacks(tmp_path, capsys):
+    cfg = small_config(n_phases=6, events_per_phase=(20,), k_max=2,
+                       recon_K=2)
+    assert main(["pipeline", "--config", write_config(tmp_path, cfg),
+                 "--output-dir", str(tmp_path / "run")]) == 0
+    moments = str(tmp_path / "run" / "moments.txt")
+    cfg_path = write_config(tmp_path, small_config(recon_K=5),
+                            name="recon.cfg")
+    capsys.readouterr()
+    out = tmp_path / "recon"
+    ret = main(["reconstruct", "--config", cfg_path, "--output-dir", str(out),
+                moments])
+    assert ret == 2
+    assert capsys.readouterr().err == (
+        "error: reconstruct.K = 5, but %s holds no moment of order "
+        "k = 3, 4, 5\n" % moments)
+    assert not out.exists()
+
+
 @st.composite
 def run_configs(draw):
     """Small vacuum runs drawn on both sides of every RunConfig.check

@@ -260,6 +260,16 @@ def test_run_path_mass_guard_fires_on_leaky_harmonics(monkeypatch):
         run_experiment(plan)
 
 
+def test_cdf_table_refuses_mass_clamped_off_negative_segments():
+    import phasekit.simulator as sim
+
+    # The end corrections of the kinks at x = -1 and 1 turn the two
+    # segments outside them negative.
+    grid = np.linspace(-3.0, 3.0, 61)
+    with pytest.raises(ValueError, match="CDF grid too coarse: 8.333e-04"):
+        sim._cdf_table(grid, np.maximum(1.0 - np.abs(grid), 0.0))
+
+
 def test_run_experiment_matches_per_phase_quadratic_form(monkeypatch):
     import phasekit.simulator as sim
 
@@ -314,19 +324,13 @@ def test_load_rejects_non_finite_sample(tmp_path):
         load_records(path)
 
 
-def test_acceptance_state_samples_on_the_fixed_grid(monkeypatch):
+def test_acceptance_state_samples_on_a_grid_fifteen_times_coarser():
     import phasekit.simulator as sim
 
     rho = build_state(SQUEEZED, capture_tol=0.05)
-    assert sim._cdf_step(rho) == sim.GRID_STEP
-    plan = ExperimentPlan.uniform(SQUEEZED, n_phases=6, events=2000,
-                                  eta=0.8, seed=3)
-    got = run_experiment(plan, capture_tol=0.05)
-    monkeypatch.setattr(sim, "_sampling_grid",
-                        lambda rho: sim._cdf_grid(rho.n_max))
-    want = run_experiment(plan, capture_tol=0.05)
-    for a, b in zip(got.records, want.records):
-        assert a.tobytes() == b.tobytes()
+    assert sim._cdf_step(rho) >= 15 * sim.GRID_STEP
+    cdf, _ = sim._inverse_cdf_table(rho, 0.4)
+    assert cdf.size < sim._cdf_grid(rho.n_max).size / 15
 
 
 @pytest.mark.parametrize("spec", [

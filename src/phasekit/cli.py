@@ -286,11 +286,13 @@ def _output_dir(flag):
 
 
 def _run_config(args):
-    """The --config file with the command-line overrides applied."""
+    """The --config file with the command-line overrides applied.  Only
+    the stages that read a key offer its flag: --seed to simulate and
+    pipeline, --eta to simulate, estimate and pipeline."""
     cfg = load_config(args.config)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.eta is not None:
+    if getattr(args, "eta", None) is not None:
         cfg = replace(cfg, eta=args.eta)
     out = _output_dir(args.output_dir)
     if out:
@@ -491,8 +493,10 @@ def build_parser():
         if source:
             p.add_argument("input", metavar=source,
                            help="%s file from the previous stage" % source)
-        p.add_argument("--seed", type=_flag(_SEED[0]), default=None)
-        p.add_argument("--eta", type=_flag(_efficiency), default=None)
+        if "simulate" in stages:
+            p.add_argument("--seed", type=_flag(_SEED[0]), default=None)
+        if {"simulate", "estimate"} & set(stages):
+            p.add_argument("--eta", type=_flag(_efficiency), default=None)
         p.add_argument("--output-dir", default=None)
         p.set_defaults(func=cmd_stages, stages=stages, input=None)
 

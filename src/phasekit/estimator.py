@@ -327,15 +327,11 @@ def smear_bias(rho, k, eta):
 
 
 def save_moments(estimates, path, header_lines=()):
-    """Write moment estimates as text: sigma columns, one row per k.
-    A value whose text would read back as inf raises ValueError before
-    the file is opened."""
+    """Write moment estimates as text: sigma columns, one row per k,
+    every real written as its repr, which reads back as the same
+    double."""
     if not estimates:
         raise ValueError("nothing to save")
-    textio.check_finite_text("%.15e", [
-        (est.value.real, est.value.imag, est.sigma_re, est.sigma_im)
-        for est in estimates
-    ])
     header = [
         "exponential phase moment estimates",
         *header_lines,
@@ -343,9 +339,10 @@ def save_moments(estimates, path, header_lines=()):
         "columns: " + MOMENT_COLUMNS,
     ]
     textio.save(path, header, (
-        "%d %.15e %.15e %.15e %.15e %d %.15g"
-        % (est.k, est.value.real, est.value.imag, est.sigma_re,
-           est.sigma_im, int(est.compensated), est.eta_assumed)
+        "%d %r %r %r %r %d %r"
+        % (est.k, complex(est.value).real, complex(est.value).imag,
+           est.sigma_re, est.sigma_im, int(est.compensated),
+           float(est.eta_assumed))
         for est in sorted(estimates, key=lambda e: e.k)
     ))
 

@@ -214,22 +214,21 @@ def chi_squared(dist, moments, K):
 
 
 def save_distribution(dist, path, header_lines=()):
-    """Two-column text dump (phi, P), directly plottable.  A value
-    whose text would read back as inf raises ValueError before the file
-    is opened."""
-    textio.check_finite_text("%.15g", dist.reg_lambda)
-    textio.check_finite_text("%.15e", [dist.grid, dist.values])
+    """Two-column text dump (phi, P), directly plottable; phi, P and
+    reg_lambda are written as their repr, which reads back as the same
+    double."""
     header = [
         "canonical phase distribution",
         *header_lines,
         "method: %s" % dist.method,
         "K: %d" % dist.K_used,
         "M: %d" % dist.n_grid,
-        "reg_lambda: %.15g" % dist.reg_lambda,
+        "reg_lambda: %r" % float(dist.reg_lambda),
         "columns: " + DISTRIBUTION_COLUMNS,
     ]
     textio.save(path, header, (
-        "%.15e %.15e" % row for row in zip(dist.grid, dist.values)
+        "%r %r" % row
+        for row in zip(dist.grid.tolist(), dist.values.tolist())
     ))
 
 

@@ -64,7 +64,7 @@ CDF_TOL = 2.5e-6
 BOUND_STEP = 0.02
 # max over tau in [0, 1] of |tau (1 - tau) (tau - 1/2)|
 _M_HALF = 1.0 / (12.0 * math.sqrt(3.0))
-RECORD_COLUMNS = "l, theta_l, x"
+RECORD_COLUMNS = "x"
 
 
 @dataclass(frozen=True)
@@ -376,11 +376,10 @@ def _format_complex(z):
 
 
 def save_records(ms, path, header_lines=()):
-    """Write a MeasurementSet as text: '#' headers, then one
-    'l, theta_l, x' row per event.  A sample whose text would read
-    back as inf raises ValueError before the file is opened."""
-    for samples in ms.records:
-        textio.check_finite_text("%.15e", samples)
+    """Write a MeasurementSet as text: '#' headers, then the samples in
+    phase order, one per row, events_per_phase[l] rows for phase l.
+    Each sample is written as its repr, the shortest text that reads
+    back as the same double."""
     plan = ms.plan
     state = plan.state
     header = [
@@ -396,15 +395,9 @@ def save_records(ms, path, header_lines=()):
         "seed: %d" % plan.seed,
         "columns: " + RECORD_COLUMNS,
     ]
-    textio.save(path, header, _record_lines(ms))
-
-
-def _record_lines(ms):
-    """One newline-joined block of 'l, theta_l, x' rows per phase, with
-    l and theta_l formatted once per phase."""
-    for l, (theta, samples) in enumerate(zip(ms.plan.phases, ms.records)):
-        row = "%d, %.15e, " % (l, theta) + "%.15e"
-        yield "\n".join(map(row.__mod__, samples.tolist()))
+    textio.save(path, header, (
+        "\n".join(map(repr, samples.tolist())) for samples in ms.records
+    ))
 
 
 def _efficiency(text):
@@ -432,41 +425,23 @@ def _parse_state(text):
 def load_records(path):
     """Parse a record file written by save_records.
 
-    Raises ValueError with the offending line number on malformed rows,
-    on non-finite samples, on rows whose phase index or angle disagrees
-    with the plan in the header, and on per-phase counts that do not
-    match the header.  Rows are checked in file order: a row the plan
-    refuses is named before a later row that does not parse.
+    Raises ValueError naming the line of the first row that does not
+    parse (or of a 'columns' header other than 'x', which refuses the
+    older 'l, theta_l, x' layout), then of the first non-finite sample,
+    and raises ValueError when the row count is not the sum of the
+    header's events_per_phase.
     """
-    try:
-        art = textio.load(path, RECORD_COLUMNS, sep=",")
-    except textio.RowError as exc:
-        _check_rows_before(exc.partial)
-        raise
+    art = textio.load(path, RECORD_COLUMNS)
     plan = _record_plan(art)
-    phase, x = _checked_rows(art, plan)
-    got = np.bincount(phase, minlength=plan.n_phases)
-    for p, (have, want) in enumerate(zip(got, plan.events_per_phase)):
-        if have != want:
-            raise ValueError(
-                "phase %d: file holds %d records, header says %d"
-                % (p, have, want)
-            )
-    grouped = x[np.argsort(phase, kind="stable")]
-    return MeasurementSet(
-        plan=plan, records=tuple(np.split(grouped, np.cumsum(got)[:-1]))
-    )
-
-
-def _check_rows_before(partial):
-    """Raise the error of the first bad row of partial, the records read
-    before an unreadable row, when the header lines read so far give
-    the plan."""
-    try:
-        plan = _record_plan(partial)
-    except ValueError:
-        return
-    _checked_rows(partial, plan)
+    x = art.rows[:, 0]
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise art.error(bad[0], "non-finite sample %r" % float(x[bad[0]]))
+    ends = np.cumsum(plan.events_per_phase)
+    if x.size != ends[-1]:
+        raise ValueError("file holds %d records, events_per_phase sums "
+                         "to %d" % (x.size, ends[-1]))
+    return MeasurementSet(plan=plan, records=tuple(np.split(x, ends[:-1])))
 
 
 def _record_plan(art):
@@ -487,27 +462,3 @@ def _record_plan(art):
         eta=art.field("eta:", _efficiency),
         seed=art.field("seed:", int),
     )
-
-
-def _checked_rows(art, plan):
-    """The phase index and sample of each row of a record Artifact.
-    Raises ValueError naming the line of the first row with a
-    non-finite sample, a phase index outside the plan or an angle off
-    its phase."""
-    n_phases = plan.n_phases
-    l, theta, x = art.rows.T
-    finite = np.isfinite(x)
-    in_plan = (l >= 0) & (l < n_phases) & (l == np.floor(l))
-    phase = np.where(in_plan, l, 0).astype(np.intp)
-    on_angle = np.abs(theta - plan.phases[phase]) <= 1.0e-9
-    bad = np.flatnonzero(~(finite & in_plan & on_angle))
-    if bad.size:
-        i = bad[0]
-        if not finite[i]:
-            raise art.error(i, "non-finite sample %r" % float(x[i]))
-        if not in_plan[i]:
-            raise art.error(i, "phase index %.17g is not one of 0..%d"
-                            % (l[i], n_phases - 1))
-        raise art.error(i, "theta %.12g does not match phase %d (%.12g)"
-                        % (theta[i], phase[i], plan.phases[phase[i]]))
-    return phase, x

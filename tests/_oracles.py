@@ -2,13 +2,12 @@
 
 Quadrature rules for the estimator and acceptance tests, the direct
 forms the fast library paths are checked against (the loop form of the
-aliasing bias, the quadratic-form
-quadrature density, a bisection inverse of the simulator's sampled law,
-np.interp kernel lookup, the per-row record reader,
-the per-event record writer and a dense high-precision least-squares
-solve), the closed integral kernels K_1 and K_2 in 20-digit mpmath,
-and the special functions only the tests use: log_factorial,
-log_rising and the angular weight omega.
+aliasing bias, the quadratic-form quadrature density, a bisection
+inverse of the simulator's sampled law, np.interp kernel lookup, the
+per-row record reader and a dense high-precision least-squares solve),
+the closed integral kernels K_1 and K_2 in 20-digit mpmath, and the
+special functions only the tests use: log_factorial, log_rising and the
+angular weight omega.
 """
 
 import math
@@ -221,14 +220,14 @@ def _per_row_record_header(lines):
 def per_row_load_records(path):
     """Record-file reader that parses and checks one row at a time.
 
-    The line-by-line loader phasekit used before its shared text codec:
-    finite x, phase index in range, theta within 1e-9 of the plan, in
-    that order per row, then the per-phase counts.  It parses the phase
-    index with int(), so '1.0' is rejected here but accepted by the
-    codec, and it accepts a NaN theta, which the codec rejects.
+    Every row goes through float() first, then the header gives the
+    plan, then each sample must be finite, then the row count must be
+    the sum of the header's event counts: the order load_records
+    follows with whole columns.  The rows are split into phases in file
+    order.
     """
     header = []
-    body = []
+    samples = []
     with open(path) as fh:
         for idx, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -236,57 +235,25 @@ def per_row_load_records(path):
                 continue
             if line.startswith("#"):
                 header.append((idx, line))
-            else:
-                body.append((idx, line))
+                continue
+            try:
+                samples.append((idx, float(line)))
+            except ValueError:
+                raise ValueError("line %d: unparsable sample %r"
+                                 % (idx, line))
     plan = _per_row_record_header(header)
-    phases = plan.phases
-    groups = [[] for _ in range(plan.n_phases)]
-    for idx, line in body:
-        parts = [tok.strip() for tok in line.split(",")]
-        if len(parts) != 3:
-            raise ValueError(
-                "line %d: expected 'l, theta_l, x', got %r" % (idx, line)
-            )
-        try:
-            l = int(parts[0])
-            theta = float(parts[1])
-            x = float(parts[2])
-        except ValueError:
-            raise ValueError("line %d: unparsable record %r" % (idx, line))
+    for idx, x in samples:
         if not math.isfinite(x):
-            raise ValueError("line %d: non-finite sample %r" % (idx, line))
-        if not 0 <= l < plan.n_phases:
-            raise ValueError(
-                "line %d: phase index %d outside 0..%d"
-                % (idx, l, plan.n_phases - 1)
-            )
-        if abs(theta - phases[l]) > 1.0e-9:
-            raise ValueError(
-                "line %d: theta %.12g does not match phase %d (%.12g)"
-                % (idx, theta, l, phases[l])
-            )
-        groups[l].append(x)
-    for l, (got, want) in enumerate(
-        zip(groups, plan.events_per_phase)
-    ):
-        if len(got) != want:
-            raise ValueError(
-                "phase %d: file holds %d records, header says %d"
-                % (l, len(got), want)
-            )
-    return MeasurementSet(
-        plan=plan,
-        records=tuple(np.asarray(g, dtype=float) for g in groups),
-    )
-
-
-def per_event_record_lines(ms):
-    """'l, theta_l, x' record rows one string per event: the writer
-    save_records used before it formatted one block per phase."""
-    for l, (theta, samples) in enumerate(zip(ms.plan.phases, ms.records)):
-        prefix = "%d, %.15e, " % (l, theta)
-        for x in samples.tolist():
-            yield prefix + "%.15e" % x
+            raise ValueError("line %d: non-finite sample %r" % (idx, x))
+    total = sum(plan.events_per_phase)
+    if len(samples) != total:
+        raise ValueError("file holds %d records, events_per_phase sums "
+                         "to %d" % (len(samples), total))
+    records = []
+    for count in plan.events_per_phase:
+        records.append(np.array([x for _, x in samples[:count]]))
+        del samples[:count]
+    return MeasurementSet(plan=plan, records=tuple(records))
 
 
 def mpmath_alt_sum(k, l):

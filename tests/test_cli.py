@@ -31,8 +31,10 @@ from phasekit.kernels import (
     KernelTable,
     build_kernel_table,
 )
-from phasekit.reconstruct import METHODS, load_distribution
-from phasekit.simulator import load_records
+from phasekit.estimator import estimate_all, load_moments
+from phasekit.reconstruct import METHODS, fourier_reconstruct, \
+    load_distribution
+from phasekit.simulator import load_records, run_experiment
 from phasekit.states import STATE_KINDS, DensityMatrix, StateSpec
 
 
@@ -184,14 +186,21 @@ STAGE_INPUTS = {"simulate": (), "estimate": ("records.txt",),
                 "reconstruct": ("moments.txt",), "pipeline": ()}
 
 
-@pytest.mark.parametrize("command", sorted(STAGE_INPUTS))
-@pytest.mark.parametrize("flag, value, reason", [
+# The commands that offer each flag: those whose stages read its key.
+FLAG_COMMANDS = {"--seed": ("pipeline", "simulate"),
+                 "--eta": ("estimate", "pipeline", "simulate")}
+BAD_FLAGS = [
     ("--seed", "-1", "'-1' is not a seed >= 0"),
     ("--seed", "nan", "invalid literal for int() with base 10: 'nan'"),
     ("--eta", "-0.5", "eta must lie in (0, 1], not -0.5"),
     ("--eta", "nan", "eta must lie in (0, 1], not nan"),
     ("--eta", "1.5", "eta must lie in (0, 1], not 1.5"),
-])
+]
+
+
+@pytest.mark.parametrize("command, flag, value, reason", [
+    (command, flag, value, reason) for flag, value, reason in BAD_FLAGS
+    for command in FLAG_COMMANDS[flag]])
 def test_bad_seed_or_eta_flag_exits_2_naming_flag_and_value(
         command, flag, value, reason, capsys):
     with pytest.raises(SystemExit) as info:
@@ -202,12 +211,83 @@ def test_bad_seed_or_eta_flag_exits_2_naming_flag_and_value(
     assert "error: argument %s: %s" % (flag, reason) in err, err
 
 
-@pytest.mark.parametrize("command", sorted(STAGE_INPUTS))
+@pytest.mark.parametrize("command", ["estimate", "pipeline", "simulate"])
 def test_seed_above_one_and_eta_in_range_are_accepted(command):
-    args = build_parser().parse_args([command, "--config", "run.cfg",
-                                      *STAGE_INPUTS[command],
-                                      "--seed", "7", "--eta", "0.75"])
-    assert (args.seed, args.eta) == (7, 0.75)
+    given = {"--seed": ("7", 7), "--eta": ("0.75", 0.75)}
+    offered = [flag for flag in given if command in FLAG_COMMANDS[flag]]
+    args = build_parser().parse_args([
+        command, "--config", "run.cfg", *STAGE_INPUTS[command],
+        *(token for flag in offered for token in (flag, given[flag][0]))])
+    for flag in offered:
+        assert getattr(args, flag[2:]) == given[flag][1]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("estimate", "--seed", "5"),
+    ("reconstruct", "--seed", "5"),
+    ("reconstruct", "--eta", "0.8"),
+])
+def test_stage_is_not_offered_a_flag_it_does_not_read(command, flag, value,
+                                                      capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", "run.cfg", *STAGE_INPUTS[command],
+              flag, value])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: unrecognized arguments: %s %s" % (flag, value) in err
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.8])
+def test_simulate_records_reload_to_the_drawn_samples(tmp_path, eta):
+    cfg = small_config(n_phases=6, events_per_phase=(300,), eta=eta)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--output-dir", str(out)]) == 0
+    drawn = run_experiment(cfg.plan(), capture_tol=cfg.capture_tol)
+    loaded = load_records(out / "records.txt")
+    assert loaded.plan == drawn.plan
+    assert ([r.tobytes() for r in loaded.records]
+            == [r.tobytes() for r in drawn.records])
+
+
+def test_stage_files_reload_to_what_each_stage_computed(tmp_path):
+    cfg = small_config(n_phases=12, events_per_phase=(200,), eta=0.9)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", write_config(tmp_path, cfg),
+                 "--output-dir", str(out)]) == 0
+    tables = {s.k: build_kernel_table(s, grid_step=cfg.kernel_grid_step)
+              for s in cfg.kernel_specs()}
+    want = estimate_all(load_records(out / "records.txt"), cfg.k_max, tables)
+    moments = load_moments(out / "moments.txt")
+
+    def held(m):
+        # the file holds sigma, so the variance comes back as its square
+        return (m.k, m.value, m.sigma_re, m.sigma_im, m.n_phases,
+                m.compensated, m.eta_assumed)
+
+    assert list(map(held, moments)) == list(map(held, want))
+    dist = fourier_reconstruct(moments, cfg.recon_K, cfg.recon_M)
+    got = load_distribution(out / "distribution.txt")
+    assert got.grid.tobytes() == dist.grid.tobytes()
+    assert got.values.tobytes() == dist.values.tobytes()
+
+
+def test_v1_records_exit_2_naming_their_columns_line(tmp_path, capsys):
+    cfg = small_config(n_phases=6, events_per_phase=(20,))
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path,
+                 "--output-dir", str(out)]) == 0
+    path = out / "records.txt"
+    lines = path.read_text().splitlines()
+    i = lines.index("# columns: x")
+    lines[i] = "# columns: l, theta_l, x"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["estimate", "--config", cfg_path, "--output-dir", str(out),
+                 str(path)]) == 2
+    assert ("error: line %d: columns 'l, theta_l, x', expected 'x'"
+            % (i + 1)) in capsys.readouterr().err
+    assert not (out / "moments.txt").exists()
 
 
 def test_seed_override_changes_the_draws(tmp_path):
@@ -277,7 +357,7 @@ def test_non_finite_record_exits_2_naming_the_line(tmp_path, capsys):
     path = out / "records.txt"
     lines = path.read_text().splitlines()
     row = [i for i, ln in enumerate(lines) if not ln.startswith("#")][30]
-    lines[row] = lines[row].rsplit(",", 1)[0] + ", nan"
+    lines[row] = "nan"
     path.write_text("\n".join(lines) + "\n")
     ret = main(["estimate", "--config", cfg_path, "--output-dir", str(out),
                 str(path)])

@@ -1,6 +1,6 @@
-"""The shared artifact codec: fuzzed corruption, byte-exact round trips,
-the record loader against its per-row reference and the record writer
-against its per-event one."""
+"""The shared artifact codec: fuzzed corruption, bit-exact and byte-exact
+round trips, the 'columns' check, and the record loader against its
+per-row reference."""
 
 import math
 import re
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from _oracles import per_event_record_lines, per_row_load_records
+from _oracles import per_row_load_records
 from phasekit import textio
 from phasekit.estimator import MomentEstimate, load_moments, save_moments
 from phasekit.kernels import KernelSpec, KernelTable, build_kernel_table
@@ -30,7 +30,6 @@ from phasekit.simulator import (
 )
 from phasekit.states import STATE_KINDS, StateSpec
 from phasekit.textio import parse
-from phasekit.textio import check_finite_text
 
 FUZZ = settings(max_examples=100, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -99,15 +98,13 @@ def _load_text(loader):
     return load
 
 
-# format name -> (valid text builder, loader of text, row separator)
+# format name -> (valid text builder, loader of text)
 FORMATS = {
-    "records": (_records_text, _load_text(load_records), ","),
-    "moments": (_moments_text, _load_text(load_moments), None),
-    "distribution": (_distribution_text, _load_text(load_distribution),
-                     None),
+    "records": (_records_text, _load_text(load_records)),
+    "moments": (_moments_text, _load_text(load_moments)),
+    "distribution": (_distribution_text, _load_text(load_distribution)),
     "kernel table": (_table_text,
-                     lambda text, tmp_path: KernelTable.from_text(text),
-                     None),
+                     lambda text, tmp_path: KernelTable.from_text(text)),
 }
 
 # Header fields whose value a junk token must make unreadable.
@@ -116,9 +113,10 @@ NUMERIC_FIELDS = ("state", "n_phases", "events_per_phase", "eta", "seed",
                   "tail", "offset removed from series part")
 
 
-def _corrupt(lines, sep, data):
+def _corrupt(lines, data):
     """Corrupt one row or numeric header field of lines in place and
-    return the line's 1-based number."""
+    return the line's 1-based number.  A row of one cell is not emptied,
+    since a blank line is no row to name."""
     rows = [i for i, ln in enumerate(lines) if not ln.startswith("#")]
     heads = [i for i, ln in enumerate(lines)
              if re.match(r"# (%s) *[:=]" % "|".join(NUMERIC_FIELDS), ln)]
@@ -127,9 +125,9 @@ def _corrupt(lines, sep, data):
         key, sep_char = re.match(r"# ([^:=]*)([:=])", lines[i]).groups()
         lines[i] = "# %s%s %s" % (key, sep_char, data.draw(junk))
         return i + 1
-    joiner = ", " if sep == "," else " "
-    cells = [c.strip() for c in lines[i].split(sep)]
-    op = data.draw(st.sampled_from(["replace", "drop", "add"]))
+    cells = lines[i].split()
+    op = data.draw(st.sampled_from(["replace", "drop", "add"]
+                                   if len(cells) > 1 else ["replace", "add"]))
     if op == "replace":
         cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(junk)
     elif op == "drop":
@@ -137,13 +135,13 @@ def _corrupt(lines, sep, data):
     else:
         cells.insert(data.draw(st.integers(0, len(cells))),
                      data.draw(junk | st.just("1.5")))
-    lines[i] = joiner.join(cells)
+    lines[i] = " ".join(cells)
     return i + 1
 
 
 @pytest.mark.parametrize("name", sorted(FORMATS))
 def test_valid_artifacts_load(name, tmp_path):
-    make, load, _ = FORMATS[name]
+    make, load = FORMATS[name]
     load(make(tmp_path), tmp_path)
 
 
@@ -151,9 +149,9 @@ def test_valid_artifacts_load(name, tmp_path):
 @FUZZ
 @given(data=st.data())
 def test_corrupted_line_is_named(name, tmp_path, data):
-    make, load, sep = FORMATS[name]
+    make, load = FORMATS[name]
     lines = make(tmp_path).splitlines()
-    line = _corrupt(lines, sep, data)
+    line = _corrupt(lines, data)
     with pytest.raises(ValueError) as info:
         load("\n".join(lines) + "\n", tmp_path)
     assert str(info.value).startswith("line %d: " % line), str(info.value)
@@ -170,7 +168,7 @@ def test_corrupted_line_is_named(name, tmp_path, data):
     ("records", "eta", "1.5"),
 ])
 def test_out_of_range_header_value_is_named(name, key, value, tmp_path):
-    make, load, _ = FORMATS[name]
+    make, load = FORMATS[name]
     lines = make(tmp_path).splitlines()
     i = next(i for i, ln in enumerate(lines)
              if ln.startswith("# %s:" % key))
@@ -195,12 +193,131 @@ def test_header_fields_split_at_first_separator():
         art.field("d:", float)
 
 
-# '%.15e' rounds values within an ulp of the largest double up past it,
-# so round trips draw from a range clear of that edge
-finite = st.floats(-1e300, 1e300)
-# sigmas whose square neither overflows nor underflows: files store
-# sigma, moments carry its square
-sigmas = st.just(0.0) | st.floats(1e-100, 1e100)
+# Every finite double: repr, the format of every sample, moment and
+# P(phi) value, reads back as the same double.
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# Doubles whose text most often loses bits: signed zeros, subnormals,
+# the smallest normal double and the largest double.
+exact = finite | st.floats(-2.3e-308, 2.3e-308) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+     -2.2250738585072014e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308])
+# sigmas whose square neither overflows nor underflows, or inf: files
+# store sigma, moments carry its square, and sqrt(s * s) == s there
+sigmas = st.sampled_from([0.0, math.inf]) | st.floats(1e-100, 1e100)
+etas = st.floats(0.0, 1.0, exclude_min=True)
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _exact_records(counts, data):
+    """A vacuum-plan MeasurementSet of counts[l] samples drawn from
+    exact at phase l."""
+    return MeasurementSet(
+        plan=ExperimentPlan(state=StateSpec(kind="vacuum"),
+                            events_per_phase=tuple(counts)),
+        records=tuple(np.array(data.draw(st.lists(exact, min_size=n,
+                                                  max_size=n)))
+                      for n in counts))
+
+
+@FUZZ
+@given(counts=st.lists(st.integers(1, 20), min_size=1, max_size=5),
+       data=st.data())
+def test_records_load_to_the_saved_doubles(tmp_path, counts, data):
+    ms = _exact_records(counts, data)
+    path = _fresh(tmp_path / "records.txt")
+    save_records(ms, path)
+    loaded = load_records(path)
+    assert loaded.plan == ms.plan
+    assert ([r.tobytes() for r in loaded.records]
+            == [r.tobytes() for r in ms.records])
+
+
+@FUZZ
+@given(counts=st.lists(st.integers(1, 20), min_size=1, max_size=5),
+       blank=st.integers(0, 100), data=st.data())
+def test_records_are_the_samples_in_phase_order(tmp_path, counts, blank,
+                                                data):
+    ms = _exact_records(counts, data)
+    path = _fresh(tmp_path / "records.txt")
+    save_records(ms, path)
+    lines = path.read_text().splitlines()
+    head = [ln for ln in lines if ln.startswith("# ")]
+    assert head[-1] == "# columns: x"
+    assert lines[len(head):] == [repr(x) for r in ms.records
+                                 for x in r.tolist()]
+    # a blank line sends the file through the per-line reader, which
+    # reads the same doubles
+    lines.insert(len(head) + blank % (len(lines) - len(head)), "")
+    path.write_text("\n".join(lines) + "\n")
+    assert ([r.tobytes() for r in load_records(path).records]
+            == [r.tobytes() for r in ms.records])
+
+
+def _moment_bits(est):
+    return (est.k, est.n_phases, est.compensated,
+            _bits(est.value.real, est.value.imag, est.sigma_re,
+                  est.sigma_im, est.eta_assumed))
+
+
+@FUZZ
+@given(ks=st.sets(st.integers(1, 40), min_size=1, max_size=6),
+       values=st.lists(st.tuples(exact, exact, sigmas, sigmas,
+                                 st.booleans(), etas),
+                       min_size=6, max_size=6),
+       n_phases=st.integers(1, 10 ** 6))
+def test_moments_load_to_the_saved_doubles(tmp_path, ks, values, n_phases):
+    batch = [MomentEstimate(k=k, value=complex(re, im), var_re=s_re ** 2,
+                            var_im=s_im ** 2, n_phases=n_phases,
+                            compensated=comp, eta_assumed=eta)
+             for k, (re, im, s_re, s_im, comp, eta) in zip(sorted(ks),
+                                                           values)]
+    path = _fresh(tmp_path / "moments.txt")
+    save_moments(batch, path)
+    assert ([_moment_bits(est) for est in load_moments(path)]
+            == [_moment_bits(est) for est in batch])
+
+
+def test_numpy_scalar_moments_are_written_as_plain_numbers(tmp_path):
+    # repr of a numpy scalar is 'np.float64(...)', which is no number
+    est = MomentEstimate(k=1, value=np.complex128(0.1 - 0.2j),
+                         var_re=np.float64(1e-4), var_im=np.float64(4e-4),
+                         n_phases=12, compensated=True,
+                         eta_assumed=np.float64(0.9))
+    path = _fresh(tmp_path / "moments.txt")
+    save_moments([est], path)
+    assert path.read_text().splitlines()[-1] == "1 0.1 -0.2 0.01 0.02 1 0.9"
+    assert _moment_bits(load_moments(path)[0]) == _moment_bits(est)
+
+
+def test_numpy_scalar_reg_lambda_is_written_as_a_plain_number(tmp_path):
+    dist = PhaseDistribution(grid=np.zeros(1), values=np.ones(1),
+                             method="least_squares", K_used=1,
+                             reg_lambda=np.float64(1e-3))
+    path = _fresh(tmp_path / "distribution.txt")
+    save_distribution(dist, path)
+    assert "# reg_lambda: 0.001\n" in path.read_text()
+    assert load_distribution(path).reg_lambda == 1e-3
+
+
+@FUZZ
+@given(values=st.lists(exact, min_size=1, max_size=20),
+       method=st.sampled_from(METHODS), K=st.integers(0, 99),
+       reg_lambda=st.floats(0.0, 1.7976931348623157e308))
+def test_distributions_load_to_the_saved_doubles(tmp_path, values, method,
+                                                 K, reg_lambda):
+    grid = 2.0 * np.pi * np.arange(len(values)) / len(values)
+    dist = PhaseDistribution(grid=grid, values=values, method=method,
+                             K_used=K, reg_lambda=reg_lambda)
+    path = _fresh(tmp_path / "distribution.txt")
+    save_distribution(dist, path)
+    loaded = load_distribution(path)
+    assert (loaded.method, loaded.K_used) == (method, K)
+    assert (_bits(*loaded.grid, *loaded.values, loaded.reg_lambda)
+            == _bits(*grid, *values, reg_lambda))
 
 
 @FUZZ
@@ -272,35 +389,22 @@ def _outcome(loader, path):
     return "ok", [r.tolist() for r in ms.records], ms.plan
 
 
-def _record_cell(column, data):
-    """A replacement cell both record loaders read the same way: an
-    integer phase index, a non-NaN theta, any sample, or junk."""
-    thetas = ["%.15e" % (2.0 * math.pi * l / 3) for l in range(3)]
-    number = {
-        0: st.integers(-3, 5).map(str),
-        1: st.floats(allow_nan=False).map(repr) | st.sampled_from(thetas),
-        2: st.floats().map(repr),
-    }[column]
-    return data.draw(number | junk)
-
-
 @FUZZ
 @given(data=st.data())
 def test_record_loader_agrees_with_per_row_reference(tmp_path, data):
     lines = _records_text(tmp_path).splitlines()
     rows = [i for i, ln in enumerate(lines) if not ln.startswith("#")]
     i = data.draw(st.sampled_from(rows))
-    cells = [c.strip() for c in lines[i].split(",")]
+    cells = lines[i].split()
     op = data.draw(st.sampled_from(
         ["none", "replace", "drop", "add", "move to end", "delete"]))
     if op == "replace":
-        column = data.draw(st.integers(0, 2))
-        cells[column] = _record_cell(column, data)
+        cells[0] = data.draw(st.floats().map(repr) | junk)
     elif op == "drop":
-        del cells[data.draw(st.integers(0, 2))]
+        del cells[0]
     elif op == "add":
         cells.append(data.draw(junk | st.just("0")))
-    lines[i] = ", ".join(cells)
+    lines[i] = " ".join(cells)
     if op == "move to end":
         lines.append(lines.pop(i))
     elif op == "delete":
@@ -322,33 +426,26 @@ def _digit_underscore(line, data):
 
 
 def _spaced(line, data):
-    """line with spaces drawn around each of its cells."""
+    """line with spaces drawn around its sample."""
     pad = st.text(" \t", max_size=3)
-    return ",".join(data.draw(pad) + c.strip() + data.draw(pad)
-                    for c in line.split(","))
+    return data.draw(pad) + line.strip() + data.draw(pad)
 
 
-def _off_plan_cell(line, data):
-    """line with one cell a number that the C reader reads and the plan
-    refuses, or counts against another phase."""
-    cells = line.split(",")
-    column = data.draw(st.integers(0, 2))
-    cells[column] = data.draw(st.sampled_from(
-        [["-1", "7", "1"], ["0.5", "1e300"], ["nan", "inf", "-inf"]][column]))
-    return ", ".join(cells)
+def _non_finite_cell(line, data):
+    """A sample that the C reader reads and load_records refuses."""
+    return data.draw(st.sampled_from(["nan", "inf", "-inf"]))
 
 
 # Edits of a records body that the C reader must not read differently
 # from parse.  It reads spaces around cells; underscores, '#' lines and
 # an empty body make it refuse the rows; a blank line, which it skips,
 # would shift the line numbers of the rows after it.  A damaging edit
-# gives one row an error to name: a row that does not parse or that the
-# plan refuses.  Up to three land in one file, since both readers name
-# the first bad row of either kind: load_records checks the rows before
-# an unreadable one before it names that one.
+# gives one row an error to name: a row that does not parse or a
+# non-finite sample.  Up to three land in one file, since both readers
+# name the first unreadable row, and only then the first non-finite one.
 STRUCTURAL_EDITS = ("blank line", "comment line", "spaces", "underscore",
                     "empty body")
-DAMAGING_EDITS = ("trailing comment", "off-plan cell")
+DAMAGING_EDITS = ("trailing comment", "non-finite cell")
 
 
 @FUZZ
@@ -379,7 +476,7 @@ def test_record_loader_agrees_with_per_row_reference_on_structural_edits(
                 "trailing comment": lambda ln, _: ln + " # x",
                 "spaces": _spaced,
                 "underscore": _digit_underscore,
-                "off-plan cell": _off_plan_cell,
+                "non-finite cell": _non_finite_cell,
             }[edit](lines[i], data)
     path = _fresh(tmp_path / "edited.txt")
     path.write_text("\n".join(lines) + "\n")
@@ -389,34 +486,19 @@ def test_record_loader_agrees_with_per_row_reference_on_structural_edits(
                                                         path)
 
 
-@pytest.mark.parametrize("damage", [" # x", ", 0"])
-def test_record_loader_names_a_bad_row_before_an_unreadable_one(tmp_path,
-                                                               damage):
-    lines = _records_text(tmp_path).splitlines()
-    i = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
-    lines[i] = "7, " + lines[i].split(",", 1)[1].strip()
-    lines[i + 1] += damage
-    path = _fresh(tmp_path / "corrupt.txt")
-    path.write_text("\n".join(lines) + "\n")
-    assert (_outcome(load_records, path)
-            == _outcome(per_row_load_records, path) == ("line", i + 1))
-
-
-def test_record_loader_names_the_unreadable_row_before_the_header_ends(
+def test_unreadable_row_is_named_before_an_earlier_non_finite_one(
         tmp_path):
-    # the seed line comes after the rows, so the lines before the
-    # unreadable row do not give the plan to check the rows against
     lines = _records_text(tmp_path).splitlines()
-    seed = next(i for i, ln in enumerate(lines) if ln.startswith("# seed"))
-    lines.append(lines.pop(seed))
-    i = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
-    lines[i] = "7, " + lines[i].split(",", 1)[1].strip()
-    lines[i + 1] += " # x"
-    path = _fresh(tmp_path / "corrupt.txt")
+    rows = [i for i, ln in enumerate(lines) if not ln.startswith("#")]
+    lines[rows[1]] = "nan"
+    lines[rows[5]] += " # x"
+    path = _fresh(tmp_path / "records.txt")
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError,
-                       match="line %d: unparsable row" % (i + 2)):
+                       match="^line %d: expected 'x'" % (rows[5] + 1)):
         load_records(path)
+    assert (_outcome(per_row_load_records, path)
+            == _outcome(load_records, path) == ("line", rows[5] + 1))
 
 
 def _rows_parsed_per_line(monkeypatch, path):
@@ -424,8 +506,8 @@ def _rows_parsed_per_line(monkeypatch, path):
     parsed = []
     parse_lines = textio.parse
 
-    def counting(lines, columns, sep=None):
-        art = parse_lines(lines, columns, sep)
+    def counting(lines, columns):
+        art = parse_lines(lines, columns)
         parsed.append(len(art.rows))
         return art
 
@@ -448,54 +530,15 @@ def test_clean_records_go_through_the_c_reader(tmp_path, monkeypatch):
     assert _rows_parsed_per_line(monkeypatch, path) == 12
 
 
-# Samples the writer must format as the per-event writer did: signed
-# zeros, subnormals and the ends of the round-trip range among them.
-samples = finite | st.sampled_from(
-    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-309, 1e300, -1e300])
-
-
-@FUZZ
-@given(counts=st.lists(st.integers(1, 50), min_size=1, max_size=5),
-       data=st.data())
-def test_records_file_matches_the_per_event_writer(tmp_path, counts, data):
-    ms = MeasurementSet(
-        plan=ExperimentPlan(state=StateSpec(kind="vacuum"),
-                            events_per_phase=tuple(counts)),
-        records=tuple(np.array(data.draw(st.lists(samples, min_size=n,
-                                                  max_size=n)))
-                      for n in counts))
-    path = _fresh(tmp_path / "records.txt")
-    save_records(ms, path, header_lines=("config: x",))
-    text = path.read_bytes().decode()
-    head = "".join(ln for ln in text.splitlines(keepends=True)
-                   if ln.startswith("# "))
-    assert text == head + "\n".join(per_event_record_lines(ms)) + "\n"
-
-
-def _with_first_row_cell(text, sep, column, token):
+def _with_first_row_cell(text, column, token):
     """text with one cell of its first row replaced, and that line's
     number."""
     lines = text.splitlines()
     i = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
-    cells = [c.strip() for c in lines[i].split(sep)]
+    cells = lines[i].split()
     cells[column] = token
-    lines[i] = (", " if sep == "," else " ").join(cells)
+    lines[i] = " ".join(cells)
     return "\n".join(lines) + "\n", i + 1
-
-
-@pytest.mark.parametrize("column, token, message", [
-    (0, "0.5", "phase index 0.5"),
-    (0, "nan", "phase index nan"),
-    (1, "nan", "theta nan"),
-])
-def test_record_loader_rejects_off_plan_phase_cells(tmp_path, column, token,
-                                                    message):
-    text, line = _with_first_row_cell(_records_text(tmp_path), ",", column,
-                                      token)
-    path = _fresh(tmp_path / "bad.txt")
-    path.write_text(text)
-    with pytest.raises(ValueError, match="line %d: %s" % (line, message)):
-        load_records(path)
 
 
 @pytest.mark.parametrize("column, token, message", [
@@ -506,65 +549,70 @@ def test_record_loader_rejects_off_plan_phase_cells(tmp_path, column, token,
 ])
 def test_moment_loader_rejects_non_integral_order_and_flag(
         tmp_path, column, token, message):
-    text, line = _with_first_row_cell(_moments_text(tmp_path), None, column,
-                                      token)
+    text, line = _with_first_row_cell(_moments_text(tmp_path), column, token)
     path = _fresh(tmp_path / "bad.txt")
     path.write_text(text)
     with pytest.raises(ValueError, match="line %d: %s" % (line, message)):
         load_moments(path)
 
 
-# '%.15e' writes this finite double as 1.797693134862316e+308, past the
-# largest double, so it would read back as inf.
-NEAR_MAX = 1.7976931348623155e308
+def _with_columns(text, columns):
+    """text with its '# columns:' line replaced, and that line's number."""
+    lines = text.splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("# columns:"))
+    lines[i] = "# columns: " + columns
+    return lines, i + 1
 
 
-def test_finite_text_check_finds_the_largest_doubles():
-    largest_safe = np.nextafter(NEAR_MAX, 0.0)
-    assert math.isfinite(float("%.15e" % largest_safe))
-    check_finite_text("%.15e", [largest_safe, -largest_safe, math.inf,
-                               -math.inf, math.nan, 0.0])
-    for bad in (NEAR_MAX, -NEAR_MAX, np.finfo(float).max):
-        with pytest.raises(ValueError, match="reads back as -?inf"):
-            check_finite_text("%.15e", [1.0, bad])
-    # 15 significant digits already overflow one double lower
-    with pytest.raises(ValueError, match="1.79769313486232e\\+308"):
-        check_finite_text("%.15g", largest_safe)
+def test_v1_records_are_refused_at_their_columns_line(tmp_path):
+    # the layout before one-column records: 'l, theta_l, x' per event
+    lines, line = _with_columns(_records_text(tmp_path), "l, theta_l, x")
+    rows = [i for i, ln in enumerate(lines) if not ln.startswith("#")]
+    for n, i in enumerate(rows):
+        l = n // 4
+        lines[i] = "%d, %.15e, %.15e" % (l, 2.0 * math.pi * l / 3,
+                                         float(lines[i]))
+    path = _fresh(tmp_path / "v1.txt")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^line %d: columns 'l, theta_l, x', "
+                                         "expected 'x'$" % line):
+        load_records(path)
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_records_with_near_max_sample_are_not_written(tmp_path, sign):
-    plan = ExperimentPlan.uniform(StateSpec(kind="vacuum"), 2, 3)
-    ms = MeasurementSet(plan=plan, records=(
-        np.zeros(3), np.array([0.5, sign * NEAR_MAX, 0.1])))
-    path = tmp_path / "records.txt"
-    with pytest.raises(ValueError, match=re.escape(repr(sign * NEAR_MAX))):
-        save_records(ms, path)
-    assert not path.exists()
+# format name -> (a 'columns' value of another layout, the reader's)
+OTHER_COLUMNS = {
+    "records": ("l x", "x"),
+    "moments": ("k re im sigma_re sigma_im",
+                "k re im sigma_re sigma_im compensated eta"),
+    "distribution": ("phi P sigma", "phi P"),
+    "kernel table": ("x K_k(x) tail", "x  K_k(x)"),
+}
 
 
-@pytest.mark.parametrize("value", [complex(NEAR_MAX, 0.0),
-                                   complex(0.5, -NEAR_MAX)])
-def test_moments_with_near_max_value_are_not_written(tmp_path, value):
-    batch = [MomentEstimate(k=1, value=value, var_re=1e-4, var_im=1e-4,
-                            n_phases=4, compensated=False,
-                            eta_assumed=1.0)]
-    path = tmp_path / "moments.txt"
-    with pytest.raises(ValueError, match="reads back as -?inf"):
-        save_moments(batch, path)
-    assert not path.exists()
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_another_columns_line_is_refused(name, tmp_path):
+    make, load = FORMATS[name]
+    found, expected = OTHER_COLUMNS[name]
+    lines, line = _with_columns(make(tmp_path), found)
+    with pytest.raises(ValueError) as info:
+        load("\n".join(lines) + "\n", tmp_path)
+    assert str(info.value) == ("line %d: columns '%s', expected '%s'"
+                               % (line, found, expected))
 
 
-@pytest.mark.parametrize("field", ["values", "grid", "reg_lambda"])
-def test_distribution_with_near_max_value_is_not_written(tmp_path, field):
-    kwargs = dict(grid=np.array([0.0, 1.0, 2.0]),
-                  values=np.array([0.1, 0.2, 0.3]), reg_lambda=0.0)
-    if field == "reg_lambda":
-        kwargs[field] = np.nextafter(NEAR_MAX, 0.0)
-    else:
-        kwargs[field] = np.array([0.1, NEAR_MAX, 0.3])
-    dist = PhaseDistribution(method="fourier", K_used=1, **kwargs)
-    path = tmp_path / "distribution.txt"
-    with pytest.raises(ValueError, match="reads back as inf"):
-        save_distribution(dist, path)
-    assert not path.exists()
+def test_columns_line_among_the_rows_is_refused(tmp_path):
+    # not a leading header line, so the per-line reader finds it
+    lines = _records_text(tmp_path).splitlines()
+    lines.insert(-2, "# columns: l, theta_l, x")
+    path = _fresh(tmp_path / "records.txt")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^line %d: columns 'l, theta_l, x'"
+                                         % (len(lines) - 2)):
+        load_records(path)
+
+
+def test_columns_field_is_compared_word_by_word():
+    art = parse(["# columns:  phi   P ", "0 1"], "phi P")
+    assert art.fields["columns"] == (1, "phi   P")
+    with pytest.raises(ValueError, match="^line 2: columns 'P phi'"):
+        parse(["# title", "# columns: P phi"], "phi P")

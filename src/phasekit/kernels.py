@@ -24,12 +24,13 @@ Hermite polynomials, so no intermediate ever overflows:
 
 with log-space weights w_l.  The alternating inner sums behind C_l lose
 all double-precision significance beyond l of about 20, so they are done
-once in extended precision and cached: binomials and rising products as
-exact Python integers, square roots, quotients, the sum and its log in
-stdlib decimal.  The positive inner sums of F_k need no extra
-precision; they are exactly rounded math.fsum totals of doubles, and
-only their Hurwitz-zeta tails call mpmath, imported on first use, so
-importing phasekit loads neither mpmath nor scipy.
+once per order in extended precision and cached: rising products as
+exact Python integers, square roots, one forward-difference table for
+all l and the logs in stdlib decimal.  The positive inner sums of F_k
+need no extra precision; they are exactly rounded math.fsum totals of
+doubles, completed by Hurwitz-zeta tails from the Euler-Maclaurin
+formula in decimal.  Tables need numpy and the standard library alone,
+and importing phasekit loads no scipy.
 
 Estimation evaluates tabulated kernels (KernelTable): linear
 interpolation on a uniform grid inside |x| <= x0, the classical tail
@@ -79,6 +80,21 @@ SMEAR_QUAD_ORDER = 81
 # alternating binomial sum cancels roughly 0.3 l digits.
 def _working_dps(l):
     return 30 + int(0.32 * l)
+
+
+# Guard digits of the _alt_sums difference table beyond _working_dps(l0),
+# and the digits of the logarithms of its sums: 8 beyond a double's 17,
+# so a logarithm rounds to the same double as its exact value unless
+# that lies within 1e-25 relative of a halfway point.
+ALT_SUM_GUARD = 4
+LOG_DPS = 25
+
+# The Hurwitz-zeta tails of the F_k inner sums: decimal digits, the
+# start of the Euler-Maclaurin form (terms below it are summed
+# directly), and its coefficients B_2j/(2j)!, j = 1..4, as 1/EM_DIVISORS.
+HURWITZ_DPS = 30
+HURWITZ_EM_START = 30
+EM_DIVISORS = (12, -720, 30240, -1209600)
 
 
 # Validators of the kernel parameters: each takes a number or its text
@@ -361,25 +377,31 @@ def classical_kernel(k, x):
 
 
 @lru_cache(maxsize=None)
-def _alt_sum(k, l):
+def _alt_sums(k, l0):
     """sign and log-magnitude of S_l = sum_n binom(l,n)(-1)^(l-n) /
-    sqrt((n+1)...(n+k)), in extended precision.
+    sqrt((n+1)...(n+k)) for l = 0..l0, in extended precision.
 
-    The summands reach binomial size ~2^l while S_l decays like 2^{-l},
-    so doubles are hopeless beyond l of about 20.  The binomial and the
-    rising product are exact integers; the square root, quotient, sum
-    and logarithm run in decimal at _working_dps(l) digits.
+    S_l is the l-th forward difference at 0 of f(n) = 1/sqrt((n+1)...(n+k)),
+    so one difference table of f(0..l0) holds every S_l: l0 + 1 square
+    roots instead of one per term of each sum.  The summands reach
+    binomial size ~2^l while S_l decays algebraically, so doubles are
+    hopeless beyond l of about 20.  The rising products are exact
+    integers; the square roots and differences run in decimal at
+    _working_dps(l0) + ALT_SUM_GUARD digits, whose 0.32 l0 extra digits
+    absorb the table's rounding errors, amplified by at most 2^l, and
+    the logarithms at LOG_DPS digits.
     """
-    ctx = decimal.Context(prec=_working_dps(l))
-    total = decimal.Decimal(0)
-    for n in range(l + 1):
-        term = ctx.divide(math.comb(l, n),
-                          ctx.sqrt(math.prod(range(n + 1, n + k + 1))))
-        total = ctx.subtract(total, term) if (l - n) % 2 \
-            else ctx.add(total, term)
-    if total == 0:
-        return 0.0, -math.inf
-    return math.copysign(1.0, total), float(ctx.ln(abs(total)))
+    ctx = decimal.Context(prec=_working_dps(l0) + ALT_SUM_GUARD)
+    log_ctx = decimal.Context(prec=LOG_DPS)
+    row = [ctx.divide(1, ctx.sqrt(math.prod(range(n + 1, n + k + 1))))
+           for n in range(l0 + 1)]
+    sums = []
+    for _ in range(l0 + 1):
+        total = row[0]
+        sums.append((0.0, -math.inf) if total == 0 else
+                    (math.copysign(1.0, total), float(log_ctx.ln(abs(total)))))
+        row = [ctx.subtract(b, a) for a, b in zip(row, row[1:])]
+    return tuple(sums)
 
 
 @lru_cache(maxsize=None)
@@ -393,8 +415,7 @@ def _series_weights(k, l0, eta):
                              - (l+k/2) ln eta + ln|S_l| ].
     """
     weights = {}
-    for l in range(l0 + 1):
-        sign, log_s = _alt_sum(k, l)
+    for l, (sign, log_s) in enumerate(_alt_sums(k, l0)):
         if sign == 0.0:
             continue
         lw = (
@@ -414,28 +435,65 @@ def _series_value(k, x, eta, l0):
     return acc * np.exp(0.5 * x * x) * (np.pi ** 0.25 / (2.0 * np.pi))
 
 
+def _hurwitz_zeta(s, q):
+    """Hurwitz zeta(s, q) = sum_{m>=0} (q+m)^{-s} in the current decimal
+    context, for s > 1 a multiple of 1/2 and an integer q >= 1.
+
+    Terms below HURWITZ_EM_START are added one by one; from
+    p = max(q, HURWITZ_EM_START) on, the Euler-Maclaurin form (DLMF
+    25.11)
+
+        zeta(s, p) = p^{1-s}/(s-1) + p^{-s}/2
+                     + sum_{j=1}^{4} B_{2j}/(2j)! (s)_{2j-1} p^{1-s-2j} + R
+
+    evaluated as p^{1-s} times a bracket of rational terms.  The
+    derivatives of x^{-s} alternate in sign, so R has the sign of the
+    first omitted term and
+
+        |R| <= |B_10|/10! (s)_9 p^{-s-9}.
+
+    Relative to zeta(s, p) that is at most (5/66)/10! (s-1)_10 p^{-10}:
+    for s <= 9, below 1.5e-27 at p = 1001 and below 3e-12 at p = 30.
+    """
+    two_s = int(2 * s)
+    head = sum(decimal.Decimal(m).sqrt() ** -two_s
+               for m in range(q, HURWITZ_EM_START))
+    p = max(q, HURWITZ_EM_START)
+    s = decimal.Decimal(two_s) / 2
+    bracket = 1 / (s - 1) + decimal.Decimal(1) / (2 * p)
+    rising = s
+    for j, divisor in enumerate(EM_DIVISORS, start=1):
+        bracket += rising / (divisor * p ** (2 * j))
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    return head + decimal.Decimal(p).sqrt() ** (2 - two_s) * bracket
+
+
 @lru_cache(maxsize=None)
 def _f_inner_sum(k, n, truncation):
     """Inner l-sum of F_k: sum_l binom(n+l-1, l) / sqrt((l+1)...(l+k)).
 
     Terms decay like l^{n-1-k/2} (slowest l^{-3/2}), so a raw cutoff at
     10^3 still leaves ~1e-2 absolute error.  The explicit sum up to
-    `truncation` is therefore completed with the tail of the asymptotic
-    expansion
+    T = `truncation` is therefore completed with the tail of the
+    asymptotic expansion
 
-        t(l) ~ l^{-a} exp(c1/l + c2/l^2 + c3/l^3) / (n-1)!,
+        t(l) = l^{-a} (1 + d1/l + d2/l^2 + d3/l^3 + d4/l^4 + ...) / (n-1)!,
         a = k/2 - n + 1,
 
-    whose term-by-term l-sums are Hurwitz zeta functions.  The corrected
-    sum is stable to ~1e-13 against moving the cutoff.
+    the d_i the coefficients of exp(c1/l + c2/l^2 + c3/l^3 + ...),
+    whose term-by-term l-sums are Hurwitz zeta values zeta(a+i, T+1).
+    The remainder is the omitted terms' sum, to leading order in 1/T
+
+        d4 zeta(a+4, T+1) / (n-1)!,
+
+    which for k <= 12 overstates it slightly (d5 has the opposite
+    sign).  At T = 1000 it grows with n: 3.9e-13 for (k, n) = (3, 1),
+    5.6e-12 for (5, 2), 1.8e-11 for (7, 3), 2.5e-11 for (9, 4).
 
     The terms are all positive, so the explicit part is an exactly
-    rounded math.fsum of doubles; only the four zeta values of the tail
-    use mpmath, imported here so that importing phasekit does not load
-    it.
+    rounded math.fsum of doubles.  The four zeta values of the tail come
+    from _hurwitz_zeta, summed in 30-digit decimal and rounded once.
     """
-    import mpmath
-
     l = np.arange(truncation + 1.0)
     log_t = (
         sum(np.log(l + j) for j in range(1, n))
@@ -454,13 +512,10 @@ def _f_inner_sum(k, n, truncation):
     d1 = c1
     d2 = c2 + 0.5 * c1 * c1
     d3 = c3 + c1 * c2 + c1 ** 3 / 6.0
-    with mpmath.workdps(30):
-        tail = (
-            mpmath.zeta(a, truncation + 1)
-            + d1 * mpmath.zeta(a + 1.0, truncation + 1)
-            + d2 * mpmath.zeta(a + 2.0, truncation + 1)
-            + d3 * mpmath.zeta(a + 3.0, truncation + 1)
-        ) / mpmath.gamma(n)
+    with decimal.localcontext(decimal.Context(prec=HURWITZ_DPS)):
+        tail = sum(decimal.Decimal(d) * _hurwitz_zeta(a + i, truncation + 1)
+                   for i, d in enumerate((1.0, d1, d2, d3)))
+        tail /= math.factorial(n - 1)
     return math.fsum([*np.exp(log_t).tolist(), float(tail)])
 
 

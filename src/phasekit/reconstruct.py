@@ -163,6 +163,10 @@ def least_squares_reconstruct(moments, K, M, reg_lambda=0.0,
     result is fourier_reconstruct's synthesis bit for bit.  Without the
     constraint nothing then pins the mean level of P, so that combination
     is rejected.
+
+    The variances are taken as sigma_re^2 and sigma_im^2: a moments file
+    stores sigma, which reads back as the same double, so P from a
+    reloaded file equals P from the estimates that wrote it bit for bit.
     """
     check_grid("least_squares", K, M)
     reg_lambda = _check_reg_lambda(reg_lambda)
@@ -183,7 +187,7 @@ def least_squares_reconstruct(moments, K, M, reg_lambda=0.0,
     for m in chosen:
         d = 8.0 * M * reg_lambda * math.sin(math.pi * m.k / M)**4 / math.pi**2
         filters.append([1.0 / (1.0 + d * var) if var < math.inf else 0.0
-                        for var in (m.var_re, m.var_im)])
+                        for var in (m.sigma_re ** 2, m.sigma_im ** 2)])
     grid, values = _synthesis(chosen, M, filters, 1.0 if normalize else 0.0)
     dist = PhaseDistribution(
         grid=grid, values=values, method="least_squares", K_used=K,
@@ -197,7 +201,8 @@ def least_squares_reconstruct(moments, K, M, reg_lambda=0.0,
 
 
 def chi_squared(dist, moments, K):
-    """Moment-fit part of the least-squares objective for a given P."""
+    """Moment-fit part of the least-squares objective for a given P,
+    each part weighted by 1/sigma^2 as least_squares_reconstruct is."""
     chosen = _collect(moments, K)
     base = 2.0 * np.pi / dist.n_grid
     total = 0.0
@@ -208,8 +213,8 @@ def chi_squared(dist, moments, K):
         model_im = base * float(np.sum(
             dist.values * np.sin(m.k * dist.grid)
         ))
-        total += (m.value.real - model_re) ** 2 / m.var_re
-        total += (m.value.imag - model_im) ** 2 / m.var_im
+        total += (m.value.real - model_re) ** 2 / m.sigma_re ** 2
+        total += (m.value.imag - model_im) ** 2 / m.sigma_im ** 2
     return total
 
 

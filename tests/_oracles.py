@@ -5,7 +5,8 @@ forms the fast library paths are checked against (the loop form of the
 aliasing bias, the quadratic-form quadrature density, a bisection
 inverse of the simulator's sampled law, np.interp kernel lookup, the
 per-row record reader and a dense high-precision least-squares solve),
-the closed integral kernels K_1 and K_2 in 20-digit mpmath, and the
+the closed integral kernels K_1 and K_2 in 20-digit mpmath, the Hurwitz
+zeta function by summation and the F_k term expansion, and the
 special functions only the tests use: log_factorial, log_rising and the
 angular weight omega.
 """
@@ -309,6 +310,55 @@ def mpmath_f_inner_sum(k, n, truncation):
             + d3 * mpmath.zeta(a + 3.0, truncation + 1)
         ) / mpmath.gamma(n)
         return float(total + tail)
+
+
+def hurwitz_zeta_by_summation(s, q, dps=60, head=200, terms=15):
+    """Hurwitz zeta(s, q) = sum_{m>=0} (q+m)^{-s} to 50 digits, as an
+    mpmath number at dps digits, without mpmath.zeta (whose Hurwitz
+    values at large q and s are off by up to 1e-11 relative even at 50
+    digits).
+
+    The terms m^{-s} for q <= m < q + head are summed one by one; the
+    rest is the Euler-Maclaurin sum at p = q + head with `terms`
+    Bernoulli terms, whose first omitted term, a bound on its
+    remainder, is checked to be below 1e-50 of the result.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        s = mpmath.mpf(s)
+        total = mpmath.fsum(mpmath.mpf(m) ** -s
+                            for m in range(q, q + head))
+        p = mpmath.mpf(q + head)
+
+        def term(j):
+            return (mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j)
+                    * mpmath.rf(s, 2 * j - 1) * p ** (1 - s - 2 * j))
+
+        total += p ** (1 - s) / (s - 1) + p ** -s / 2 + mpmath.fsum(
+            term(j) for j in range(1, terms + 1))
+        if abs(term(terms + 1)) > mpmath.mpf(10) ** -50 * total:
+            raise ArithmeticError("zeta(%s, %d) not converged to 50 digits"
+                                  % (s, q))
+        return total
+
+
+def expansion_coefficients(k, n, order):
+    """Exact d_0..d_order of the F_k inner-sum term's large-l expansion
+    binom(n+l-1, l) / sqrt((l+1)...(l+k))
+        = l^{-a} (d_0 + d_1/l + d_2/l^2 + ...) / (n-1)!,
+    the Taylor coefficients of exp(sum_m c_m x^m) at x = 1/l, with
+    c_m = (-1)^{m+1}/m [sum_{j<n} j^m - (1/2) sum_{j<=k} j^m]."""
+    from fractions import Fraction
+
+    c = [Fraction((-1) ** (m + 1), m)
+         * (sum(Fraction(j) ** m for j in range(1, n))
+            - Fraction(1, 2) * sum(Fraction(j) ** m for j in range(1, k + 1)))
+         for m in range(1, order + 1)]
+    d = [Fraction(1)]
+    for m in range(1, order + 1):
+        d.append(sum(i * c[i - 1] * d[m - i] for i in range(1, m + 1)) / m)
+    return d
 
 
 def mpmath_integral_kernel(k, x):

@@ -33,7 +33,7 @@ from phasekit.kernels import (
 )
 from phasekit.estimator import estimate_all, load_moments
 from phasekit.reconstruct import METHODS, fourier_reconstruct, \
-    load_distribution
+    least_squares_reconstruct, load_distribution
 from phasekit.simulator import load_records, run_experiment
 from phasekit.states import STATE_KINDS, DensityMatrix, StateSpec
 
@@ -272,6 +272,31 @@ def test_stage_files_reload_to_what_each_stage_computed(tmp_path):
     assert got.values.tobytes() == dist.values.tobytes()
 
 
+def test_least_squares_from_a_reloaded_moments_file_is_bit_identical(
+        tmp_path):
+    # the filter factors take the variance as sigma^2, which the moments
+    # file holds exactly, so the stand-alone reconstruct of the file and
+    # the in-process P agree bit for bit
+    cfg = small_config(n_phases=12, events_per_phase=(200,), eta=0.9,
+                       recon_method="least_squares", recon_K=4, recon_M=64,
+                       reg_lambda=1.0e5)
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", cfg_path,
+                 "--output-dir", str(out)]) == 0
+    tables = {s.k: build_kernel_table(s, grid_step=cfg.kernel_grid_step)
+              for s in cfg.kernel_specs()}
+    estimates = estimate_all(load_records(out / "records.txt"), cfg.k_max,
+                             tables)
+    dist = least_squares_reconstruct(estimates, cfg.recon_K, cfg.recon_M,
+                                     cfg.reg_lambda)
+    assert main(["reconstruct", "--config", cfg_path, "--output-dir",
+                 str(tmp_path / "again"), str(out / "moments.txt")]) == 0
+    for path in (out, tmp_path / "again"):
+        got = load_distribution(path / "distribution.txt")
+        assert got.values.tobytes() == dist.values.tobytes()
+
+
 def test_v1_records_exit_2_naming_their_columns_line(tmp_path, capsys):
     cfg = small_config(n_phases=6, events_per_phase=(20,))
     cfg_path = write_config(tmp_path, cfg)
@@ -491,6 +516,26 @@ def test_import_loads_neither_scipy_nor_mpmath(module):
         "if m.split('.')[0] in ('scipy', 'mpmath')))" % module
     )
     assert run_fresh_python(code) == "[]"
+
+
+def test_tables_and_pipeline_run_with_mpmath_blocked(tmp_path):
+    # mpmath is a test-only dependency: with its import blocked, tables
+    # of every default order build at eta = 1 and 0.8, a small
+    # compensated pipeline exits 0, and mpmath never enters sys.modules
+    cfg_path = write_config(tmp_path, small_config(eta=0.8))
+    code = (
+        "import sys; sys.modules['mpmath'] = None; "
+        "from phasekit import KernelSpec, build_kernel_table, cli; "
+        "[build_kernel_table(KernelSpec(k=k, eta=eta)) "
+        " for k in range(1, 9) for eta in (1.0, 0.8)]; "
+        "status = cli.main(['pipeline', '--config', %r, "
+        "                   '--output-dir', %r]); "
+        "print(status, sys.modules['mpmath'], "
+        "      [m for m in sys.modules if m.startswith('mpmath.')])"
+        % (cfg_path, str(tmp_path / "out"))
+    )
+    assert run_fresh_python(code).splitlines()[-1] == "0 None []"
+    assert (tmp_path / "out" / "distribution.txt").exists()
 
 
 def test_displaced_fock_state_imports_expm_on_demand(tmp_path):

@@ -7,6 +7,7 @@ kernel (2 pi Int K_k psi_{n+k} psi_n dx = 1, integrated by scipy.quad
 rather than the package's own panel rule).
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from _oracles import (interp_table_value, mpmath_alt_sum, mpmath_f_inner_sum,
+from _oracles import (expansion_coefficients, hurwitz_zeta_by_summation,
+                      interp_table_value, mpmath_alt_sum, mpmath_f_inner_sum,
                       mpmath_integral_kernel, omega)
 from phasekit import kernels
 from phasekit.kernels import (
@@ -493,15 +495,20 @@ def test_table_relabelled_to_another_even_order_names_its_last_row(
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_alt_sum_is_bit_identical_to_mpmath(k):
+    sums = kernels._alt_sums(k, 40)
+    assert len(sums) == 41
     for l in range(41):
-        assert kernels._alt_sum(k, l) == mpmath_alt_sum(k, l), l
+        assert sums[l] == mpmath_alt_sum(k, l), l
 
 
 @given(k=st.integers(min_value=1, max_value=12),
        l=st.integers(min_value=0, max_value=60))
 @settings(max_examples=60, deadline=None)
 def test_alt_sum_sweep_is_bit_identical_to_mpmath(k, l):
-    assert kernels._alt_sum(k, l) == mpmath_alt_sum(k, l)
+    # S_l from the shortest table that holds it (the fewest digits) and
+    # from the longest
+    assert kernels._alt_sums(k, l)[l] == mpmath_alt_sum(k, l)
+    assert kernels._alt_sums(k, 60)[l] == mpmath_alt_sum(k, l)
 
 
 @pytest.mark.parametrize("truncation", [200, 1000])
@@ -513,21 +520,84 @@ def test_f_inner_sum_matches_mpmath_summation(truncation):
             assert abs(got - ref) <= 1e-15 * abs(ref), (k, n)
 
 
+def hurwitz_orders(k):
+    """(a, n) of every F_k inner sum: its zeta values are at a + 0..3."""
+    return [(0.5 * k - n + 1.0, n) for n in range(1, (k - 1) // 2 + 1)]
+
+
+def em_remainder_bound(s, q):
+    """_hurwitz_zeta's stated bound |B_10|/10! (s)_9 p^{-s-9},
+    p = max(q, HURWITZ_EM_START), in 60-digit mpmath."""
+    import mpmath
+
+    p = max(q, kernels.HURWITZ_EM_START)
+    with mpmath.workdps(60):
+        return (mpmath.mpf(5) / 66 / mpmath.factorial(10)
+                * mpmath.rf(s, 9) * mpmath.mpf(p) ** (-s - 9))
+
+
+@pytest.mark.parametrize("truncation", [1, 2, 10, 200, 1000, 4000])
+def test_hurwitz_zeta_is_within_its_stated_remainder(truncation):
+    import mpmath
+
+    orders = {a + i for k in range(3, 13) for a, _ in hurwitz_orders(k)
+              for i in range(4)}
+    q = truncation + 1
+    for s in sorted(orders):
+        with decimal.localcontext(decimal.Context(
+                prec=kernels.HURWITZ_DPS)):
+            got = kernels._hurwitz_zeta(s, q)
+        ref = hurwitz_zeta_by_summation(s, q)
+        with mpmath.workdps(60):
+            err = abs(mpmath.mpf(str(got)) - ref)
+            # the bound plus the rounding of 30-digit decimal arithmetic
+            assert err <= em_remainder_bound(s, q) + 1e-28 * ref, (s, q)
+
+
+def test_f_inner_sum_moves_by_at_most_its_stated_remainder():
+    """Moving the cutoff T from 1000 to 4000 moves the sum by no more
+    than its stated remainder at T = 1000, |d4| zeta(a+4, 1001)/(n-1)!,
+    plus four ulps of the sum for its double rounding."""
+    for k in range(3, 13):
+        for a, n in hurwitz_orders(k):
+            near = kernels._f_inner_sum(k, n, 1000)
+            far = kernels._f_inner_sum(k, n, 4000)
+            d4 = expansion_coefficients(k, n, 4)[4]
+            zeta = float(hurwitz_zeta_by_summation(a + 4, 1001))
+            remainder = abs(d4) * zeta / math.factorial(n - 1)
+            assert abs(near - far) <= remainder + 4 * math.ulp(near), (k, n)
+
+
 @pytest.fixture(scope="module")
 def mpmath_tables():
     """Default tables for k = 1..8 at eta = 1 and 0.8 built on the
     mpmath series coefficients, with the coefficient caches emptied on
-    the way in and out."""
-    cached = (kernels._series_weights, kernels._edge_fit)
+    the way in and out.  The build must call both oracles for every
+    order that has the sum, or the tables would be compared with
+    themselves."""
+    cached = (kernels._alt_sums, kernels._f_inner_sum,
+              kernels._series_weights, kernels._edge_fit)
+    called = set()
+
+    def alt_sums(k, l0):
+        called.add(("alt", k))
+        return tuple(mpmath_alt_sum(k, l) for l in range(l0 + 1))
+
+    def f_inner_sum(k, n, truncation):
+        called.add(("f", k))
+        return mpmath_f_inner_sum(k, n, truncation)
+
     for fn in cached:
         fn.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_alt_sum", mpmath_alt_sum)
-        mp.setattr(kernels, "_f_inner_sum", mpmath_f_inner_sum)
+        mp.setattr(kernels, "_alt_sums", alt_sums)
+        mp.setattr(kernels, "_f_inner_sum", f_inner_sum)
         tables = {(k, eta): build_kernel_table(KernelSpec(k=k, eta=eta))
                   for k in range(1, 9) for eta in (1.0, 0.8)}
     for fn in cached:
         fn.cache_clear()
+    assert called == ({("alt", k) for k in range(1, 9)}
+                      | {("f", k) for k in range(3, 9)})
     return tables
 
 

@@ -32,14 +32,15 @@ doubles, completed by Hurwitz-zeta tails from the Euler-Maclaurin
 formula in decimal.  Tables need numpy and the standard library alone,
 and importing phasekit loads no scipy.
 
-Estimation evaluates tabulated kernels (KernelTable): linear
-interpolation on a uniform grid inside |x| <= x0, the classical tail
-outside, NaN and +-inf included.  The grid is uniform, so a sample's
-segment is found by direct indexing, j = floor((x - g0) / h) with one
-+-1 correction, not by a binary search; the arithmetic is np.interp's,
-so the values are bit-identical to it.  There is one lookup:
-table_evaluator finds the segments once per sample for tables on one
-grid, and KernelTable.evaluate is its one-table case.
+Estimation evaluates tabulated kernels (KernelTable): a KernelSpec, its
+nodes and two tail numbers, the edge gap and the offset.  Inside
+|x| <= x0 a table interpolates linearly on a uniform grid; outside, NaN
+and +-inf included, it takes _tail_value, the tail quantum_kernel uses.
+A sample's segment is found by direct indexing, j = floor((x - g0) / h)
+with one +-1 correction, not by a binary search; the arithmetic is
+np.interp's, so the values are bit-identical to it.  There is one
+lookup, _lookup_all: table_evaluator finds the segments once per sample
+for tables on one grid, and KernelTable.evaluate is its one-table case.
 
 Two closed single-integral forms (k = 1, 2), quadratures over
 scipy.special's hyp1f1 and i0 imported on first use, are independent
@@ -65,8 +66,8 @@ DEFAULT_F_TRUNCATION = 1000
 # Tabulation step used by build_kernel_table, and the table row layout.
 DEFAULT_GRID_STEP = 0.005
 TABLE_COLUMNS = "x  K_k(x)"
-# How closely a loaded table's last value must match its tail rule at
-# x0; the '%.15e' text of a built table matches to ~4e-16.
+# How closely a loaded table's last value must match its tail at x0;
+# the '%.15e' text of a built table matches to ~4e-16.
 EDGE_MATCH_RTOL = 1.0e-9
 
 # Number of abscissas used to fit the even-k additive constant between
@@ -99,11 +100,11 @@ EM_DIVISORS = (12, -720, 30240, -1209600)
 
 # Validators of the kernel parameters: each takes a number or its text
 # and returns the checked value, or raises ValueError stating the range.
-def _finite_positive(name):
+def _finite(name, positive=False):
     def check(value):
-        if not 0.0 < float(value) < math.inf:
-            raise ValueError("%s must be finite and > 0, not %r"
-                             % (name, value))
+        if not (0.0 if positive else -math.inf) < float(value) < math.inf:
+            raise ValueError("%s must be finite%s, not %r"
+                             % (name, " and > 0" if positive else "", value))
         return float(value)
     return check
 
@@ -119,8 +120,10 @@ def _check_eta(value):
 _check_k = textio.integer_at_least("k", 1)
 _check_l0 = textio.integer_at_least("l0", 0)
 _check_f_truncation = textio.integer_at_least("f_truncation", 1)
-_check_x0 = _finite_positive("x0")
-_check_grid_step = _finite_positive("grid step")
+_check_x0 = _finite("x0", positive=True)
+_check_grid_step = _finite("grid step", positive=True)
+_check_edge_gap = _finite("edge gap")
+_check_offset = _finite("offset")
 
 
 @dataclass(frozen=True)
@@ -150,28 +153,15 @@ class KernelSpec:
 
 
 @dataclass(frozen=True)
-class TailRule:
-    """Evaluation rule for |x| >= x0.
-
-    The tail is the classical limit plus an algebraic correction matched
-    to the series value at the switch point:
-
-        K_k(x) = classical_kernel(k, x)
-                 + edge_gap * (x0/|x|)^decay_power * (parity sign)
-
-    offset is the additive constant removed from the even-k series so
-    that it shares the classical asymptote (zero for odd k).
-    """
-
-    x0: float
-    edge_gap: float
-    decay_power: int
-    offset: float
-
-
-@dataclass(frozen=True)
 class KernelTable:
-    """Tabulated kernel: linear interpolation inside, classical tail outside.
+    """Tabulated kernel: its spec, its nodes and two tail numbers.
+
+    Inside |x| <= x0 the table interpolates linearly between its nodes
+    (grid, values); outside, NaN and +-inf included, it takes
+    _tail_value, the classical limit plus edge_gap (x0/|x|)^p with
+    p = _decay_power(k), odd-parity signed.  offset is the constant
+    removed from the even-k series so that it shares the classical
+    asymptote (zero for odd k).
 
     The grid must be strictly increasing with every node within a
     quarter step of the uniform lattice g0 + i h through its end
@@ -188,7 +178,8 @@ class KernelTable:
     spec: KernelSpec
     grid: np.ndarray
     values: np.ndarray
-    classical_tail: TailRule
+    edge_gap: float
+    offset: float
     _lookup: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -214,38 +205,17 @@ class KernelTable:
                 "increasing within a quarter step of the uniform lattice "
                 "x = %.9g + i * %.9g" % (i, grid[i], origin, step)
             )
-        # Segment p = j + 1 holds grid[j] <= x < grid[j+1]; the padded
-        # ends p = 0 and p = size reproduce np.interp's constant
-        # extrapolation with a zero slope.
+        # Segment p = j + 1 holds bounds[p] = grid[j] <= x < grid[j+1];
+        # the padded ends p = 0 and p = size reproduce np.interp's
+        # constant extrapolation with a zero slope.
         slope = np.diff(values) / np.diff(grid)
-        lookup = (
-            origin - step,
-            1.0 / step,
-            np.concatenate(([-np.inf], grid, [np.inf])),
-            np.concatenate(([grid[0]], grid)),
-            np.concatenate(([0.0], slope, [0.0])),
-            np.concatenate(([values[0]], values)),
-        )
+        lookup = (origin - step, 1.0 / step,
+                  np.concatenate(([-np.inf], grid, [np.inf])),
+                  np.concatenate(([0.0], slope, [0.0])),
+                  np.concatenate(([values[0]], values)))
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_lookup", lookup)
-
-    def _segments(self, x):
-        """Padded segment p of each x and its offset x - left[p], with x
-        clamped into the grid first (NaN to grid[0])."""
-        base, inv_step, bounds, left = self._lookup[:4]
-        x = np.fmin(np.fmax(x, self.grid[0]), self.grid[-1])
-        p = ((x - base) * inv_step).astype(np.intp)
-        p -= x < bounds[p]
-        p += x >= bounds[p + 1]
-        return p, x - left[p]
-
-    def _interpolate(self, segments):
-        """Interpolated values on segments from _segments, which tables
-        on one grid share."""
-        p, dx = segments
-        slope, values = self._lookup[4:]
-        return slope[p] * dx + values[p]
 
     @scalar_in_scalar_out
     def evaluate(self, x):
@@ -256,7 +226,6 @@ class KernelTable:
     def to_text(self):
         """Two-column text block (x, K) with the full spec in the header."""
         s = self.spec
-        rule = self.classical_tail
         header = [
             "sampling kernel table",
             "k = %d" % s.k,
@@ -265,8 +234,8 @@ class KernelTable:
             "x0 = %.12g" % s.x0,
             "f_truncation = %d" % s.f_truncation,
             "tail: classical + %.15e * (x0/|x|)^%d (odd-parity signed)"
-            % (rule.edge_gap, rule.decay_power),
-            "offset removed from series part: %.15e" % rule.offset,
+            % (self.edge_gap, _decay_power(s.k)),
+            "offset removed from series part: %.15e" % self.offset,
             "columns: " + TABLE_COLUMNS,
         ]
         return textio.render(header, (
@@ -278,9 +247,9 @@ class KernelTable:
         """Rebuild a table from its to_text() representation.
 
         Malformed input raises ValueError naming the offending line or
-        the missing header key; the tail and offset lines are required.
-        The last row must hold the header's tail rule at x0 to
-        EDGE_MATCH_RTOL relative, as every built table does
+        the missing header key; the tail and offset lines are required,
+        their numbers finite.  The last row must hold the header's tail
+        at x0 to EDGE_MATCH_RTOL relative, as every built table does
         (quantum_kernel switches to the tail at |x| = x0): a table whose
         header names another k or tail is rejected, naming that row,
         even where the tail power agrees, as it does for all even k.
@@ -293,12 +262,11 @@ class KernelTable:
             x0=art.field("x0 =", _check_x0),
             f_truncation=art.field("f_truncation =", _check_f_truncation),
         )
-        rule = TailRule(spec.x0,
-                        *art.field("tail:", lambda t: _parse_tail(t, spec.k)),
-                        art.field("offset removed:", float))
         grid, values = art.rows.T
-        table = cls(spec=spec, grid=grid, values=values, classical_tail=rule)
-        edge = _tail_value(spec.k, spec.x0, rule)
+        gap = art.field("tail:", lambda t: _parse_tail(t, spec.k))
+        table = cls(spec=spec, grid=grid, values=values, edge_gap=gap,
+                    offset=art.field("offset removed:", _check_offset))
+        edge = _tail_value(spec, table.edge_gap, spec.x0)
         if not abs(values[-1] - edge) <= EDGE_MATCH_RTOL * abs(edge):
             raise art.error(
                 values.size - 1,
@@ -315,9 +283,8 @@ def table_evaluator(tables):
     When every table is a KernelTable (not a subclass or a stand-in)
     and all share one grid (np.array_equal) and one x0, _lookup_all
     finds the segments and tail positions once per x for all tables.
-    Any other table set, such as objects that only offer .spec and
-    .evaluate, goes through evaluate table by table, which runs the
-    same lookup for one KernelTable.
+    Any other table set, such as stand-ins that only offer .spec and
+    .evaluate, runs evaluate, the same lookup, table by table.
     """
     tables = list(tables)
     first = tables[0]
@@ -329,26 +296,32 @@ def table_evaluator(tables):
 
 def _lookup_all(tables, x):
     """Values at 1-d x of KernelTables on one grid with one x0, one table
-    at a time: each costs two gathers and a multiply-add, plus its tail
-    rule where |x| <= x0 fails (NaN and +-inf included)."""
+    at a time.  x, clamped into the grid (NaN to grid[0]), finds its
+    padded segment p once (see KernelTable); each table then costs two
+    gathers and a multiply-add, plus its tail where |x| <= x0 fails."""
     first = tables[0]
-    segments = first._segments(x)
+    base, inv_step, bounds = first._lookup[:3]
+    clamped = np.fmin(np.fmax(x, first.grid[0]), first.grid[-1])
+    p = ((clamped - base) * inv_step).astype(np.intp)
+    p -= clamped < bounds[p]
+    p += clamped >= bounds[p + 1]
+    dx = clamped - bounds[p]
     tail = np.flatnonzero(~(np.abs(x) <= first.spec.x0))
     x_tail = x[tail]
     for t in tables:
-        values = t._interpolate(segments)
-        values[tail] = _tail_value(t.spec.k, x_tail, t.classical_tail)
-        yield values
+        slope, values = t._lookup[3:]
+        out = slope[p] * dx + values[p]
+        out[tail] = _tail_value(t.spec, t.edge_gap, x_tail)
+        yield out
 
 
 def _parse_tail(text, k):
-    """(edge_gap, decay_power) from 'classical + G * (x0/|x|)^P ...',
-    where P must be _decay_power(k)."""
+    """edge_gap from 'classical + G * (x0/|x|)^P ...', where P must be
+    _decay_power(k) and G finite."""
     parts = text.split()
-    power = int(parts[4].split(")^")[1])
-    if power != _decay_power(k):
+    if int(parts[4].split(")^")[1]) != _decay_power(k):
         raise ValueError("k = %d needs tail power %d" % (k, _decay_power(k)))
-    return float(parts[2]), power
+    return _check_edge_gap(parts[2])
 
 
 def _decay_power(k):
@@ -426,13 +399,6 @@ def _series_weights(k, l0, eta):
         )
         weights[2 * l + k] = sign * math.exp(lw)
     return weights
-
-
-def _series_value(k, x, eta, l0):
-    """Hermite-series part of the kernel (without F_k), vectorized."""
-    x = np.asarray(x, dtype=float)
-    acc = hermite_fn_sum(_series_weights(k, l0, eta), x)
-    return acc * np.exp(0.5 * x * x) * (np.pi ** 0.25 / (2.0 * np.pi))
 
 
 def _hurwitz_zeta(s, q):
@@ -519,16 +485,14 @@ def _f_inner_sum(k, n, truncation):
     return math.fsum([*np.exp(log_t).tolist(), float(tail)])
 
 
-@scalar_in_scalar_out
 def poly_F(k, x, eta=1.0, f_truncation=DEFAULT_F_TRUNCATION):
-    """Polynomial part F_k(x; eta) of the kernel series.
+    """Polynomial part F_k(x; eta) of the kernel series at the array x.
 
     F_k(x; eta) = [2 pi (2 eta)^{k/2}]^{-1} sum_{n=1}^{floor((k-1)/2)}
         (-2 eta)^n [(k-n)!/(k-2n)!] H_{k-2n}(x) T_n
     with T_n the inner l-sums handled by _f_inner_sum.  Degree k-2; the
     sum is empty (identically zero) for k <= 2.
     """
-    _check_k(k)
     out = np.zeros_like(x)
     for n in range(1, (k - 1) // 2 + 1):
         amp = (
@@ -541,8 +505,10 @@ def poly_F(k, x, eta=1.0, f_truncation=DEFAULT_F_TRUNCATION):
     return out
 
 
-def _window_value(k, x_abs, eta, l0, f_truncation):
-    """Series + F_k on |x| values (no offset removal, no tail).
+def _window_value(spec, x_abs):
+    """Hermite series + F_k of spec on the array of |x| values x_abs (no
+    offset removal, no tail), the series in the oscillator-function form
+    of _series_weights.
 
     For eta < 1 the series is evaluated at sqrt(eta) x.  The coefficient
     scaling eta^{-(l+k/2)} compensates the smearing of data expressed in
@@ -552,13 +518,15 @@ def _window_value(k, x_abs, eta, l0, f_truncation):
     this pairing the compensated identity holds at machine precision,
     and the kernel keeps the perfect-detection classical asymptote.
     """
-    u = np.sqrt(eta) * np.asarray(x_abs, dtype=float)
-    return _series_value(k, u, eta, l0) + poly_F(k, u, eta, f_truncation)
+    u = np.sqrt(spec.eta) * x_abs
+    series = hermite_fn_sum(_series_weights(spec.k, spec.l0, spec.eta), u)
+    return (series * np.exp(0.5 * u * u) * (np.pi ** 0.25 / (2.0 * np.pi))
+            + poly_F(spec.k, u, spec.eta, spec.f_truncation))
 
 
 @lru_cache(maxsize=None)
-def _edge_fit(k, eta, l0, x0, f_truncation):
-    """TailRule for the window/tail junction.
+def _edge_fit(spec):
+    """(offset, edge_gap) of the window/tail junction of spec's kernel.
 
     offset: even-k additive constant separating the series solution from
     the zero-constant classical asymptote, fitted as the mean difference
@@ -569,37 +537,25 @@ def _edge_fit(k, eta, l0, x0, f_truncation):
     edge_gap: remaining series-minus-classical difference at x0 after
     offset removal; the tail decays it with _decay_power(k).
     """
+    k, x0 = spec.k, spec.x0
     if k % 2:
-        offset = 0.0
-        edge = float(
-            _window_value(k, np.array([x0]), eta, l0, f_truncation)[0]
-            - classical_kernel(k, x0)
-        )
-    else:
-        band = np.linspace(max(x0 - 1.0, 0.5 * x0), x0, EDGE_FIT_POINTS)
-        diff = _window_value(k, band, eta, l0, f_truncation) - classical_kernel(
-            k, band
-        )
-        design = np.column_stack([np.ones_like(band), (x0 / band) ** 2])
-        (offset, edge), *_ = np.linalg.lstsq(design, diff, rcond=None)
-        offset = float(offset)
-        edge = float(edge)
-    return TailRule(
-        x0=x0,
-        edge_gap=edge,
-        decay_power=_decay_power(k),
-        offset=offset,
-    )
+        return 0.0, float(_window_value(spec, np.array([x0]))[0]
+                          - classical_kernel(k, x0))
+    band = np.linspace(max(x0 - 1.0, 0.5 * x0), x0, EDGE_FIT_POINTS)
+    diff = _window_value(spec, band) - classical_kernel(k, band)
+    design = np.column_stack([np.ones_like(band), (x0 / band) ** 2])
+    (offset, edge), *_ = np.linalg.lstsq(design, diff, rcond=None)
+    return float(offset), float(edge)
 
 
-def _tail_value(k, x, rule):
-    """Classical limit plus the matched algebraic correction at signed
-    x, odd in x for odd k and even for even k."""
+def _tail_value(spec, edge_gap, x):
+    """Kernel of spec at x with |x| >= x0: the classical limit plus the
+    matched algebraic correction, odd in x for odd k and even for even
+    k.  Tables and quantum_kernel both take their tail from here."""
     ax = np.abs(x)
-    tail = classical_kernel(k, ax) + rule.edge_gap * (
-        rule.x0 / ax
-    ) ** rule.decay_power
-    return tail * np.sign(x) if k % 2 else tail
+    tail = (classical_kernel(spec.k, ax)
+            + edge_gap * (spec.x0 / ax) ** _decay_power(spec.k))
+    return tail * np.sign(x) if spec.k % 2 else tail
 
 
 @scalar_in_scalar_out
@@ -614,16 +570,12 @@ def quantum_kernel(k, x, eta=1.0, l0=DEFAULT_L0, x0=DEFAULT_X0,
     kernel, even k an even one.
     """
     spec = KernelSpec(k=k, eta=eta, l0=l0, x0=x0, f_truncation=f_truncation)
+    offset, edge_gap = _edge_fit(spec)
     out = np.empty_like(x)
-    rule = _edge_fit(k, eta, l0, x0, f_truncation)
     inside = np.abs(x) < x0
-    if np.any(inside):
-        window = _window_value(
-            k, np.abs(x[inside]), eta, l0, f_truncation
-        ) - rule.offset
-        out[inside] = window * np.sign(x[inside]) if k % 2 else window
-    if np.any(~inside):
-        out[~inside] = _tail_value(k, x[~inside], rule)
+    window = _window_value(spec, np.abs(x[inside])) - offset
+    out[inside] = window * np.sign(x[inside]) if k % 2 else window
+    out[~inside] = _tail_value(spec, edge_gap, x[~inside])
     return out
 
 
@@ -731,16 +683,13 @@ def build_kernel_table(spec, grid_step=DEFAULT_GRID_STEP):
     """Tabulate quantum_kernel on [-x0, x0] for fast repeated lookups.
 
     The grid is symmetric and includes both endpoints; evaluation
-    interpolates linearly inside and delegates to the classical tail
-    rule outside.  The step default keeps the interpolation error far
-    below the series accuracy.
+    interpolates linearly inside and takes the tail outside.  The step
+    default keeps the interpolation error far below the series accuracy.
     """
     n_half = _half_nodes(spec.x0, grid_step)
     grid = np.linspace(-spec.x0, spec.x0, 2 * n_half + 1)
-    values = quantum_kernel(
-        spec.k, grid, spec.eta, spec.l0, spec.x0, spec.f_truncation
-    )
-    rule = _edge_fit(spec.k, spec.eta, spec.l0, spec.x0, spec.f_truncation)
-    return KernelTable(
-        spec=spec, grid=grid, values=np.asarray(values), classical_tail=rule
-    )
+    values = quantum_kernel(spec.k, grid, spec.eta, spec.l0, spec.x0,
+                            spec.f_truncation)
+    offset, edge_gap = _edge_fit(spec)
+    return KernelTable(spec=spec, grid=grid, values=values,
+                       edge_gap=edge_gap, offset=offset)

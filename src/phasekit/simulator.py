@@ -65,6 +65,7 @@ BOUND_STEP = 0.02
 # max over tau in [0, 1] of |tau (1 - tau) (tau - 1/2)|
 _M_HALF = 1.0 / (12.0 * math.sqrt(3.0))
 RECORD_COLUMNS = "x"
+_check_seed = textio.integer_at_least("seed", 0)
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class ExperimentPlan:
     events_per_phase  number of events n(theta_l) recorded at each of
                       the N equidistant phases theta_l = 2 pi l / N
     eta               detector efficiency, in (0, 1]
-    seed              base seed; each phase gets its own child stream
+    seed              integer >= 0; each phase gets its own child stream
     """
 
     state: StateSpec
@@ -97,6 +98,7 @@ class ExperimentPlan:
             raise ValueError("every phase needs at least one event")
         smearing_sigma(self.eta)  # ValueError unless 0 < eta <= 1
         object.__setattr__(self, "events_per_phase", counts)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
     @property
     def n_phases(self):
@@ -460,5 +462,5 @@ def _record_plan(art):
         state=art.field("state:", _parse_state),
         events_per_phase=art.field("events_per_phase:", counts),
         eta=art.field("eta:", _efficiency),
-        seed=art.field("seed:", int),
+        seed=art.field("seed:", _check_seed),
     )

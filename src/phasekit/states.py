@@ -43,8 +43,8 @@ class StateSpec:
 
     kind         one of vacuum | fock | coherent | squeezed_vacuum |
                  displaced_fock
-    alpha        displacement amplitude (coherent, displaced_fock)
-    squeeze      squeeze parameter xi = s e^{i theta} (squeezed_vacuum)
+    alpha        finite displacement amplitude (coherent, displaced_fock)
+    squeeze      finite squeeze parameter xi = s e^{i theta} (squeezed_vacuum)
     fock_n       photon number (fock, displaced_fock), an integer >= 0
     n_max        Fock-space truncation, an integer >= 0
     """
@@ -61,6 +61,8 @@ class StateSpec:
                 "unknown state kind %r; expected one of %s"
                 % (self.kind, ", ".join(STATE_KINDS))
             )
+        if not np.isfinite([self.alpha, self.squeeze]).all():
+            raise ValueError("non-finite alpha or squeeze in %r" % (self,))
         object.__setattr__(self, "n_max", _check_n_max(self.n_max))
         object.__setattr__(self, "fock_n", _check_fock_n(self.fock_n))
 

@@ -23,7 +23,6 @@ is parse's own.
 """
 
 import itertools
-import math
 import operator
 import re
 import warnings
@@ -40,7 +39,7 @@ def integer_at_least(name, low):
     returns it as an int, or raises ValueError stating the range for
     any other value, inf and NaN included."""
     def check(value):
-        if not low <= float(value) < math.inf or int(value) != float(value):
+        if not (low <= float(value) and float(value).is_integer()):
             raise ValueError("%s must be an integer >= %d, not %r"
                              % (name, low, value))
         return int(value)

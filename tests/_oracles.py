@@ -157,7 +157,7 @@ def interp_table_value(table, x):
     out = np.empty_like(x)
     inside = np.abs(x) <= table.spec.x0
     out[inside] = np.interp(x[inside], table.grid, table.values)
-    tail = _tail_value(table.spec.k, np.abs(x[~inside]), table.classical_tail)
+    tail = _tail_value(table.spec, table.edge_gap, np.abs(x[~inside]))
     if table.spec.k % 2:
         tail = tail * np.sign(x[~inside])
     out[~inside] = tail

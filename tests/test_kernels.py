@@ -181,6 +181,21 @@ def test_kernel_tail_is_continuous_at_switch_point(default_tables):
         assert abs(inner - outer) < 1e-6
 
 
+@pytest.mark.parametrize("eta", [1.0, 0.8])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_table_and_kernel_share_one_tail(k, eta):
+    """At x0 and beyond, a table gives quantum_kernel's value bit for
+    bit: both take the one tail formula with the same two numbers."""
+    table = build_kernel_table(KernelSpec(k=k, eta=eta))
+    x0 = table.spec.x0
+    x = np.array([x0, x0 + 1e-9, 5.0, 40.0, np.inf])
+    x = np.concatenate([x, -x])
+    assert np.array_equal(bits(table.evaluate(x)),
+                          bits(quantum_kernel(k, x, eta)))
+    assert np.isnan(table.evaluate(np.nan))
+    assert np.isnan(quantum_kernel(k, np.nan, eta))
+
+
 def test_table_evaluate_matches_direct_series(default_tables):
     x = np.linspace(-3.9, 3.9, 27)
     for k in (1, 2):
@@ -194,8 +209,11 @@ def test_table_text_round_trip(default_tables):
     assert clone.spec == table.spec
     assert np.allclose(clone.grid, table.grid, atol=1e-6)
     assert np.allclose(clone.values, table.values, rtol=1e-14)
-    assert np.isclose(clone.classical_tail.edge_gap,
-                      table.classical_tail.edge_gap, rtol=1e-14)
+    assert np.isclose(clone.edge_gap, table.edge_gap, rtol=1e-14)
+    assert clone.offset == table.offset == 0.0
+    even = default_tables[4]
+    assert np.isclose(KernelTable.from_text(even.to_text()).offset,
+                      even.offset, rtol=1e-14)
     x = np.linspace(-8.0, 8.0, 33)
     assert np.allclose(clone.evaluate(x), table.evaluate(x), atol=1e-6)
 
@@ -376,7 +394,7 @@ def test_table_rejects_grid_off_the_uniform_lattice(default_tables):
     grid[700] += 0.3 * (grid[1] - grid[0])
     with pytest.raises(ValueError, match="grid node 700"):
         KernelTable(spec=table.spec, grid=grid, values=table.values,
-                    classical_tail=table.classical_tail)
+                    edge_gap=table.edge_gap, offset=table.offset)
     text = table.to_text().replace("%.6f " % table.grid[3],
                                    "%.6f " % table.grid[2], 1)
     with pytest.raises(ValueError, match="grid node 3"):
@@ -609,8 +627,7 @@ def test_table_matches_mpmath_coefficient_table(k, eta, mpmath_tables):
     if k <= 2:
         # no F_k part, so only the bit-identical alternating sums enter
         assert np.array_equal(bits(table.values), bits(ref.values))
-        assert table.classical_tail == ref.classical_tail
+        assert (table.edge_gap, table.offset) == (ref.edge_gap, ref.offset)
     assert np.max(np.abs(table.values - ref.values)) <= 1e-12
     for name in ("edge_gap", "offset"):
-        assert abs(getattr(table.classical_tail, name)
-                   - getattr(ref.classical_tail, name)) <= 1e-12
+        assert abs(getattr(table, name) - getattr(ref, name)) <= 1e-12

@@ -77,6 +77,19 @@ def test_plan_rejects_fractional_event_counts(make, phase, count):
         make()
 
 
+@pytest.mark.parametrize("seed", [-7, 2.5, math.nan])
+def test_plan_rejects_a_seed_that_is_not_a_whole_number_at_least_zero(seed):
+    with pytest.raises(ValueError,
+                       match=r"^seed must be an integer >= 0, not %r$" % seed):
+        ExperimentPlan(state=SQUEEZED, events_per_phase=(10,), seed=seed)
+
+
+def test_plan_keeps_a_large_seed_exactly():
+    plan = ExperimentPlan(state=SQUEEZED, events_per_phase=(10,),
+                          seed=2 ** 63 - 1)
+    assert plan.seed == 2 ** 63 - 1
+
+
 def test_plan_takes_whole_float_event_counts():
     plan = ExperimentPlan(state=SQUEEZED, events_per_phase=(2.0, 3))
     assert plan.events_per_phase == (2, 3)

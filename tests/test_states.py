@@ -54,6 +54,15 @@ def test_state_spec_rejects_non_integral_sizes(field, value):
         StateSpec(kind="fock", **{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("alpha", complex("inf")), ("alpha", complex("nan+1j")),
+    ("squeeze", math.nan), ("squeeze", complex(0.5, math.inf)),
+])
+def test_state_spec_rejects_non_finite_amplitudes(field, value):
+    with pytest.raises(ValueError, match="^non-finite alpha or squeeze in "):
+        StateSpec(kind="coherent", **{field: value})
+
+
 def test_state_spec_stores_integral_sizes_as_int():
     spec = StateSpec(kind="fock", fock_n=2.0, n_max=6.0)
     assert (spec.fock_n, spec.n_max) == (2, 6)

@@ -39,7 +39,7 @@ from .reconstruct import _check_K, _check_method, _check_reg_lambda, \
     save_distribution
 from .simulator import ExperimentPlan, run_experiment, save_records, \
     load_records, _efficiency, _format_complex
-from .states import CAPTURE_TOL, StateSpec
+from .states import CAPTURE_TOL, StateSpec, _check_capture_tol
 
 OUTPUT_DIR_ENV = "PHASEKIT_OUTPUT_DIR"
 
@@ -102,11 +102,12 @@ _COMPLEX = (_finite(complex), _format_complex)
 _BOOL = (_parse_bool, lambda v: "true" if v else "false")
 _METHOD = (_check_method, str)
 # Parameters in the ranges their consumers check: the kernel module,
-# the simulator's efficiency and the reconstruction.
+# build_state, the simulator's efficiency and the reconstruction.
 _L0 = (_check_l0, _INT[1])
 _F_TRUNCATION = (_check_f_truncation, _INT[1])
 _X0 = (_check_x0, _REAL[1])
 _GRID_STEP = (_check_grid_step, _REAL[1])
+_CAPTURE_TOL = (_check_capture_tol, _REAL[1])
 _ETA = (_efficiency, _REAL[1])
 _RECON_K = (_check_K, _INT[1])
 _REG_LAMBDA = (_check_reg_lambda, _REAL[1])
@@ -120,7 +121,7 @@ _CONFIG_KEYS = {
     "state.squeeze": ("state", "squeeze", _COMPLEX),
     "state.fock_n": ("state", "fock_n", _INT),
     "state.n_max": ("state", "n_max", _INT),
-    "state.capture_tol": ("run", "capture_tol", _REAL),
+    "state.capture_tol": ("run", "capture_tol", _CAPTURE_TOL),
     "plan.n_phases": ("run", "n_phases", _COUNT),
     "plan.events_per_phase": ("run", "events_per_phase", _COUNTS),
     "plan.eta": ("run", "eta", _ETA),

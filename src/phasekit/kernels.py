@@ -152,7 +152,7 @@ class KernelSpec:
         _check_f_truncation(self.f_truncation)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelTable:
     """Tabulated kernel: its spec, its nodes and two tail numbers.
 
@@ -180,7 +180,7 @@ class KernelTable:
     values: np.ndarray
     edge_gap: float
     offset: float
-    _lookup: tuple = field(init=False, repr=False, compare=False)
+    _lookup: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -311,7 +311,8 @@ def _lookup_all(tables, x):
     for t in tables:
         slope, values = t._lookup[3:]
         out = slope[p] * dx + values[p]
-        out[tail] = _tail_value(t.spec, t.edge_gap, x_tail)
+        if tail.size:
+            out[tail] = _tail_value(t.spec, t.edge_gap, x_tail)
         yield out
 
 

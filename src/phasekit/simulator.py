@@ -2,7 +2,7 @@
 
 Draws quadrature samples at equidistant local-oscillator phases by
 inverse-CDF sampling from the exact quadrature distribution of a
-truncated state (decomposed once per run into phase harmonics, so each
+truncated state (decomposed once per state into phase harmonics, so each
 phase's density is a single matvec), models detector efficiency
 eta < 1 as additive Gaussian noise of width kernels.smearing_sigma(eta)
 on the ideal samples (the convolution picture of a lossy detector), and
@@ -39,6 +39,7 @@ xi = -1.31, n_max = 20) samples at 18 GRID_STEP on 1269 nodes, against
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -332,11 +333,22 @@ def phase_stream(seed, l):
     )
 
 
+@lru_cache(maxsize=1)
+def _state_sampler(state, capture_tol):
+    """The last state's CDF grid and phase harmonics, read-only; a state
+    that build_state refuses raises on every call."""
+    rho = build_state(state, capture_tol=capture_tol)
+    grid = _sampling_grid(rho)
+    harmonics = quadrature_harmonics(rho, grid)
+    grid.flags.writeable = harmonics.flags.writeable = False
+    return grid, harmonics
+
+
 def run_experiment(plan, capture_tol=CAPTURE_TOL):
     """Simulate the full run described by plan.
 
     The quadrature distribution is decomposed into phase harmonics once
-    per run (states.quadrature_harmonics, O(n_max^2 G) on the G-point
+    per state (states.quadrature_harmonics, O(n_max^2 G) on the G-point
     CDF grid), so each phase's density costs one O(n_max G) matvec
     before it goes through the same CDF table and inverse transform as
     sample_quadrature: a guide table built in O(G) places each draw in
@@ -346,18 +358,15 @@ def run_experiment(plan, capture_tol=CAPTURE_TOL):
     same one sample_quadrature uses, has the largest step m GRID_STEP
     whose Kolmogorov-distance bound C3(h) h^3 + C4 h^4 (plus the mass
     the checks admit) stays within CDF_TOL (m = 1 when none does; see
-    the module docstring).  C3 and C4 come from the state alone, not
-    from the plan's phases, in a few milliseconds.  The acceptance state
-    samples at 18 GRID_STEP (1269 nodes, not 22 807), the coherent state
-    of the replications benchmark at 58 GRID_STEP (421 nodes, not 8095).
-    Each phase draws from its own deterministic child stream, so the
-    set is reproducible and phase results do not depend on execution
-    order.  With eta < 1 the stream also supplies the Gaussian detector
-    noise added to each ideal sample.
+    the module docstring).  The grid, its bound's C3 and C4, and the
+    harmonics depend on the state alone, not on the plan's phases or
+    seed; _state_sampler keeps the last state's, so consecutive runs on
+    one state build them once.  Each phase draws from its own
+    deterministic child stream, so the set is reproducible and phase
+    results do not depend on execution order.  With eta < 1 the stream
+    also supplies the Gaussian detector noise added to each sample.
     """
-    rho = build_state(plan.state, capture_tol=capture_tol)
-    grid = _sampling_grid(rho)
-    harmonics = quadrature_harmonics(rho, grid)
+    grid, harmonics = _state_sampler(plan.state, capture_tol)
     sigma = smearing_sigma(plan.eta)
     records = []
     for l, (theta, count) in enumerate(

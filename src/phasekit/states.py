@@ -37,6 +37,12 @@ _check_n_max = textio.integer_at_least("n_max", 0)
 _check_fock_n = textio.integer_at_least("fock_n", 0)
 
 
+def _check_capture_tol(value):
+    if not 0.0 <= float(value) <= 1.0:
+        raise ValueError("capture_tol must lie in [0, 1], not %r" % value)
+    return float(value)
+
+
 @dataclass(frozen=True)
 class StateSpec:
     """Recipe for a test state.
@@ -181,8 +187,9 @@ def build_state(spec, capture_tol=CAPTURE_TOL):
     vector is renormalized.  Raises when the window would swallow more
     than capture_tol of the state: silent truncation of a state that
     does not fit would corrupt every downstream comparison.  Tests that
-    deliberately study hard-truncated states can widen capture_tol.
+    deliberately study hard-truncated states can widen capture_tol, up to 1.
     """
+    capture_tol = _check_capture_tol(capture_tol)
     n_big = max(2 * spec.n_max + 20, spec.n_max + 60)
     c = _extended_amplitudes(spec, n_big)
     captured = float(np.sum(np.abs(c[: spec.n_max + 1]) ** 2))

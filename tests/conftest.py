@@ -1,8 +1,21 @@
-"""Shared fixtures: kernel tables and reference states built once per run."""
+"""Shared fixtures: kernel tables and reference states built once per run,
+and a fresh simulator state cache for every test."""
 
 import pytest
 
 from phasekit import KernelSpec, StateSpec, build_kernel_table, build_state
+from phasekit import simulator
+
+
+@pytest.fixture(autouse=True)
+def fresh_state_sampler():
+    """run_experiment keeps the last state's grid and harmonics.  Clear
+    them around each test, so no test samples a state another test (or
+    a monkeypatched builder) left behind, and a test that patches the
+    builder always reaches it."""
+    simulator._state_sampler.cache_clear()
+    yield
+    simulator._state_sampler.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -620,7 +620,7 @@ valid_configs = st.builds(
         squeeze=st.complex_numbers(allow_nan=False, allow_infinity=False),
         fock_n=st.integers(0, 100), n_max=st.integers(0, 200),
     ),
-    capture_tol=finite, n_phases=counts,
+    capture_tol=st.floats(0.0, 1.0), n_phases=counts,
     events_per_phase=st.lists(counts, min_size=1, max_size=5).map(tuple),
     eta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
     kernel_l0=st.integers(0, 80), kernel_x0=positive,
@@ -695,7 +695,8 @@ def test_parse_config_rejects_counts_below_one(key, value):
 
 @pytest.mark.parametrize("key, value", [
     ("kernel.l0", "-1"), ("kernel.f_truncation", "0"),
-    ("estimate.k_max", "0"), ("seed", "-1"),
+    ("estimate.k_max", "0"), ("seed", "-1"), ("state.capture_tol", "nan"),
+    ("state.capture_tol", "-0.1"), ("state.capture_tol", "1.5"),
 ])
 def test_parse_config_rejects_out_of_range_values(key, value):
     with pytest.raises(ValueError, match="^line 3: bad value for %s: " % key):
@@ -721,6 +722,24 @@ def test_bad_later_stage_value_exits_2_naming_its_line_before_any_output(
     assert capsys.readouterr().err == (
         "error: line %d: bad value for %s: %s\n" % (i + 1, key, reason))
     assert not (out / "records.txt").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "-0.1", "1.5"])
+def test_capture_tol_outside_unit_interval_exits_2_naming_its_line(
+        tmp_path, capsys, value):
+    lines = small_config().to_text().splitlines()
+    i = next(i for i, ln in enumerate(lines)
+             if ln.startswith("state.capture_tol ="))
+    lines[i] = "state.capture_tol = " + value
+    path = tmp_path / "run.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    ret = main(["simulate", "--config", str(path), "--output-dir", str(out)])
+    assert ret == 2
+    assert capsys.readouterr().err == (
+        "error: line %d: bad value for state.capture_tol: capture_tol must "
+        "lie in [0, 1], not '%s'\n" % (i + 1, value))
+    assert not out.exists()
 
 
 @given(key=st.sampled_from(["kernel.x0", "kernel.grid_step"]),

@@ -420,6 +420,14 @@ def test_table_evaluate_of_2d_input_is_the_raveled_result(k,
                           flat.reshape(x.shape).T)
 
 
+def test_tables_compare_and_hash_by_identity(default_tables):
+    table = default_tables[1]
+    clone = KernelTable.from_text(table.to_text())
+    assert table == table and table != clone
+    assert hash(table) == hash(table)
+    assert len({table, clone, table}) == 2
+
+
 def test_table_text_round_trip_is_byte_identical(default_tables):
     for k in (1, 2):
         text = default_tables[k].to_text()

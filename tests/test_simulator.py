@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from _oracles import quadratic_form_pdf
+from phasekit import simulator
 from phasekit.simulator import (
     ExperimentPlan,
     MeasurementSet,
@@ -151,6 +152,51 @@ def test_run_experiment_is_deterministic():
         capture_tol=0.05,
     )
     assert not np.array_equal(first.records[0], reseeded.records[0])
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.8])
+def test_warm_run_is_bit_identical_to_a_cold_run(eta):
+    plan = ExperimentPlan.uniform(SQUEEZED, n_phases=4, events=300,
+                                  eta=eta, seed=42)
+    cold = run_experiment(plan, capture_tol=0.05)
+    warm = run_experiment(plan, capture_tol=0.05)
+    info = simulator._state_sampler.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    for a, b in zip(cold.records, warm.records):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_kept_grid_and_harmonics_are_read_only():
+    grid, harmonics = simulator._state_sampler(SQUEEZED, 0.05)
+    assert simulator._state_sampler(SQUEEZED, 0.05)[1] is harmonics
+    for arr in (grid, harmonics):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def test_another_state_or_capture_tol_misses_the_kept_state():
+    coherent = StateSpec(kind="coherent", alpha=1.0, n_max=25)
+    plan = ExperimentPlan.uniform(coherent, n_phases=2, events=10)
+    wider = ExperimentPlan.uniform(StateSpec(kind="coherent", alpha=1.0,
+                                             n_max=26), n_phases=2, events=10)
+    run_experiment(plan)
+    run_experiment(plan)
+    run_experiment(plan, capture_tol=1.0e-3)
+    run_experiment(wider)
+    run_experiment(plan)
+    info = simulator._state_sampler.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 4, 1)
+
+
+def test_a_refused_state_raises_on_every_call():
+    plan = ExperimentPlan.uniform(StateSpec(kind="coherent", alpha=5.0,
+                                            n_max=3), n_phases=2, events=10)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="captures only"):
+            run_experiment(plan)
+        with pytest.raises(ValueError, match="capture_tol must lie in"):
+            run_experiment(plan, capture_tol=math.nan)
+    assert simulator._state_sampler.cache_info().currsize == 0
 
 
 def test_phase_streams_are_independent():

@@ -365,3 +365,19 @@ def test_density_matrix_text_dump(rho_coherent_unit):
     row = text.splitlines()[2].split()
     assert int(row[0]) == 0 and int(row[1]) == 0
     assert np.isclose(float(row[2]), math.exp(-1.0), atol=1e-12)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -0.1, 1.5])
+def test_build_state_refuses_capture_tol_outside_unit_interval(tol):
+    spec = StateSpec(kind="coherent", alpha=5.0, n_max=3)
+    with pytest.raises(ValueError,
+                       match=r"^capture_tol must lie in \[0, 1\], not "):
+        build_state(spec, capture_tol=tol)
+
+
+def test_build_state_accepts_capture_tol_at_both_ends():
+    assert build_state(StateSpec(kind="vacuum", n_max=0),
+                       capture_tol=0.0).n_max == 0
+    # keeps 4e-8 of the norm: only the widest tolerance admits it
+    build_state(StateSpec(kind="coherent", alpha=5.0, n_max=3),
+                capture_tol=1.0)

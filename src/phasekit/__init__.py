@@ -9,12 +9,9 @@ simulation (simulator), moment estimation with error analysis
 from .estimator import (
     MomentEstimate,
     aliasing_bias,
-    aliasing_bias_approx,
     estimate_all,
-    estimate_moment,
     kernel_overlaps,
     load_moments,
-    q_matrix_element,
     save_moments,
     smear_bias,
 )
@@ -60,12 +57,10 @@ __all__ = [
     "PhaseDistribution",
     "StateSpec",
     "aliasing_bias",
-    "aliasing_bias_approx",
     "build_kernel_table",
     "build_state",
     "classical_kernel",
     "estimate_all",
-    "estimate_moment",
     "exact_moments",
     "exact_phase_dist",
     "fourier_reconstruct",
@@ -74,7 +69,6 @@ __all__ = [
     "load_distribution",
     "load_moments",
     "load_records",
-    "q_matrix_element",
     "quadrature_pdf",
     "quantum_kernel",
     "run_experiment",

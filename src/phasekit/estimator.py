@@ -7,12 +7,11 @@ variance of the sample average, systematic bias from measuring at a
 finite number of phases (aliasing), and systematic bias from detector
 smearing when no compensated kernel is used.
 
-estimate_moment is the one-order case of estimate_all: both run one
-reduction over the records through kernels.table_evaluator.  Every
-kernel integral of the error analysis is an entry of one overlap
-matrix, kernel_overlaps: q_matrix_element reads one element,
-aliasing_bias sums the elements that fold into order k, and smear_bias
-reads the k-th subdiagonal for the smearing-error kernel.
+estimate_all runs one reduction over the records through
+kernels.table_evaluator.  Every kernel integral of the error analysis
+is an entry of one overlap matrix, kernel_overlaps: aliasing_bias sums
+the elements that fold into order k, and smear_bias reads the k-th
+subdiagonal for the smearing-error kernel.
 """
 
 import cmath
@@ -25,7 +24,6 @@ from . import textio
 from .kernels import DEFAULT_X0, smear_error_kernel, smearing_sigma, \
     table_evaluator
 from .specfun import psi_matrix
-from .states import exact_moments
 
 QUAD_NODES_PER_PANEL = 40
 INNER_PANELS = 16
@@ -137,7 +135,14 @@ def _assemble(k, phases, stats, compensated, eta_assumed):
 
 def _estimate(ms, by_k):
     """Estimates for the orders of by_k (k -> kernel table), in its
-    order, from one pass over the records with the tables checked."""
+    order, from one pass over the records with the tables checked; k
+    may reach N.
+
+    value  = (2 pi / N) sum_l e^{i k theta_l} mean_r K_k[x_r(theta_l)]
+    var_re = (2 pi / N)^2 sum_l cos^2(k theta_l) s_l^2 / n(theta_l)
+    and var_im with sin^2, where s_l^2 is the per-phase sample variance
+    of the kernel values.
+    """
     flags = {k: _check_table(ms, k, table) for k, table in by_k.items()}
     evaluate_all = table_evaluator(by_k.values())
     stats = {k: [] for k in by_k}
@@ -150,24 +155,13 @@ def _estimate(ms, by_k):
     ]
 
 
-def estimate_moment(ms, k, table):
-    """Estimate Psi_k from a MeasurementSet with the given kernel table.
-
-    value  = (2 pi / N) sum_l e^{i k theta_l} mean_r K_k[x_r(theta_l)]
-    var_re = (2 pi / N)^2 sum_l cos^2(k theta_l) s_l^2 / n(theta_l)
-    and var_im with sin^2, where s_l^2 is the per-phase sample variance
-    of the kernel values.  Unlike estimate_all, k may reach N.
-    """
-    return _estimate(ms, {k: table})[0]
-
-
 def estimate_all(ms, k_max, tables):
     """Estimates for k = 1..k_max in one pass over the records.
 
     tables may be a dict keyed by k or any iterable of kernel tables.
-    Results are identical to calling estimate_moment per order.  The
-    order cap k_max must stay below the number of phases; beyond it the
-    discretization bias can dominate the estimate.
+    Results are identical to those of _estimate for one order at a
+    time.  The order cap k_max must stay below the number of phases;
+    beyond it the discretization bias can dominate the estimate.
 
     When the tables are KernelTables on one grid with one x0 (checked
     with np.array_equal, as built by build_kernel_table at one step),
@@ -228,28 +222,6 @@ def kernel_overlaps(kernel, x0, order_max):
     return 2.0 * np.pi * (psi * (w * kernel(x))) @ psi.T
 
 
-def _check_order(k, table):
-    if k < 1:
-        raise ValueError("moment order k must be >= 1")
-    if table.spec.k != k:
-        raise ValueError(
-            "kernel table is built for k=%d, not k=%d" % (table.spec.k, k)
-        )
-
-
-def q_matrix_element(k, m, n, table):
-    """Kernel matrix element Q_mn = 2 pi Int K_k psi_m psi_n dx.
-
-    Vanishes (to quadrature accuracy) when m + n + k is odd; equals 1
-    in the defining case m = n + k.
-    """
-    _check_order(k, table)
-    if m < 0 or n < 0:
-        raise ValueError("matrix element indices must be nonnegative")
-    return float(kernel_overlaps(table.evaluate, table.spec.x0,
-                                 max(m, n))[m, n])
-
-
 def aliasing_bias(rho, k, N, table):
     """Exact phase-discretization bias of the k-th moment at N phases.
 
@@ -258,7 +230,12 @@ def aliasing_bias(rho, k, N, table):
     weighted by the kernel matrix element Q_mn.  The sum is finite
     here because the state is truncated at n_max.
     """
-    _check_order(k, table)
+    if k < 1:
+        raise ValueError("moment order k must be >= 1")
+    if table.spec.k != k:
+        raise ValueError(
+            "kernel table is built for k=%d, not k=%d" % (table.spec.k, k)
+        )
     if N <= k:
         raise ValueError("aliasing analysis assumes N > k")
     if k + N > rho.n_max and N - k > rho.n_max:
@@ -268,42 +245,6 @@ def aliasing_bias(rho, k, N, table):
     gap = index[:, None] - index[None, :]
     folds = ((gap - k) % N == 0) & (gap != k)
     return complex(np.sum(rho.elements[folds] * q[folds]))
-
-
-def aliasing_bias_approx(rho, k, N):
-    """Higher-moment approximation to the aliasing bias.
-
-    Valid for highly excited states, where the kernel matrix elements
-    approach their classical values k/(sN +- k):
-
-      even N:  sum_s (-1)^{Ns/2} [ k/(sN+k) Psi_{k+Ns}
-                                 + k/(sN-k) Psi_{k-Ns} ]
-      odd  N:  sum_s (-1)^s [ k/(2sN+k) Psi_{k+2Ns}
-                            + k/(2sN-k) Psi_{k-2Ns} ]
-
-    (for odd N only even multiples of N couple, which is why doubling
-    the phase count is implicit in the odd-N form).  Moments beyond the
-    truncation vanish, which terminates the sum.
-    """
-    if N <= k:
-        raise ValueError("aliasing analysis assumes N > k")
-    bias = 0.0j
-    s = 1
-    while True:
-        if N % 2 == 0:
-            step = s * N
-            sign = (-1.0) ** ((N * s) // 2)
-        else:
-            step = 2 * s * N
-            sign = (-1.0) ** s
-        if k + step > rho.n_max and abs(k - step) > rho.n_max:
-            break
-        bias += sign * (
-            k / (step + k) * exact_moments(rho, k + step)
-            + k / (step - k) * exact_moments(rho, k - step)
-        )
-        s += 1
-    return bias
 
 
 def smear_bias(rho, k, eta):

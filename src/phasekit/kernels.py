@@ -66,9 +66,6 @@ DEFAULT_F_TRUNCATION = 1000
 # Tabulation step used by build_kernel_table, and the table row layout.
 DEFAULT_GRID_STEP = 0.005
 TABLE_COLUMNS = "x  K_k(x)"
-# How closely a loaded table's last value must match its tail at x0;
-# the '%.15e' text of a built table matches to ~4e-16.
-EDGE_MATCH_RTOL = 1.0e-9
 
 # Number of abscissas used to fit the even-k additive constant between
 # the series solution and the classical logarithm near the switch.
@@ -100,11 +97,11 @@ EM_DIVISORS = (12, -720, 30240, -1209600)
 
 # Validators of the kernel parameters: each takes a number or its text
 # and returns the checked value, or raises ValueError stating the range.
-def _finite(name, positive=False):
+def _finite_positive(name):
     def check(value):
-        if not (0.0 if positive else -math.inf) < float(value) < math.inf:
-            raise ValueError("%s must be finite%s, not %r"
-                             % (name, " and > 0" if positive else "", value))
+        if not 0.0 < float(value) < math.inf:
+            raise ValueError("%s must be finite and > 0, not %r"
+                             % (name, value))
         return float(value)
     return check
 
@@ -120,10 +117,8 @@ def _check_eta(value):
 _check_k = textio.integer_at_least("k", 1)
 _check_l0 = textio.integer_at_least("l0", 0)
 _check_f_truncation = textio.integer_at_least("f_truncation", 1)
-_check_x0 = _finite("x0", positive=True)
-_check_grid_step = _finite("grid step", positive=True)
-_check_edge_gap = _finite("edge gap")
-_check_offset = _finite("offset")
+_check_x0 = _finite_positive("x0")
+_check_grid_step = _finite_positive("grid step")
 
 
 @dataclass(frozen=True)
@@ -224,7 +219,8 @@ class KernelTable:
         return next(_lookup_all([self], x.ravel())).reshape(x.shape)
 
     def to_text(self):
-        """Two-column text block (x, K) with the full spec in the header."""
+        """Two-column text block (x, K) with the full spec in the header,
+        as `phasekit kernel-table` writes it; no stage reads it back."""
         s = self.spec
         header = [
             "sampling kernel table",
@@ -241,38 +237,6 @@ class KernelTable:
         return textio.render(header, (
             "%.6f %.15e" % row for row in zip(self.grid, self.values)
         ))
-
-    @classmethod
-    def from_text(cls, text):
-        """Rebuild a table from its to_text() representation.
-
-        Malformed input raises ValueError naming the offending line or
-        the missing header key; the tail and offset lines are required,
-        their numbers finite.  The last row must hold the header's tail
-        at x0 to EDGE_MATCH_RTOL relative, as every built table does
-        (quantum_kernel switches to the tail at |x| = x0): a table whose
-        header names another k or tail is rejected, naming that row,
-        even where the tail power agrees, as it does for all even k.
-        """
-        art = textio.parse(text.splitlines(), TABLE_COLUMNS)
-        spec = KernelSpec(
-            k=art.field("k =", _check_k),
-            eta=art.field("eta =", _check_eta),
-            l0=art.field("l0 =", _check_l0),
-            x0=art.field("x0 =", _check_x0),
-            f_truncation=art.field("f_truncation =", _check_f_truncation),
-        )
-        grid, values = art.rows.T
-        gap = art.field("tail:", lambda t: _parse_tail(t, spec.k))
-        table = cls(spec=spec, grid=grid, values=values, edge_gap=gap,
-                    offset=art.field("offset removed:", _check_offset))
-        edge = _tail_value(spec, table.edge_gap, spec.x0)
-        if not abs(values[-1] - edge) <= EDGE_MATCH_RTOL * abs(edge):
-            raise art.error(
-                values.size - 1,
-                "last value %.17g is not the k = %d tail rule's %.17g at "
-                "x0 = %.12g" % (values[-1], spec.k, edge, spec.x0))
-        return table
 
 
 def table_evaluator(tables):
@@ -314,15 +278,6 @@ def _lookup_all(tables, x):
         if tail.size:
             out[tail] = _tail_value(t.spec, t.edge_gap, x_tail)
         yield out
-
-
-def _parse_tail(text, k):
-    """edge_gap from 'classical + G * (x0/|x|)^P ...', where P must be
-    _decay_power(k) and G finite."""
-    parts = text.split()
-    if int(parts[4].split(")^")[1]) != _decay_power(k):
-        raise ValueError("k = %d needs tail power %d" % (k, _decay_power(k)))
-    return _check_edge_gap(parts[2])
 
 
 def _decay_power(k):

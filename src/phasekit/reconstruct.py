@@ -28,6 +28,7 @@ def _check_method(text):
 
 
 _check_K = textio.integer_at_least("K_used", 0)
+_check_M = textio.integer_at_least("M", 1)
 
 
 def _check_reg_lambda(value):
@@ -49,9 +50,9 @@ def check_grid(method, K, M):
 
 @dataclass(frozen=True)
 class PhaseDistribution:
-    """P(phi) sampled on the uniform grid phi_m = 2 pi m / M; every
-    grid point and value must be finite, method one of METHODS, K_used
-    an integer >= 0 and reg_lambda finite and >= 0."""
+    """P(phi) sampled on the uniform grid phi_m = 2 pi m / M, M >= 1;
+    every grid point and value must be finite, method one of METHODS,
+    K_used an integer >= 0 and reg_lambda finite and >= 0."""
 
     grid: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
@@ -62,8 +63,9 @@ class PhaseDistribution:
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if grid.shape != values.shape or grid.ndim != 1:
-            raise ValueError("grid and values must be matching 1-d arrays")
+        if grid.shape != values.shape or grid.ndim != 1 or not grid.size:
+            raise ValueError("grid and values must be matching 1-d arrays "
+                             "of at least one point")
         bad = np.flatnonzero(~(np.isfinite(grid) & np.isfinite(values)))
         if bad.size:
             i = bad[0]
@@ -84,12 +86,6 @@ class PhaseDistribution:
     def norm(self):
         """Riemann sum (2 pi / M) sum_m P(phi_m)."""
         return float(2.0 * np.pi / self.n_grid * np.sum(self.values))
-
-    def total_variation(self):
-        """Sum of absolute increments around the periodic grid."""
-        return float(np.sum(np.abs(np.diff(
-            np.concatenate([self.values, self.values[:1]])
-        ))))
 
 
 def _collect(moments, K):
@@ -241,15 +237,16 @@ def load_distribution(path):
     """Parse a distribution file written by save_distribution.
 
     A non-finite row, a row whose phi is more than 1e-9 off its grid
-    point 2 pi m / M, and a method, K or reg_lambda that
-    PhaseDistribution rejects, raise ValueError naming the line.
+    point 2 pi m / M, an M that is not an integer >= 1, and a method, K
+    or reg_lambda that PhaseDistribution rejects, raise ValueError
+    naming the line.
     """
     art = textio.load(path, DISTRIBUTION_COLUMNS)
     bad = np.flatnonzero(~np.isfinite(art.rows).all(axis=1))
     if bad.size:
         raise art.error(bad[0], "non-finite point %r"
                         % art.rows[bad[0]].tolist())
-    m = art.field("M:", int)
+    m = art.field("M:", _check_M)
     if m != len(art.rows):
         raise ValueError(
             "header says M=%d but file holds %d rows" % (m, len(art.rows))

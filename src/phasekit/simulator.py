@@ -125,6 +125,9 @@ class MeasurementSet:
     records: tuple = field(repr=False)
 
     def __post_init__(self):
+        if len(self.records) != self.plan.n_phases:
+            raise ValueError("%d record groups for a plan of %d phases"
+                             % (len(self.records), self.plan.n_phases))
         records = []
         for l, (samples, expected) in enumerate(
             zip(self.records, self.plan.events_per_phase)
@@ -143,8 +146,6 @@ class MeasurementSet:
                 )
             arr.flags.writeable = False
             records.append(arr)
-        if len(records) != self.plan.n_phases:
-            raise ValueError("record group count does not match plan")
         object.__setattr__(self, "records", tuple(records))
 
 

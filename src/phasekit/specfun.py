@@ -13,7 +13,7 @@ import numpy as np
 
 # Largest Hermite order the recurrences will walk to.  The polynomial
 # form overflows doubles long before this for moderate x; callers that
-# need high orders should use hermite_fn, which stays O(1).
+# need high orders should use psi_rows, whose rows stay O(1).
 MAX_HERMITE_ORDER = 2100
 
 
@@ -55,7 +55,7 @@ def hermite_poly(n, x):
     if not np.all(np.isfinite(h)):
         raise OverflowError(
             "H_%d overflows double precision at the requested argument; "
-            "use hermite_fn for high orders" % n
+            "use psi_rows for high orders" % n
         )
     return h if h.ndim else float(h)
 
@@ -95,21 +95,12 @@ def psi_matrix(n_max, x):
     return np.array(list(psi_rows(n_max, x)))
 
 
-def hermite_fn(n, x):
-    """Normalized oscillator eigenfunction psi_n(x): the last of
-    psi_rows(n, x)."""
-    for p in psi_rows(n, x):
-        pass
-    return p if p.ndim else float(p)
-
-
 def hermite_fn_sum(coeffs_by_order, x):
     """Evaluate sum_j c_j psi_j(x) in one pass of the psi recurrence.
 
     coeffs_by_order maps order -> coefficient (array-broadcastable).
-    A single sweep up to the top order costs the same as one hermite_fn
-    call there, instead of one sweep per term, and holds only two psi
-    rows at a time however large x is.
+    A single sweep of psi_rows up to the top order, instead of one sweep
+    per term, holding only two psi rows at a time however large x is.
     """
     x = np.asarray(x, dtype=float)
     acc = np.zeros_like(x)

@@ -112,20 +112,6 @@ class DensityMatrix:
         c = c / norm
         return cls(n_max=len(c) - 1, elements=np.outer(c, c.conj()))
 
-    def mean_photon_number(self):
-        return float(
-            np.sum(np.arange(self.n_max + 1) * np.diag(self.elements).real)
-        )
-
-    def to_text(self):
-        """Readable dump: one 'm n Re Im' row per nonnegligible element."""
-        header = ["density matrix, n_max = %d" % self.n_max,
-                  "columns: m n Re(rho_mn) Im(rho_mn)"]
-        return textio.render(header, (
-            "%d %d %.15e %.15e" % (m, n, v.real, v.imag)
-            for (m, n), v in np.ndenumerate(self.elements) if abs(v) > 1.0e-14
-        ))
-
 
 def _extended_amplitudes(spec, n_big):
     """Fock amplitudes of the requested pure state on a window large

@@ -37,9 +37,17 @@ _FIELD = re.compile(r"([^:=]*)[:=](.*)")
 def integer_at_least(name, low):
     """Validator of an integer parameter given as a number or its text:
     returns it as an int, or raises ValueError stating the range for
-    any other value, inf and NaN included."""
+    any other value, inf and NaN included, and for text that is not an
+    integer literal ('2.0', '1e1', '0x10')."""
     def check(value):
-        if not (low <= float(value) and float(value).is_integer()):
+        if isinstance(value, str):
+            try:
+                ok = low <= int(value)
+            except ValueError:
+                ok = False
+        else:
+            ok = low <= float(value) and float(value).is_integer()
+        if not ok:
             raise ValueError("%s must be an integer >= %d, not %r"
                              % (name, low, value))
         return int(value)
@@ -77,16 +85,13 @@ class Artifact:
     def field(self, key, parse=str):
         """Header value spelled with its separator ('n_phases:', 'k ='),
         converted by parse.  It comes from the last line whose key
-        equals the words of key or begins with them ('offset removed:'
-        finds 'offset removed from series part').  A missing key or a
-        value parse rejects raises ValueError naming the key or line.
+        equals the words of key.  A missing key or a value parse rejects
+        raises ValueError naming the key or line.
         """
         name = key[:-1].strip()
-        found = [where for k, where in self.fields.items()
-                 if k == name or k.startswith(name + " ")]
-        if not found:
+        if name not in self.fields:
             raise ValueError("header lacks '# %s ...'" % key)
-        line, text = max(found)
+        line, text = self.fields[name]
         try:
             return parse(text)
         except (ValueError, IndexError) as exc:

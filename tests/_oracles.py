@@ -5,10 +5,12 @@ forms the fast library paths are checked against (the loop form of the
 aliasing bias, the quadratic-form quadrature density, a bisection
 inverse of the simulator's sampled law, np.interp kernel lookup, the
 per-row record reader and a dense high-precision least-squares solve),
-the closed integral kernels K_1 and K_2 in 20-digit mpmath, the Hurwitz
-zeta function by summation and the F_k term expansion, and the
-special functions only the tests use: log_factorial, log_rising and the
-angular weight omega.
+the paper's higher-moment approximation of the aliasing bias, the
+closed integral kernels K_1 and K_2 in 20-digit mpmath, the Hurwitz
+zeta function by summation and the F_k term expansion, the statistics
+only the tests read (a state's mean photon number, the total variation
+of a phase distribution), and the special functions only the tests
+use: psi_n, log_factorial, log_rising and the angular weight omega.
 """
 
 import math
@@ -17,8 +19,8 @@ import numpy as np
 
 from phasekit.kernels import _tail_value
 from phasekit.simulator import ExperimentPlan, MeasurementSet
-from phasekit.states import StateSpec
-from phasekit.states import quadrature_pdf
+from phasekit.specfun import psi_rows
+from phasekit.states import StateSpec, exact_moments, quadrature_pdf
 
 
 def panel_rule(order=40):
@@ -69,6 +71,57 @@ def aliasing_bias_by_loops(rho, k, N, q):
             bias += rho.elements[n, n + gap_lo] * q[n, n + gap_lo]
         s += 1
     return bias
+
+
+def aliasing_bias_approx(rho, k, N):
+    """Higher-moment approximation to the aliasing bias.
+
+    Valid for highly excited states, where the kernel matrix elements
+    approach their classical values k/(sN +- k):
+
+      even N:  sum_s (-1)^{Ns/2} [ k/(sN+k) Psi_{k+Ns}
+                                 + k/(sN-k) Psi_{k-Ns} ]
+      odd  N:  sum_s (-1)^s [ k/(2sN+k) Psi_{k+2Ns}
+                            + k/(2sN-k) Psi_{k-2Ns} ]
+
+    (for odd N only even multiples of N couple, which is why doubling
+    the phase count is implicit in the odd-N form).  Moments beyond the
+    truncation vanish, which terminates the sum.
+    """
+    if N <= k:
+        raise ValueError("aliasing analysis assumes N > k")
+    bias = 0.0j
+    s = 1
+    while True:
+        if N % 2 == 0:
+            step = s * N
+            sign = (-1.0) ** ((N * s) // 2)
+        else:
+            step = 2 * s * N
+            sign = (-1.0) ** s
+        if k + step > rho.n_max and abs(k - step) > rho.n_max:
+            break
+        bias += sign * (
+            k / (step + k) * exact_moments(rho, k + step)
+            + k / (step - k) * exact_moments(rho, k - step)
+        )
+        s += 1
+    return bias
+
+
+def mean_photon_number(rho):
+    """<n> = sum_n n rho_nn of a DensityMatrix."""
+    return float(
+        np.sum(np.arange(rho.n_max + 1) * np.diag(rho.elements).real)
+    )
+
+
+def total_variation(dist):
+    """Sum of absolute increments of a PhaseDistribution around its
+    periodic grid."""
+    return float(np.sum(np.abs(np.diff(
+        np.concatenate([dist.values, dist.values[:1]])
+    ))))
 
 
 def quadratic_form_pdf(rho, x, theta):
@@ -446,6 +499,14 @@ def displaced_fock_amplitudes(spec):
     vec = np.zeros(n_big + 1, dtype=complex)
     vec[spec.fock_n] = 1.0
     return expm(generator) @ vec
+
+
+def psi_n(n, x):
+    """Normalized oscillator eigenfunction psi_n(x): the last of
+    psi_rows(n, x), a float for a scalar x."""
+    for p in psi_rows(n, x):
+        pass
+    return p if p.ndim else float(p)
 
 
 def log_factorial(n):

@@ -12,12 +12,12 @@ import time
 import numpy as np
 from scipy import integrate
 
-from _oracles import moment_by_phase_quadrature, panel_rule
+from _oracles import moment_by_phase_quadrature, panel_rule, total_variation
 from phasekit.estimator import (
     MomentEstimate,
+    _estimate,
     aliasing_bias,
     estimate_all,
-    estimate_moment,
     kernel_overlaps,
 )
 from phasekit.kernels import (
@@ -166,11 +166,11 @@ def test_criterion_07_efficiency_compensation(rho_coherent_unit):
     worst = 0.0
     for k in (1, 2):
         table = build_kernel_table(KernelSpec(k=k, eta=eta))
-        est = estimate_moment(ms, k, table)
+        est = _estimate(ms, {k: table})[0]
         exact = exact_moments(rho_coherent_unit, k)
         worst = max(worst, abs(est.value.real - exact.real) / est.sigma_re,
                     abs(est.value.imag - exact.imag) / est.sigma_im)
-    plain = estimate_moment(ms, 1, build_kernel_table(KernelSpec(k=1)))
+    plain = _estimate(ms, {1: build_kernel_table(KernelSpec(k=1))})[0]
     psi_1 = abs(exact_moments(rho_coherent_unit, 1))
     shortfall = (psi_1 - abs(plain.value)) / plain.sigma_re
     ok = worst < 4.0 and shortfall > 4.0
@@ -204,7 +204,7 @@ def test_criterion_09_variance_calibration(default_tables):
         plan = ExperimentPlan.uniform(SQUEEZED_TRUNC, n_phases=24,
                                       events=500, seed=3000 + rep)
         ms = run_experiment(plan, capture_tol=0.05)
-        est = estimate_moment(ms, k, default_tables[k])
+        est = _estimate(ms, {k: default_tables[k]})[0]
         values[rep] = est.value
         var_re[rep] = est.var_re
         var_im[rep] = est.var_im
@@ -233,7 +233,7 @@ def test_criterion_10_reconstruction(default_tables, rho_squeezed):
     tvs = []
     for lam in (1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4):
         dist = least_squares_reconstruct(estimates, 8, 128, reg_lambda=lam)
-        tvs.append(dist.total_variation())
+        tvs.append(total_variation(dist))
     monotone = all(hi <= lo + 1e-12 for lo, hi in zip(tvs[:-1], tvs[1:]))
     ok = sup_exact < 1e-10 and sup_ls < 1e-8 and monotone
     report(10, ok, "reconstruction: Fourier sup error %.1e (tol 1e-10), "

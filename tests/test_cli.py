@@ -20,15 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import displaced_fock_amplitudes
-from phasekit import cli
+from phasekit import cli, textio
 from phasekit.cli import (_CONFIG_KEYS, RunConfig, build_parser, main,
                           parse_config)
 from phasekit.kernels import (
     DEFAULT_F_TRUNCATION,
     DEFAULT_L0,
     DEFAULT_X0,
+    TABLE_COLUMNS,
     KernelSpec,
-    KernelTable,
     build_kernel_table,
 )
 from phasekit.estimator import estimate_all, load_moments
@@ -122,9 +122,10 @@ def test_kernel_table_command_writes_loadable_tables(tmp_path, capsys):
         assert str(path) in out
         text = path.read_text()
         assert text.startswith("# config: ")
-        table = KernelTable.from_text(text)
+        art = textio.load(path, TABLE_COLUMNS)
+        assert (art.field("k =", int), art.field("eta =", float)) == (k, 1.0)
         rebuilt = build_kernel_table(KernelSpec(k=k), grid_step=0.05)
-        assert np.allclose(table.values, rebuilt.values, rtol=1e-14)
+        assert np.allclose(art.rows[:, 1], rebuilt.values, rtol=1e-14)
 
 
 def test_kernel_table_files_of_every_order_load(tmp_path):
@@ -132,10 +133,14 @@ def test_kernel_table_files_of_every_order_load(tmp_path):
                  "--eta", "0.8", "--grid-step", "0.0013",
                  "--output-dir", str(tmp_path)]) == 0
     for k in range(1, 9):
-        text = (tmp_path / ("kernel_k%d_eta0.8.txt" % k)).read_text()
-        table = KernelTable.from_text(text)
-        assert table.spec == KernelSpec(k=k, eta=0.8)
-        assert table.grid.size == 6155
+        art = textio.load(tmp_path / ("kernel_k%d_eta0.8.txt" % k),
+                          TABLE_COLUMNS)
+        assert (art.field("k =", int), art.field("eta =", float)) == (k, 0.8)
+        rebuilt = build_kernel_table(KernelSpec(k=k, eta=0.8),
+                                     grid_step=0.0013)
+        assert art.rows.shape == (rebuilt.grid.size, 2) == (6155, 2)
+        assert np.allclose(art.rows[:, 0], rebuilt.grid, rtol=0, atol=5e-7)
+        assert np.allclose(art.rows[:, 1], rebuilt.values, rtol=1e-14)
 
 
 def test_pipeline_writes_all_stage_outputs(tmp_path):
@@ -705,6 +710,9 @@ def test_parse_config_rejects_out_of_range_values(key, value):
 
 @pytest.mark.parametrize("key, value, reason", [
     ("reconstruct.K", "-1", "K_used must be an integer >= 0, not '-1'"),
+    ("reconstruct.K", "2.0", "K_used must be an integer >= 0, not '2.0'"),
+    ("reconstruct.K", "1e1", "K_used must be an integer >= 0, not '1e1'"),
+    ("reconstruct.K", "0x10", "K_used must be an integer >= 0, not '0x10'"),
     ("reconstruct.reg_lambda", "-1",
      "reg_lambda must be finite and >= 0, not -1"),
     ("plan.eta", "1.5", "eta must lie in (0, 1], not 1.5"),

@@ -13,28 +13,32 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from _oracles import aliasing_bias_by_loops, moment_by_phase_quadrature, panel_rule
+from _oracles import (aliasing_bias_approx, aliasing_bias_by_loops,
+                      moment_by_phase_quadrature, panel_rule, psi_n)
 from phasekit.estimator import (
     MomentEstimate,
+    _estimate,
     _panel_rule,
     aliasing_bias,
-    aliasing_bias_approx,
     estimate_all,
-    estimate_moment,
     kernel_overlaps,
     load_moments,
-    q_matrix_element,
     save_moments,
     smear_bias,
 )
 from phasekit.kernels import KernelSpec, build_kernel_table, classical_kernel
 from phasekit.kernels import KernelTable, table_evaluator
 from phasekit.simulator import ExperimentPlan, MeasurementSet, run_experiment
-from phasekit.specfun import hermite_fn
 from phasekit.states import StateSpec, build_state, exact_moments
 
 SQUEEZED = StateSpec(kind="squeezed_vacuum", squeeze=-1.31, n_max=20)
 VACUUM = StateSpec(kind="vacuum", n_max=4)
+
+
+def q_element(table, m, n):
+    """Q_mn = 2 pi Int K_k psi_m psi_n dx of table's kernel: one entry
+    of kernel_overlaps."""
+    return kernel_overlaps(table.evaluate, table.spec.x0, max(m, n))[m, n]
 
 
 class CountingTable:
@@ -73,7 +77,7 @@ def test_estimate_on_constant_records_reduces_to_frame_sum(default_tables):
     values = [0.4, -1.2, 2.0, 0.9]
     records = tuple(np.full(3, v) for v in values)
     ms = MeasurementSet(plan=plan, records=records)
-    est = estimate_moment(ms, 1, table)
+    est = _estimate(ms, {1: table})[0]
     direct = (2.0 * math.pi / 4.0) * sum(
         np.exp(1j * th) * table.evaluate(v)
         for th, v in zip(plan.phases, values)
@@ -87,7 +91,7 @@ def test_single_event_phases_flag_infinite_variance(default_tables):
     plan = ExperimentPlan(state=VACUUM, events_per_phase=(1, 1, 1), seed=0)
     records = (np.array([0.3]), np.array([-0.5]), np.array([1.7]))
     ms = MeasurementSet(plan=plan, records=records)
-    est = estimate_moment(ms, 1, default_tables[1])
+    est = _estimate(ms, {1: default_tables[1]})[0]
     assert math.isinf(est.var_re)
     assert math.isinf(est.var_im)
     assert np.isfinite(est.value.real)
@@ -97,7 +101,7 @@ def test_vacuum_moments_vanish_within_errors(default_tables):
     plan = ExperimentPlan.uniform(VACUUM, n_phases=12, events=2000, seed=8)
     ms = run_experiment(plan)
     for k in range(1, 6):
-        est = estimate_moment(ms, k, default_tables[k])
+        est = _estimate(ms, {k: default_tables[k]})[0]
         assert abs(est.value.real) < 4.0 * est.sigma_re
         assert abs(est.value.imag) < 4.0 * est.sigma_im
 
@@ -107,7 +111,7 @@ def test_estimate_all_matches_per_order_calls(default_tables):
     ms = run_experiment(plan, capture_tol=0.05)
     batch = estimate_all(ms, 4, default_tables)
     for est in batch:
-        single = estimate_moment(ms, est.k, default_tables[est.k])
+        single = _estimate(ms, {est.k: default_tables[est.k]})[0]
         assert est.value == single.value
         assert est.var_re == single.var_re
         assert est.var_im == single.var_im
@@ -132,7 +136,7 @@ def test_table_order_mismatch_is_rejected(default_tables):
     plan = ExperimentPlan.uniform(SQUEEZED, n_phases=8, events=10, seed=3)
     ms = run_experiment(plan, capture_tol=0.05)
     with pytest.raises(ValueError, match="built for k=2"):
-        estimate_moment(ms, 1, default_tables[2])
+        _estimate(ms, {1: default_tables[2]})[0]
 
 
 def test_compensated_table_requires_matching_efficiency():
@@ -141,7 +145,7 @@ def test_compensated_table_requires_matching_efficiency():
                                   eta=0.9, seed=0)
     ms = run_experiment(plan)
     with pytest.raises(ValueError, match="eta=0.8"):
-        estimate_moment(ms, 1, table)
+        _estimate(ms, {1: table})[0]
 
 
 def test_estimate_all_is_single_pass(default_tables):
@@ -157,13 +161,13 @@ def test_estimate_all_is_single_pass(default_tables):
 
 @pytest.mark.parametrize("k, n", [(1, 0), (1, 4), (2, 0), (2, 7), (3, 5)])
 def test_matrix_element_identity(k, n, default_tables):
-    assert abs(q_matrix_element(k, n + k, n, default_tables[k]) - 1.0) < 1e-3
+    assert abs(q_element(default_tables[k], n + k, n) - 1.0) < 1e-3
 
 
 def test_matrix_element_parity_zeros(default_tables):
     # the integrand is odd whenever m + n + k is odd
-    assert abs(q_matrix_element(1, 2, 2, default_tables[1])) < 1e-12
-    assert abs(q_matrix_element(2, 5, 2, default_tables[2])) < 1e-12
+    assert abs(q_element(default_tables[1], 2, 2)) < 1e-12
+    assert abs(q_element(default_tables[2], 5, 2)) < 1e-12
 
 
 def test_offdiagonal_classical_element_near_asymptote():
@@ -171,7 +175,7 @@ def test_offdiagonal_classical_element_near_asymptote():
     # order gap 14 = 2 + 12; at n = 40 the classical element sits within
     # 8 percent of that limit.
     def integrand(x):
-        return classical_kernel(2, x) * hermite_fn(54, x) * hermite_fn(40, x)
+        return classical_kernel(2, x) * psi_n(54, x) * psi_n(40, x)
 
     left = integrate.quad(integrand, -11.0, -1e-12, limit=400)[0]
     right = integrate.quad(integrand, 1e-12, 11.0, limit=400)[0]
@@ -182,9 +186,9 @@ def test_offdiagonal_classical_element_near_asymptote():
 def test_offdiagonal_quantum_element_converges_from_below(default_tables):
     table = default_tables[2]
     # regression anchor at n = 40 (gap 14), still 14 percent shy of 1/7
-    assert np.isclose(q_matrix_element(2, 54, 40, table), 0.1233, atol=2e-3)
+    assert np.isclose(q_element(table, 54, 40), 0.1233, atol=2e-3)
     # by n = 80 the same gap is inside 10 percent of the asymptote
-    assert abs(q_matrix_element(2, 94, 80, table) - 1.0 / 7.0) < 0.1 / 7.0
+    assert abs(q_element(table, 94, 80) - 1.0 / 7.0) < 0.1 / 7.0
 
 
 def test_aliasing_bias_vanishes_without_reachable_orders(default_tables, rho_squeezed):
@@ -230,7 +234,7 @@ def test_kernel_overlaps_is_symmetric_and_holds_the_identity(default_tables,
     assert np.max(np.abs(q - q.T)) < 1e-15 * np.max(np.abs(q))
     assert np.max(np.abs(np.diagonal(q, -k) - 1.0)) < 1e-3
     # the rule reaches further for a larger matrix; the elements stay put
-    assert abs(q_matrix_element(k, 10 + k, 10, table) - q[10 + k, 10]) < 1e-12
+    assert abs(q_element(table, 10 + k, 10) - q[10 + k, 10]) < 1e-12
 
 
 def test_aliasing_bias_matches_discrete_phase_quadrature(default_tables, rho_squeezed):
@@ -329,7 +333,7 @@ def test_replications_are_unbiased_and_calibrated(default_tables, rho_squeezed):
         plan = ExperimentPlan.uniform(SQUEEZED, n_phases=24, events=500,
                                       seed=1000 + rep)
         ms = run_experiment(plan, capture_tol=0.05)
-        est = estimate_moment(ms, k, table)
+        est = _estimate(ms, {k: table})[0]
         values[rep] = est.value
         var_re[rep] = est.var_re
         var_im[rep] = est.var_im
@@ -355,13 +359,13 @@ def test_compensation_removes_smearing_bias(rho_coherent_unit):
     ms = run_experiment(plan)
     for k in (1, 2, 3, 4):
         table = build_kernel_table(KernelSpec(k=k, eta=eta))
-        est = estimate_moment(ms, k, table)
+        est = _estimate(ms, {k: table})[0]
         assert est.compensated
         exact = exact_moments(rho_coherent_unit, k)
         assert abs(est.value.real - exact.real) < 4.0 * est.sigma_re
         assert abs(est.value.imag - exact.imag) < 4.0 * est.sigma_im
     plain = build_kernel_table(KernelSpec(k=1))
-    biased = estimate_moment(ms, 1, plain)
+    biased = _estimate(ms, {1: plain})[0]
     assert not biased.compensated
     psi_1 = abs(exact_moments(rho_coherent_unit, 1))
     assert abs(biased.value) < psi_1 - 4.0 * biased.sigma_re
@@ -518,7 +522,7 @@ def test_shared_lookup_equals_per_table_evaluate(eta):
             assert values.tobytes() == want.tobytes()
     assert_same_estimates(
         estimate_all(ms, 8, tables),
-        [estimate_moment(ms, k, tables[k - 1]) for k in range(1, 9)],
+        [_estimate(ms, {k: tables[k - 1]})[0] for k in range(1, 9)],
     )
 
 
@@ -527,7 +531,7 @@ def test_mismatched_grids_fall_back_to_evaluate(monkeypatch,
     tables = {k: default_tables[k] for k in range(1, 5)}
     tables[3] = build_kernel_table(KernelSpec(k=3), grid_step=0.01)
     ms = lookup_probe_set(4.0, 0.005, 1.0)
-    want = [estimate_moment(ms, k, tables[k]) for k in range(1, 5)]
+    want = [_estimate(ms, {k: tables[k]})[0] for k in range(1, 5)]
     calls = []
     real = KernelTable.evaluate
 

@@ -1,4 +1,4 @@
-"""Sampling kernels: closed forms, identities, tails, and table round trips.
+"""Sampling kernels: closed forms, identities, tails, and tables.
 
 The two load-bearing oracles here are independent of the series build:
 the phase-average identity of the classical kernel (adaptive quadrature
@@ -18,10 +18,11 @@ from scipy import integrate, special
 
 from _oracles import (expansion_coefficients, hurwitz_zeta_by_summation,
                       interp_table_value, mpmath_alt_sum, mpmath_f_inner_sum,
-                      mpmath_integral_kernel, omega)
-from phasekit import kernels
+                      mpmath_integral_kernel, omega, psi_n)
+from phasekit import kernels, textio
 from phasekit.kernels import (
     DEFAULT_GRID_STEP,
+    TABLE_COLUMNS,
     KernelSpec,
     KernelTable,
     build_kernel_table,
@@ -32,7 +33,6 @@ from phasekit.kernels import (
     smear_error_kernel,
     smearing_sigma,
 )
-from phasekit.specfun import hermite_fn
 
 
 @pytest.mark.parametrize(
@@ -97,7 +97,7 @@ def test_classical_phase_average_identity(k, r):
 def test_quantum_moment_identity_by_adaptive_quadrature(k, n, default_tables):
     table = default_tables[k]
     val, _ = integrate.quad(
-        lambda x: table.evaluate(x) * hermite_fn(n + k, x) * hermite_fn(n, x),
+        lambda x: table.evaluate(x) * psi_n(n + k, x) * psi_n(n, x),
         -12.0, 12.0, limit=400,
     )
     assert abs(2.0 * np.pi * val - 1.0) < 1e-3
@@ -114,7 +114,7 @@ def test_compensated_identity_against_smeared_pair(k, n):
     nodes, wts = np.polynomial.hermite.hermgauss(81)
     x = np.arange(-12.0, 12.0, 0.01)
     shifted = x[:, None] - math.sqrt(2.0) * sigma * nodes[None, :]
-    pair = hermite_fn(n + k, shifted) * hermite_fn(n, shifted)
+    pair = psi_n(n + k, shifted) * psi_n(n, shifted)
     smeared_pair = pair @ wts / math.sqrt(math.pi)
     val = 2.0 * np.pi * np.trapezoid(table.evaluate(x) * smeared_pair, x)
     assert abs(val - 1.0) < 1e-3
@@ -201,27 +201,6 @@ def test_table_evaluate_matches_direct_series(default_tables):
     for k in (1, 2):
         direct = quantum_kernel(k, x)
         assert np.allclose(default_tables[k].evaluate(x), direct, atol=2e-5)
-
-
-def test_table_text_round_trip(default_tables):
-    table = default_tables[3]
-    clone = KernelTable.from_text(table.to_text())
-    assert clone.spec == table.spec
-    assert np.allclose(clone.grid, table.grid, atol=1e-6)
-    assert np.allclose(clone.values, table.values, rtol=1e-14)
-    assert np.isclose(clone.edge_gap, table.edge_gap, rtol=1e-14)
-    assert clone.offset == table.offset == 0.0
-    even = default_tables[4]
-    assert np.isclose(KernelTable.from_text(even.to_text()).offset,
-                      even.offset, rtol=1e-14)
-    x = np.linspace(-8.0, 8.0, 33)
-    assert np.allclose(clone.evaluate(x), table.evaluate(x), atol=1e-6)
-
-
-def test_table_parser_ignores_unknown_header_lines(default_tables):
-    text = "# config: 0123456789ab\n" + default_tables[1].to_text()
-    clone = KernelTable.from_text(text)
-    assert clone.spec == default_tables[1].spec
 
 
 def test_kernel_spec_validation():
@@ -376,10 +355,13 @@ def test_table_lookup_is_bit_identical_to_interp(k, xs, nodes, default_tables):
 
 
 def test_text_round_trip_of_off_uniform_grid_matches_interp():
-    table = build_kernel_table(KernelSpec(k=2), grid_step=0.0013)
-    clone = KernelTable.from_text(table.to_text())
-    # %.6f nodes sit off the uniform lattice by up to 5e-7
-    assert np.max(np.abs(clone.grid - table.grid)) > 1e-8
+    built = build_kernel_table(KernelSpec(k=2), grid_step=0.0013)
+    # the nodes of a '%.6f' grid column sit off the uniform lattice by up
+    # to 5e-7
+    grid = np.array([float("%.6f" % g) for g in built.grid])
+    clone = KernelTable(spec=built.spec, grid=grid, values=built.values,
+                        edge_gap=built.edge_gap, offset=built.offset)
+    assert np.max(np.abs(clone.grid - built.grid)) > 1e-8
     rng = np.random.default_rng(5)
     x = np.concatenate([rng.uniform(-4.5, 4.5, 20000), clone.grid,
                         np.nextafter(clone.grid, np.inf),
@@ -395,10 +377,11 @@ def test_table_rejects_grid_off_the_uniform_lattice(default_tables):
     with pytest.raises(ValueError, match="grid node 700"):
         KernelTable(spec=table.spec, grid=grid, values=table.values,
                     edge_gap=table.edge_gap, offset=table.offset)
-    text = table.to_text().replace("%.6f " % table.grid[3],
-                                   "%.6f " % table.grid[2], 1)
+    grid = table.grid.copy()
+    grid[3] = grid[2]
     with pytest.raises(ValueError, match="grid node 3"):
-        KernelTable.from_text(text)
+        KernelTable(spec=table.spec, grid=grid, values=table.values,
+                    edge_gap=table.edge_gap, offset=table.offset)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -422,101 +405,29 @@ def test_table_evaluate_of_2d_input_is_the_raveled_result(k,
 
 def test_tables_compare_and_hash_by_identity(default_tables):
     table = default_tables[1]
-    clone = KernelTable.from_text(table.to_text())
+    clone = KernelTable(spec=table.spec, grid=table.grid,
+                        values=table.values, edge_gap=table.edge_gap,
+                        offset=table.offset)
     assert table == table and table != clone
     assert hash(table) == hash(table)
     assert len({table, clone, table}) == 2
 
 
-def test_table_text_round_trip_is_byte_identical(default_tables):
-    for k in (1, 2):
-        text = default_tables[k].to_text()
-        assert KernelTable.from_text(text).to_text() == text
-
-
-@pytest.mark.parametrize("key", ["k", "eta", "l0", "x0", "f_truncation"])
-def test_table_parser_names_missing_header_key(key, default_tables):
-    lines = default_tables[1].to_text().splitlines()
-    text = "\n".join(ln for ln in lines if not ln.startswith("# %s =" % key))
-    with pytest.raises(ValueError, match="lacks '# %s = ...'" % key):
-        KernelTable.from_text(text)
-
-
-def test_table_parser_rejects_empty_text():
-    with pytest.raises(ValueError, match="lacks '# k = ...'"):
-        KernelTable.from_text("")
-
-
-@pytest.mark.parametrize("mangle", [
-    lambda ln: ln.split()[0] if not ln.startswith("#") else None,
-    lambda ln: ln.replace("^", "^x") if ln.startswith("# tail:") else None,
-    lambda ln: "# tail: classical" if ln.startswith("# tail:") else None,
-    lambda ln: "# k = one" if ln.startswith("# k =") else None,
-    lambda ln: "# offset removed: x" if ln.startswith("# offset") else None,
-])
-def test_table_parser_names_the_malformed_line(mangle, default_tables):
-    lines = default_tables[3].to_text().splitlines()
-    idx = next(i for i, ln in enumerate(lines) if mangle(ln) is not None)
-    lines[idx] = mangle(lines[idx])
-    with pytest.raises(ValueError, match="line %d: " % (idx + 1)):
-        KernelTable.from_text("\n".join(lines))
-
-
-@pytest.mark.parametrize("header, named", [
-    ("# eta = 0.3", "eta"), ("# eta = nan", "eta"), ("# x0 = nan", "x0"),
-    ("# l0 = -1", "l0"), ("# f_truncation = 0", "f_truncation"),
-    ("# k = 0", "k"), ("# k = 2", "tail"),
-])
-def test_table_parser_names_the_line_of_a_bad_header_value(header, named,
-                                                           default_tables):
-    lines = default_tables[1].to_text().splitlines()
-    key = header.split(" = ")[0] + " ="
-    lines = [header if ln.startswith(key) else ln for ln in lines]
-    line = next(i for i, ln in enumerate(lines, start=1)
-                if ln.startswith("# %s" % named))
-    with pytest.raises(ValueError,
-                       match="^line %d: bad %s value " % (line, named)):
-        KernelTable.from_text("\n".join(lines))
-
-
-@pytest.mark.parametrize("prefix, key", [
-    ("# tail:", "tail:"),
-    ("# offset removed", "offset removed:"),
-])
-def test_table_parser_requires_tail_and_offset_lines(prefix, key,
-                                                     default_tables):
-    lines = default_tables[1].to_text().splitlines()
-    text = "\n".join(ln for ln in lines if not ln.startswith(prefix))
-    with pytest.raises(ValueError, match="lacks '# %s ...'" % key):
-        KernelTable.from_text(text)
-
-
 @pytest.mark.parametrize("eta", [1.0, 0.8])
 @pytest.mark.parametrize("k", range(1, 9))
 def test_table_text_ends_on_its_tail_rule(k, eta):
-    # 3.14159265 has more decimals than the '%.6f' grid column keeps, so
-    # the rule is checked at the header's x0, not at the last grid node
+    # quantum_kernel switches to the tail at |x| = x0, so the last row of
+    # a written table holds the tail rule its header states; 3.14159265
+    # has more decimals than the '%.6f' grid column keeps
     for x0, step in ((4.0, DEFAULT_GRID_STEP), (4.0, 0.0013),
                      (3.14159265, 0.0013)):
-        table = build_kernel_table(KernelSpec(k=k, eta=eta, x0=x0),
-                                   grid_step=step)
-        text = table.to_text()
-        clone = KernelTable.from_text(text)
-        assert clone.grid[-1] == round(x0, 6)
-        assert clone.to_text() == text
-
-
-@pytest.mark.parametrize("label", [4, 6])
-def test_table_relabelled_to_another_even_order_names_its_last_row(
-        label, default_tables):
-    # every even k has tail power 2, so only the values can tell them apart
-    lines = default_tables[2].to_text().splitlines()
-    lines = ["# k = %d" % label if ln.startswith("# k =") else ln
-             for ln in lines]
-    with pytest.raises(ValueError,
-                       match=r"^line %d: last value .* k = %d tail rule"
-                             % (len(lines), label)):
-        KernelTable.from_text("\n".join(lines))
+        spec = KernelSpec(k=k, eta=eta, x0=x0)
+        table = build_kernel_table(spec, grid_step=step)
+        x, value = textio.parse(table.to_text().splitlines(),
+                                TABLE_COLUMNS).rows[-1]
+        edge = kernels._tail_value(spec, table.edge_gap, x0)
+        assert table.grid[-1] == x0 and x == round(x0, 6)
+        assert abs(value - edge) <= 1e-9 * abs(edge)
 
 
 @pytest.mark.parametrize("k", range(1, 9))

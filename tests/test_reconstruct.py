@@ -27,7 +27,7 @@ from phasekit.reconstruct import (
 )
 from phasekit.states import StateSpec, build_state, exact_moments, exact_phase_dist
 
-from _oracles import mpmath_least_squares
+from _oracles import mpmath_least_squares, total_variation
 
 
 def as_estimates(values, sigmas=None, n_phases=64):
@@ -56,6 +56,9 @@ def test_distribution_validation():
     with pytest.raises(ValueError):
         PhaseDistribution(grid=grid, values=np.ones(16), method="spline",
                           K_used=2)
+    with pytest.raises(ValueError, match="at least one point"):
+        PhaseDistribution(grid=np.empty(0), values=np.empty(0),
+                          method="fourier", K_used=0)
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -308,7 +311,7 @@ def test_regularization_trades_fit_for_smoothness(rho_squeezed):
         dist = least_squares_reconstruct(moments, 8, 128, reg_lambda=lam)
         assert np.isclose(dist.norm(), 1.0, atol=1e-6)
         chis.append(chi_squared(dist, moments, 8))
-        tvs.append(dist.total_variation())
+        tvs.append(total_variation(dist))
     assert chis[0] < 1e-18
     for lo, hi in zip(chis[:-1], chis[1:]):
         assert hi >= lo - 1e-12
@@ -319,9 +322,9 @@ def test_regularization_trades_fit_for_smoothness(rho_squeezed):
 def test_total_variation_of_single_harmonic():
     c = 0.3
     dist = fourier_reconstruct(as_estimates([c]), 1, 256)
-    assert np.isclose(dist.total_variation(), 4.0 * c / math.pi, atol=1e-3)
+    assert np.isclose(total_variation(dist), 4.0 * c / math.pi, atol=1e-3)
     flat = fourier_reconstruct(as_estimates([0.0]), 1, 256)
-    assert flat.total_variation() < 1e-15
+    assert total_variation(flat) < 1e-15
 
 
 def test_chi_squared_of_matching_distribution_vanishes():
@@ -385,6 +388,14 @@ def test_distribution_rejects_non_finite_points(bad, token):
     arrays[bad][3] = token
     with pytest.raises(ValueError, match="non-finite point"):
         PhaseDistribution(method="fourier", K_used=2, **arrays)
+
+
+def test_distribution_file_without_rows_names_its_M_line(tmp_path):
+    path = tmp_path / "distribution.txt"
+    path.write_text("# method: fourier\n# K: 0\n# M: 0\n# reg_lambda: 0\n")
+    with pytest.raises(ValueError, match="^line 3: bad M value '0': M must "
+                                         "be an integer >= 1, not '0'$"):
+        load_distribution(path)
 
 
 def test_distribution_file_with_phi_off_the_grid_names_the_line(tmp_path):

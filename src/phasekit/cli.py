@@ -3,7 +3,7 @@
 Subcommands operate on plain-text artifacts so every stage can be run,
 inspected, and rerun independently:
 
-  kernel-table   write sampling-kernel tables for chosen (k, eta)
+  kernel-table   write the kernel tables the estimate stage builds
   simulate       draw homodyne records for the configured experiment
   estimate       sample exponential phase moments from records
   reconstruct    build the phase distribution from a moments file
@@ -12,10 +12,10 @@ inspected, and rerun independently:
 
 All experiment parameters live in a flat key-value config file with
 dotted sections, each key listed once in _CONFIG_KEYS, which both
-RunConfig.to_text and parse_config follow; command-line flags override
-file values.  Each output embeds a short hash of the effective config,
-so artifacts can always be traced back to the exact settings that
-produced them.
+RunConfig.to_text and parse_config follow; every command but verify
+reads it, and command-line flags override file values.  Each output
+embeds a short hash of the effective config, so artifacts can always
+be traced back to the exact settings that produced them.
 """
 
 import argparse
@@ -30,16 +30,18 @@ from . import textio
 from .estimator import estimate_all, kernel_overlaps, save_moments, \
     load_moments
 from .kernels import KernelSpec, build_kernel_table, classical_kernel, \
-    integral_kernel_k1, integral_kernel_k2, quantum_kernel, \
+    integral_kernel_k1, integral_kernel_k2, quantum_kernel, save_table, \
     DEFAULT_F_TRUNCATION, DEFAULT_GRID_STEP, DEFAULT_L0, DEFAULT_X0, \
     _check_f_truncation, _check_grid_step, _check_l0, _check_x0, \
     _half_nodes
-from .reconstruct import _check_K, _check_method, _check_reg_lambda, \
-    check_grid, fourier_reconstruct, least_squares_reconstruct, \
-    save_distribution
+from .reconstruct import _check_K, _check_M, _check_method, \
+    _check_reg_lambda, check_grid, fourier_reconstruct, \
+    least_squares_reconstruct, save_distribution
 from .simulator import ExperimentPlan, run_experiment, save_records, \
-    load_records, _efficiency, _format_complex
-from .states import CAPTURE_TOL, StateSpec, _check_capture_tol
+    load_records, _check_event_count, _check_n_phases, _check_seed, \
+    _efficiency, _format_complex
+from .states import CAPTURE_TOL, StateSpec, _check_capture_tol, \
+    _check_fock_n, _check_n_max
 
 OUTPUT_DIR_ENV = "PHASEKIT_OUTPUT_DIR"
 
@@ -61,56 +63,37 @@ def _parse_bool(text):
     raise ValueError("not a boolean: %r" % text)
 
 
-def _finite(conv):
-    """conv that also rejects NaN and infinite values."""
-    def parse(text):
-        value = conv(text)
-        if not cmath.isfinite(value):
-            raise ValueError("%r is not finite" % text)
-        return value
-    return parse
-
-
-def _at_least(low, noun):
-    """int parser that rejects values below low."""
-    def parse(text):
-        value = int(text)
-        if value < low:
-            raise ValueError("%r is not %s >= %d" % (text, noun, low))
-        return value
-    return parse
-
-
-_count = _at_least(1, "a count")
+def _complex(text):
+    value = complex(text)
+    if not cmath.isfinite(value):
+        raise ValueError("%r is not finite" % text)
+    return value
 
 
 def _counts(text):
-    values = tuple(_count(tok) for tok in text.split())
+    values = tuple(map(_check_event_count, text.split()))
     if not values:
         raise ValueError("no counts")
     return values
 
 
-# Value kinds of config keys: (parse, format), lossless as a pair.
+# Kinds of the integer and real keys whose values check reads.
+def _int(check):
+    return (check, lambda v: "%d" % v)
+
+
+def _real(check):
+    return (check, lambda v: "%.17g" % v)
+
+
+# Value kinds of config keys: (parse, format), lossless as a pair.  Each
+# parse is the validator of the field the key fills, so a value has the
+# range and message its consumer states: the state, the plan, the
+# kernel module, the estimate stage or the reconstruction.
 _TEXT = (str, str)
-_INT = (int, lambda v: "%d" % v)
-_COUNT = (_count, lambda v: "%d" % v)
 _COUNTS = (_counts, lambda v: " ".join(str(n) for n in v))
-_SEED = (_at_least(0, "a seed"), _INT[1])
-_REAL = (_finite(float), lambda v: "%.17g" % v)
-_COMPLEX = (_finite(complex), _format_complex)
+_COMPLEX = (_complex, _format_complex)
 _BOOL = (_parse_bool, lambda v: "true" if v else "false")
-_METHOD = (_check_method, str)
-# Parameters in the ranges their consumers check: the kernel module,
-# build_state, the simulator's efficiency and the reconstruction.
-_L0 = (_check_l0, _INT[1])
-_F_TRUNCATION = (_check_f_truncation, _INT[1])
-_X0 = (_check_x0, _REAL[1])
-_GRID_STEP = (_check_grid_step, _REAL[1])
-_CAPTURE_TOL = (_check_capture_tol, _REAL[1])
-_ETA = (_efficiency, _REAL[1])
-_RECON_K = (_check_K, _INT[1])
-_REG_LAMBDA = (_check_reg_lambda, _REAL[1])
 
 # Every config key, in listing order: key -> (owner, attribute, kind).
 # The owner "state" is the RunConfig's StateSpec, "run" the RunConfig;
@@ -119,25 +102,28 @@ _CONFIG_KEYS = {
     "state.kind": ("state", "kind", _TEXT),
     "state.alpha": ("state", "alpha", _COMPLEX),
     "state.squeeze": ("state", "squeeze", _COMPLEX),
-    "state.fock_n": ("state", "fock_n", _INT),
-    "state.n_max": ("state", "n_max", _INT),
-    "state.capture_tol": ("run", "capture_tol", _CAPTURE_TOL),
-    "plan.n_phases": ("run", "n_phases", _COUNT),
+    "state.fock_n": ("state", "fock_n", _int(_check_fock_n)),
+    "state.n_max": ("state", "n_max", _int(_check_n_max)),
+    "state.capture_tol": ("run", "capture_tol", _real(_check_capture_tol)),
+    "plan.n_phases": ("run", "n_phases", _int(_check_n_phases)),
     "plan.events_per_phase": ("run", "events_per_phase", _COUNTS),
-    "plan.eta": ("run", "eta", _ETA),
-    "kernel.l0": ("run", "kernel_l0", _L0),
-    "kernel.x0": ("run", "kernel_x0", _X0),
-    "kernel.f_truncation": ("run", "kernel_f_truncation", _F_TRUNCATION),
-    "kernel.grid_step": ("run", "kernel_grid_step", _GRID_STEP),
+    "plan.eta": ("run", "eta", _real(_efficiency)),
+    "kernel.l0": ("run", "kernel_l0", _int(_check_l0)),
+    "kernel.x0": ("run", "kernel_x0", _real(_check_x0)),
+    "kernel.f_truncation": ("run", "kernel_f_truncation",
+                            _int(_check_f_truncation)),
+    "kernel.grid_step": ("run", "kernel_grid_step", _real(_check_grid_step)),
     "kernel.compensate": ("run", "compensate", _BOOL),
-    "estimate.k_max": ("run", "k_max", _COUNT),
-    "reconstruct.method": ("run", "recon_method", _METHOD),
-    "reconstruct.K": ("run", "recon_K", _RECON_K),
-    "reconstruct.M": ("run", "recon_M", _INT),
-    "reconstruct.reg_lambda": ("run", "reg_lambda", _REG_LAMBDA),
+    "estimate.k_max": ("run", "k_max",
+                       _int(textio.integer_at_least("k_max", 1))),
+    "reconstruct.method": ("run", "recon_method", (_check_method, str)),
+    "reconstruct.K": ("run", "recon_K", _int(_check_K)),
+    "reconstruct.M": ("run", "recon_M", _int(_check_M)),
+    "reconstruct.reg_lambda": ("run", "reg_lambda",
+                               _real(_check_reg_lambda)),
     "reconstruct.normalize": ("run", "normalize", _BOOL),
     "output_dir": ("output", "output_dir", _TEXT),
-    "seed": ("run", "seed", _SEED),
+    "seed": ("run", "seed", _int(_check_seed)),
 }
 
 
@@ -244,12 +230,12 @@ class RunConfig:
 def parse_config(text):
     """Build a RunConfig from 'key = value' lines.
 
-    Blank lines and '#' comments are skipped; unknown keys, malformed
-    lines, non-finite numbers, counts below one, a negative seed,
-    kernel parameters outside the ranges KernelSpec and
-    build_kernel_table accept, an efficiency outside (0, 1], a
-    reconstruction K or reg_lambda that PhaseDistribution rejects, and
-    values the state rejects are reported with their line number.
+    Blank lines and '#' comments are skipped.  Each value is read by
+    the validator of the field it fills (_CONFIG_KEYS), so an integer
+    key takes only an integer literal in its range, and a real one only
+    a finite number in its range.  Unknown keys, malformed lines and
+    values the validators or the state reject are reported with their
+    line number.
     """
     state = StateSpec(kind="vacuum")
     run = {}
@@ -281,40 +267,29 @@ def load_config(path):
         return parse_config(fh.read())
 
 
-def _output_dir(flag):
-    """The --output-dir flag, else PHASEKIT_OUTPUT_DIR, else None."""
-    return flag or os.environ.get(OUTPUT_DIR_ENV)
-
-
 def _run_config(args):
     """The --config file with the command-line overrides applied.  Only
-    the stages that read a key offer its flag: --seed to simulate and
-    pipeline, --eta to simulate, estimate and pipeline."""
+    the commands that read a key offer its flag: --seed simulate and
+    pipeline, --eta simulate, estimate, pipeline and kernel-table.  The
+    output directory is --output-dir, else PHASEKIT_OUTPUT_DIR, else the
+    config's."""
     cfg = load_config(args.config)
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "eta", None) is not None:
         cfg = replace(cfg, eta=args.eta)
-    out = _output_dir(args.output_dir)
+    out = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
     if out:
         cfg = replace(cfg, output_dir=out)
     return cfg
 
 
-def _out_path(out_dir, name):
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
-
-
-def _config_header(tag):
-    """Header lines that trace an artifact to the settings hashed as tag."""
-    return ["config: %s" % tag]
-
-
 def _save(cfg, save, artifact, name):
-    """save(artifact) as name in the output directory; return the path."""
-    path = _out_path(cfg.output_dir, name)
-    save(artifact, path, header_lines=_config_header(cfg.config_hash()))
+    """save(artifact) as name in the output directory, under a header
+    line that traces it to the config's hash; return the path."""
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    path = os.path.join(cfg.output_dir, name)
+    save(artifact, path, header_lines=["config: %s" % cfg.config_hash()])
     return path
 
 
@@ -323,15 +298,20 @@ def _simulate(cfg, _):
     return _save(cfg, save_records, ms, "records.txt")
 
 
+def _kernel_tables(cfg):
+    """The estimate stage's table of each order k, keyed by k."""
+    return {s.k: build_kernel_table(s, grid_step=cfg.kernel_grid_step)
+            for s in cfg.kernel_specs()}
+
+
 def _estimate(cfg, records_path):
     ms = load_records(records_path)
     if ms.plan.eta != cfg.eta:
         raise ValueError("%s, but %s holds records taken at eta = %r"
                          % (cfg._entry("plan.eta"), records_path,
                             ms.plan.eta))
-    tables = {s.k: build_kernel_table(s, grid_step=cfg.kernel_grid_step)
-              for s in cfg.kernel_specs()}
-    return _save(cfg, save_moments, estimate_all(ms, cfg.k_max, tables),
+    return _save(cfg, save_moments,
+                 estimate_all(ms, cfg.k_max, _kernel_tables(cfg)),
                  "moments.txt")
 
 
@@ -359,20 +339,13 @@ STAGES = {"simulate": _simulate, "estimate": _estimate,
 
 
 def cmd_kernel_table(args):
-    out_dir = _output_dir(args.output_dir) or "."
-    for k in args.k:
-        spec = KernelSpec(k=k, eta=args.eta, l0=args.l0, x0=args.x0,
-                          f_truncation=args.f_truncation)
-        table = build_kernel_table(spec, grid_step=args.grid_step)
-        tag = hashlib.sha256(
-            ("%d %.17g %d %.17g %d %.17g" % (
-                k, args.eta, args.l0, args.x0, args.f_truncation,
-                args.grid_step,
-            )).encode()
-        ).hexdigest()[:12]
-        path = _out_path(out_dir, "kernel_k%d_eta%.6g.txt" % (k, args.eta))
-        textio.save(path, _config_header(tag), table.to_text().splitlines())
-        print("wrote %s" % path)
+    """Write the checked config's estimate-stage tables, one per order,
+    each under the config hash like the stage outputs."""
+    cfg = _run_config(args)
+    cfg.check(args.stages)
+    for table in _kernel_tables(cfg).values():
+        name = "kernel_k%d_eta%.6g.txt" % (table.spec.k, table.spec.eta)
+        print("wrote %s" % _save(cfg, save_table, table, name))
     return 0
 
 
@@ -472,21 +445,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("kernel-table",
-                       help="write sampling-kernel tables")
-    p.add_argument("--k", type=int, action="append", required=True,
-                   help="moment order (repeatable)")
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--l0", type=int, default=DEFAULT_L0)
-    p.add_argument("--x0", type=float, default=DEFAULT_X0)
-    p.add_argument("--f-truncation", type=int,
-                   default=DEFAULT_F_TRUNCATION)
-    p.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
-    p.add_argument("--output-dir", default=None)
-    p.set_defaults(func=cmd_kernel_table)
-
-    for name in (*STAGES, "pipeline"):
-        stages = tuple(STAGES) if name == "pipeline" else (name,)
+    for name in ("kernel-table", *STAGES, "pipeline"):
+        stages = {"kernel-table": ("estimate",),
+                  "pipeline": tuple(STAGES)}.get(name, (name,))
         p = sub.add_parser(name, help="%s stage" % name)
         p.add_argument("--config", required=True,
                        help="experiment config file")
@@ -495,11 +456,12 @@ def build_parser():
             p.add_argument("input", metavar=source,
                            help="%s file from the previous stage" % source)
         if "simulate" in stages:
-            p.add_argument("--seed", type=_flag(_SEED[0]), default=None)
+            p.add_argument("--seed", type=_flag(_check_seed), default=None)
         if {"simulate", "estimate"} & set(stages):
             p.add_argument("--eta", type=_flag(_efficiency), default=None)
         p.add_argument("--output-dir", default=None)
-        p.set_defaults(func=cmd_stages, stages=stages, input=None)
+        p.set_defaults(func=cmd_kernel_table if name == "kernel-table"
+                       else cmd_stages, stages=stages, input=None)
 
     p = sub.add_parser("verify", help="run the kernel check suites")
     p.set_defaults(func=cmd_verify)

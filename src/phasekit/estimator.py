@@ -23,6 +23,7 @@ import numpy as np
 from . import textio
 from .kernels import DEFAULT_X0, smear_error_kernel, smearing_sigma, \
     table_evaluator
+from .simulator import _check_n_phases
 from .specfun import psi_matrix
 
 QUAD_NODES_PER_PANEL = 40
@@ -291,13 +292,17 @@ def save_moments(estimates, path, header_lines=()):
 def load_moments(path):
     """Parse a moments file written by save_moments.
 
-    A row whose order is not an integer or repeats an earlier row's,
-    whose compensation flag is not 0 or 1, whose sigma is negative or
-    NaN, or which MomentEstimate rejects (eta_assumed NaN or outside
-    (0, 1] among others) raises ValueError naming its line.
+    An n_phases header that is not an integer >= 1 raises ValueError
+    naming its line, and a file without rows is refused.  A row whose
+    order is not an integer or repeats an earlier row's, whose
+    compensation flag is not 0 or 1, whose sigma is negative or NaN, or
+    which MomentEstimate rejects (eta_assumed NaN or outside (0, 1]
+    among others) raises ValueError naming its line.
     """
     art = textio.load(path, MOMENT_COLUMNS)
-    n_phases = art.field("n_phases:", int)
+    n_phases = art.field("n_phases:", _check_n_phases)
+    if not art.rows.size:
+        raise ValueError("file holds no moments")
     estimates = []
     seen = {}
     for i, row in enumerate(art.rows.tolist()):

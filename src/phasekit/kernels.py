@@ -218,25 +218,29 @@ class KernelTable:
         included): the shared lookup of table_evaluator for this table."""
         return next(_lookup_all([self], x.ravel())).reshape(x.shape)
 
-    def to_text(self):
-        """Two-column text block (x, K) with the full spec in the header,
-        as `phasekit kernel-table` writes it; no stage reads it back."""
-        s = self.spec
-        header = [
-            "sampling kernel table",
-            "k = %d" % s.k,
-            "eta = %.12g" % s.eta,
-            "l0 = %d" % s.l0,
-            "x0 = %.12g" % s.x0,
-            "f_truncation = %d" % s.f_truncation,
-            "tail: classical + %.15e * (x0/|x|)^%d (odd-parity signed)"
-            % (self.edge_gap, _decay_power(s.k)),
-            "offset removed from series part: %.15e" % self.offset,
-            "columns: " + TABLE_COLUMNS,
-        ]
-        return textio.render(header, (
-            "%.6f %.15e" % row for row in zip(self.grid, self.values)
-        ))
+
+def save_table(table, path, header_lines=()):
+    """Write a KernelTable as text: its spec and tail numbers in the
+    header, then one (x, K) row per node, every real written as its
+    repr, which reads back as the same double.  No stage reads it."""
+    s = table.spec
+    header = [
+        "sampling kernel table",
+        *header_lines,
+        "k = %d" % s.k,
+        "eta = %r" % float(s.eta),
+        "l0 = %d" % s.l0,
+        "x0 = %r" % float(s.x0),
+        "f_truncation = %d" % s.f_truncation,
+        "tail: classical + %r * (x0/|x|)^%d (odd-parity signed)"
+        % (table.edge_gap, _decay_power(s.k)),
+        "offset removed from series part: %r" % table.offset,
+        "columns: " + TABLE_COLUMNS,
+    ]
+    textio.save(path, header, (
+        "%r %r" % row
+        for row in zip(table.grid.tolist(), table.values.tolist())
+    ))
 
 
 def table_evaluator(tables):

@@ -48,6 +48,8 @@ from .kernels import smearing_sigma
 from .states import (
     CAPTURE_TOL,
     StateSpec,
+    _check_fock_n,
+    _check_n_max,
     build_state,
     harmonic_density,
     quadrature_harmonics,
@@ -67,6 +69,8 @@ BOUND_STEP = 0.02
 _M_HALF = 1.0 / (12.0 * math.sqrt(3.0))
 RECORD_COLUMNS = "x"
 _check_seed = textio.integer_at_least("seed", 0)
+_check_n_phases = textio.integer_at_least("n_phases", 1)
+_check_event_count = textio.integer_at_least("events_per_phase", 1)
 
 
 @dataclass(frozen=True)
@@ -418,7 +422,7 @@ def _efficiency(text):
 
 
 _STATE_FIELDS = {"kind": str, "alpha": complex, "squeeze": complex,
-                 "fock_n": int, "n_max": int}
+                 "fock_n": _check_fock_n, "n_max": _check_n_max}
 
 
 def _parse_state(text):
@@ -458,10 +462,10 @@ def load_records(path):
 
 def _record_plan(art):
     """The ExperimentPlan in the header of a record Artifact."""
-    n_phases = art.field("n_phases:", int)
+    n_phases = art.field("n_phases:", _check_n_phases)
 
     def counts(text):
-        values = tuple(int(tok) for tok in text.split())
+        values = tuple(map(_check_event_count, text.split()))
         if len(values) != n_phases:
             raise ValueError(
                 "%d event counts for %d phases" % (len(values), n_phases)

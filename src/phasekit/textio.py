@@ -54,13 +54,6 @@ def integer_at_least(name, low):
     return check
 
 
-def render(header, lines):
-    """'# '-prefixed header bodies, then the preformatted row lines."""
-    out = ["# %s" % h for h in header]
-    out.extend(lines)
-    return "\n".join(out) + "\n"
-
-
 def save(path, header, lines):
     """Write the '# '-prefixed header bodies, then each item of lines
     and a newline.  An item may be one row or a newline-joined block of

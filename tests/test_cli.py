@@ -11,6 +11,7 @@ import io
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -25,6 +26,7 @@ from phasekit.cli import (_CONFIG_KEYS, RunConfig, build_parser, main,
                           parse_config)
 from phasekit.kernels import (
     DEFAULT_F_TRUNCATION,
+    DEFAULT_GRID_STEP,
     DEFAULT_L0,
     DEFAULT_X0,
     TABLE_COLUMNS,
@@ -110,37 +112,54 @@ def test_plan_broadcasts_single_event_count():
 
 
 def test_kernel_table_command_writes_loadable_tables(tmp_path, capsys):
-    ret = main([
-        "kernel-table", "--k", "1", "--k", "2",
-        "--grid-step", "0.05", "--output-dir", str(tmp_path),
-    ])
+    cfg = small_config(kernel_grid_step=0.05, k_max=2, recon_K=2)
+    ret = main(["kernel-table", "--config", write_config(tmp_path, cfg),
+                "--output-dir", str(tmp_path)])
     assert ret == 0
     out = capsys.readouterr().out
     for k in (1, 2):
         path = tmp_path / ("kernel_k%d_eta1.txt" % k)
-        assert path.exists()
-        assert str(path) in out
-        text = path.read_text()
-        assert text.startswith("# config: ")
+        assert "wrote %s" % path in out
+        assert path.read_text().startswith(
+            "# sampling kernel table\n# config: %s\n" % cfg.config_hash())
         art = textio.load(path, TABLE_COLUMNS)
         assert (art.field("k =", int), art.field("eta =", float)) == (k, 1.0)
         rebuilt = build_kernel_table(KernelSpec(k=k), grid_step=0.05)
-        assert np.allclose(art.rows[:, 1], rebuilt.values, rtol=1e-14)
+        assert np.array_equal(art.rows[:, 0], rebuilt.grid)
+        assert np.array_equal(art.rows[:, 1], rebuilt.values)
+        tail = art.field("tail:", str).split()
+        assert float(tail[2]) == rebuilt.edge_gap
+        assert (art.field("offset removed from series part:", float)
+                == rebuilt.offset)
 
 
 def test_kernel_table_files_of_every_order_load(tmp_path):
-    assert main(["kernel-table", *("--k=%d" % k for k in range(1, 9)),
-                 "--eta", "0.8", "--grid-step", "0.0013",
-                 "--output-dir", str(tmp_path)]) == 0
-    for k in range(1, 9):
-        art = textio.load(tmp_path / ("kernel_k%d_eta0.8.txt" % k),
-                          TABLE_COLUMNS)
-        assert (art.field("k =", int), art.field("eta =", float)) == (k, 0.8)
-        rebuilt = build_kernel_table(KernelSpec(k=k, eta=0.8),
-                                     grid_step=0.0013)
-        assert art.rows.shape == (rebuilt.grid.size, 2) == (6155, 2)
-        assert np.allclose(art.rows[:, 0], rebuilt.grid, rtol=0, atol=5e-7)
-        assert np.allclose(art.rows[:, 1], rebuilt.values, rtol=1e-14)
+    # the tables of every order 1..k_max, at the eta the estimate stage
+    # uses, under the hash that simulate's records carry
+    for compensate, eta in ((True, 0.8), (False, 1.0)):
+        cfg = small_config(n_phases=12, events_per_phase=(20,), eta=0.8,
+                           compensate=compensate, k_max=8,
+                           kernel_grid_step=0.0013)
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / ("compensate_%s" % compensate)
+        assert main(["kernel-table", "--config", cfg_path,
+                     "--output-dir", str(out)]) == 0
+        assert main(["simulate", "--config", cfg_path,
+                     "--output-dir", str(out)]) == 0
+        tag = textio.load(out / "records.txt", "x").field("config:")
+        for k in range(1, 9):
+            path = out / ("kernel_k%d_eta%g.txt" % (k, eta))
+            art = textio.load(path, TABLE_COLUMNS)
+            assert art.field("config:") == tag == cfg.config_hash()
+            assert (art.field("k =", int),
+                    art.field("eta =", float)) == (k, eta)
+            rebuilt = build_kernel_table(KernelSpec(k=k, eta=eta),
+                                         grid_step=0.0013)
+            assert art.rows.shape == (rebuilt.grid.size, 2) == (6155, 2)
+            assert np.array_equal(art.rows[:, 0], rebuilt.grid)
+            assert art.rows[-1, 0] == DEFAULT_X0
+            assert np.array_equal(art.rows[:, 1], rebuilt.values)
+        assert len(list(out.glob("kernel_*.txt"))) == 8
 
 
 def test_pipeline_writes_all_stage_outputs(tmp_path):
@@ -188,15 +207,18 @@ def test_stages_compose_to_the_pipeline(tmp_path):
 
 
 STAGE_INPUTS = {"simulate": (), "estimate": ("records.txt",),
-                "reconstruct": ("moments.txt",), "pipeline": ()}
+                "reconstruct": ("moments.txt",), "pipeline": (),
+                "kernel-table": ()}
 
 
 # The commands that offer each flag: those whose stages read its key.
 FLAG_COMMANDS = {"--seed": ("pipeline", "simulate"),
-                 "--eta": ("estimate", "pipeline", "simulate")}
+                 "--eta": ("estimate", "kernel-table", "pipeline",
+                           "simulate")}
 BAD_FLAGS = [
-    ("--seed", "-1", "'-1' is not a seed >= 0"),
-    ("--seed", "nan", "invalid literal for int() with base 10: 'nan'"),
+    ("--seed", "-1", "seed must be an integer >= 0, not '-1'"),
+    ("--seed", "nan", "seed must be an integer >= 0, not 'nan'"),
+    ("--seed", "2.0", "seed must be an integer >= 0, not '2.0'"),
     ("--eta", "-0.5", "eta must lie in (0, 1], not -0.5"),
     ("--eta", "nan", "eta must lie in (0, 1], not nan"),
     ("--eta", "1.5", "eta must lie in (0, 1], not 1.5"),
@@ -216,7 +238,8 @@ def test_bad_seed_or_eta_flag_exits_2_naming_flag_and_value(
     assert "error: argument %s: %s" % (flag, reason) in err, err
 
 
-@pytest.mark.parametrize("command", ["estimate", "pipeline", "simulate"])
+@pytest.mark.parametrize("command", ["estimate", "pipeline", "simulate",
+                                     "kernel-table"])
 def test_seed_above_one_and_eta_in_range_are_accepted(command):
     given = {"--seed": ("7", 7), "--eta": ("0.75", 0.75)}
     offered = [flag for flag in given if command in FLAG_COMMANDS[flag]]
@@ -231,6 +254,7 @@ def test_seed_above_one_and_eta_in_range_are_accepted(command):
     ("estimate", "--seed", "5"),
     ("reconstruct", "--seed", "5"),
     ("reconstruct", "--eta", "0.8"),
+    ("kernel-table", "--seed", "5"),
 ])
 def test_stage_is_not_offered_a_flag_it_does_not_read(command, flag, value,
                                                       capsys):
@@ -480,9 +504,11 @@ def test_kernel_defaults_come_from_the_kernel_module():
     cfg = RunConfig()
     assert (cfg.kernel_l0, cfg.kernel_x0, cfg.kernel_f_truncation) == (
         DEFAULT_L0, DEFAULT_X0, DEFAULT_F_TRUNCATION)
-    args = build_parser().parse_args(["kernel-table", "--k", "1"])
-    assert (args.l0, args.x0, args.f_truncation) == (
-        DEFAULT_L0, DEFAULT_X0, DEFAULT_F_TRUNCATION)
+    assert cfg.kernel_grid_step == DEFAULT_GRID_STEP
+    # kernel-table reads them from the config too: it offers no flag
+    args = build_parser().parse_args(["kernel-table", "--config", "run.cfg"])
+    assert sorted(vars(args)) == ["command", "config", "eta", "func",
+                                  "input", "output_dir", "stages"]
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
@@ -586,6 +612,22 @@ def readme_config_block():
         text = fh.read()
     section = text[text.index("## Command line"):]
     return re.search(r"```\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_command_lines_parse():
+    # every 'phasekit ...' line of the README's sh blocks is a valid
+    # command line, so a stale usage line fails here
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    lines = [shlex.split(line) for block in blocks
+             for line in block.splitlines()
+             if line.startswith("phasekit ")]
+    assert {args[1] for args in lines} >= {"kernel-table", "pipeline",
+                                           "simulate", "estimate",
+                                           "reconstruct"}
+    for args in lines:
+        build_parser().parse_args(args[1:])
 
 
 def test_readme_config_block_parses_to_the_defaults():
@@ -708,6 +750,32 @@ def test_parse_config_rejects_out_of_range_values(key, value):
         parse_config("seed = 1\n# ranges\n%s = %s\n" % (key, value))
 
 
+# Integer config keys: the name and lower bound of the field each fills.
+INTEGER_KEYS = [
+    ("state.fock_n", "fock_n", 0), ("state.n_max", "n_max", 0),
+    ("plan.n_phases", "n_phases", 1),
+    ("plan.events_per_phase", "events_per_phase", 1),
+    ("kernel.l0", "l0", 0), ("kernel.f_truncation", "f_truncation", 1),
+    ("estimate.k_max", "k_max", 1), ("reconstruct.K", "K_used", 0),
+    ("reconstruct.M", "M", 1), ("seed", "seed", 0),
+]
+
+
+@pytest.mark.parametrize("key, name, low", INTEGER_KEYS)
+@pytest.mark.parametrize("value", ["2.0", "1e1", "below"])
+def test_integer_config_key_takes_an_integer_literal_in_its_range(
+        key, name, low, value):
+    if value == "below":
+        value = str(low - 1)
+    # events_per_phase checks each of its tokens: spoil the second
+    text = "5 %s 7" % value if key == "plan.events_per_phase" else value
+    with pytest.raises(ValueError) as info:
+        parse_config("%s = %s\n" % (key, text))
+    assert str(info.value) == (
+        "line 1: bad value for %s: %s must be an integer >= %d, not %r"
+        % (key, name, low, value))
+
+
 @pytest.mark.parametrize("key, value, reason", [
     ("reconstruct.K", "-1", "K_used must be an integer >= 0, not '-1'"),
     ("reconstruct.K", "2.0", "K_used must be an integer >= 0, not '2.0'"),
@@ -766,21 +834,37 @@ def test_parse_config_rejects_nonpositive_or_non_finite_geometry(key,
 ])
 def test_kernel_table_with_non_finite_geometry_exits_2(tmp_path, capsys,
                                                        flag, value):
-    ret = main(["kernel-table", "--k", "1", flag, value,
-                "--output-dir", str(tmp_path / "tables")])
-    err = capsys.readouterr().err
-    assert ret == 2
-    assert re.match(r"error: (x0|grid step) must be finite and > 0, not %s$"
-                    % value, err.strip()), err
+    # the geometry is the config's: the old flag is refused, and its
+    # config key refuses the value at its line
+    key = "kernel." + flag[2:].replace("-", "_")
+    path = tmp_path / "run.cfg"
+    path.write_text("%s = %s\n" % (key, value))
+    tables = str(tmp_path / "tables")
+    with pytest.raises(SystemExit) as info:
+        main(["kernel-table", "--config", str(path), flag, "1",
+              "--output-dir", tables])
+    assert info.value.code == 2
+    assert "unrecognized arguments: %s 1" % flag in capsys.readouterr().err
+    assert main(["kernel-table", "--config", str(path),
+                 "--output-dir", tables]) == 2
+    assert re.match(r"error: line 1: bad value for %s: (x0|grid step) must "
+                    r"be finite and > 0, not '%s'$" % (key, value),
+                    capsys.readouterr().err.strip())
     assert not (tmp_path / "tables").exists()
 
 
 def test_output_dir_flag_overrides_the_environment_for_kernel_tables(
         tmp_path, monkeypatch):
+    cfg = small_config(kernel_grid_step=0.5, k_max=1, recon_K=1,
+                       output_dir=str(tmp_path / "from_config"))
+    cfg_path = write_config(tmp_path, cfg)
+    monkeypatch.delenv("PHASEKIT_OUTPUT_DIR", raising=False)
+    assert main(["kernel-table", "--config", cfg_path]) == 0
+    assert (tmp_path / "from_config" / "kernel_k1_eta1.txt").exists()
     monkeypatch.setenv("PHASEKIT_OUTPUT_DIR", str(tmp_path / "from_env"))
-    assert main(["kernel-table", "--k", "1", "--grid-step", "0.5"]) == 0
+    assert main(["kernel-table", "--config", cfg_path]) == 0
     assert (tmp_path / "from_env" / "kernel_k1_eta1.txt").exists()
-    assert main(["kernel-table", "--k", "1", "--grid-step", "0.5",
+    assert main(["kernel-table", "--config", cfg_path,
                  "--output-dir", str(tmp_path / "from_flag")]) == 0
     assert (tmp_path / "from_flag" / "kernel_k1_eta1.txt").exists()
 
@@ -805,12 +889,27 @@ def test_pipeline_refuses_kernel_settings_before_any_output(
 
 def test_kernel_table_names_a_grid_step_without_a_table_node(tmp_path,
                                                              capsys):
-    ret = main(["kernel-table", "--k", "1", "--grid-step", "10",
+    cfg = small_config(kernel_grid_step=10.0)
+    ret = main(["kernel-table", "--config", write_config(tmp_path, cfg),
                 "--output-dir", str(tmp_path / "tables")])
     assert ret == 2
     assert capsys.readouterr().err == (
-        "error: grid step 10.0 leaves no table node inside x0 = 4.0; "
-        "it must be below 2 x0\n")
+        "error: kernel.grid_step = 10, kernel.x0 = 4: grid step 10.0 leaves "
+        "no table node inside x0 = 4.0; it must be below 2 x0\n")
+    assert not (tmp_path / "tables").exists()
+
+
+@pytest.mark.parametrize("eta, override", [("0.4", []),
+                                           ("0.9", ["--eta", "0.45"])])
+def test_kernel_table_refuses_an_uncompensatable_eta_before_writing(
+        tmp_path, capsys, eta, override):
+    path = tmp_path / "run.cfg"
+    path.write_text("plan.eta = %s\n" % eta)
+    ret = main(["kernel-table", "--config", str(path), *override,
+                "--output-dir", str(tmp_path / "tables")])
+    assert ret == 2
+    assert "kernel.compensate = true: efficiency must satisfy" \
+        in capsys.readouterr().err
     assert not (tmp_path / "tables").exists()
 
 

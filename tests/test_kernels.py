@@ -415,18 +415,23 @@ def test_tables_compare_and_hash_by_identity(default_tables):
 
 @pytest.mark.parametrize("eta", [1.0, 0.8])
 @pytest.mark.parametrize("k", range(1, 9))
-def test_table_text_ends_on_its_tail_rule(k, eta):
+def test_table_text_ends_on_its_tail_rule(k, eta, tmp_path):
     # quantum_kernel switches to the tail at |x| = x0, so the last row of
-    # a written table holds the tail rule its header states; 3.14159265
-    # has more decimals than the '%.6f' grid column keeps
+    # a written table holds the tail rule its header states; the file
+    # holds every node exactly, 3.14159265 included
     for x0, step in ((4.0, DEFAULT_GRID_STEP), (4.0, 0.0013),
                      (3.14159265, 0.0013)):
         spec = KernelSpec(k=k, eta=eta, x0=x0)
         table = build_kernel_table(spec, grid_step=step)
-        x, value = textio.parse(table.to_text().splitlines(),
-                                TABLE_COLUMNS).rows[-1]
+        path = tmp_path / "table.txt"
+        kernels.save_table(table, path)
+        art = textio.load(path, TABLE_COLUMNS)
+        assert art.field("x0 =", float) == x0
+        assert np.array_equal(art.rows, np.column_stack([table.grid,
+                                                         table.values]))
+        x, value = art.rows[-1]
         edge = kernels._tail_value(spec, table.edge_gap, x0)
-        assert table.grid[-1] == x0 and x == round(x0, 6)
+        assert table.grid[-1] == x0 and x == x0
         assert abs(value - edge) <= 1e-9 * abs(edge)
 
 

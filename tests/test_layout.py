@@ -7,8 +7,8 @@ is a string constant and an import line holds aliases, so neither is a
 Name or an Attribute, and neither are the strings of phasekit.__all__.
 
 Known limit: names are matched, not bindings.  A method whose name
-another definition shares counts as reached once either is called;
-to_text is KernelTable's and RunConfig's, for example.
+another name shares counts as reached once either is used; RunConfig's
+plan method and the plan field of a MeasurementSet, for example.
 """
 
 import ast

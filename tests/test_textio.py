@@ -175,6 +175,44 @@ def test_out_of_range_header_value_is_named(name, key, value, tmp_path):
         load("\n".join(lines) + "\n", tmp_path)
 
 
+STATE = "kind=coherent alpha=0.69999999999999996+0j squeeze=0+0j fock_n=0"
+
+
+@pytest.mark.parametrize("name, key, value, reason", [
+    ("records", "n_phases", "2.0", "n_phases must be an integer >= 1"),
+    ("records", "n_phases", "0", "n_phases must be an integer >= 1"),
+    ("records", "events_per_phase", "4 1e1 4",
+     "events_per_phase must be an integer >= 1, not '1e1'"),
+    ("records", "events_per_phase", "4 0 4",
+     "events_per_phase must be an integer >= 1, not '0'"),
+    ("records", "state", STATE + " n_max=8.0",
+     "n_max must be an integer >= 0, not '8.0'"),
+    ("records", "state", STATE.replace("fock_n=0", "fock_n=-1") + " n_max=8",
+     "fock_n must be an integer >= 0, not '-1'"),
+    ("moments", "n_phases", "0", "n_phases must be an integer >= 1"),
+    ("moments", "n_phases", "1e1", "n_phases must be an integer >= 1"),
+])
+def test_integer_header_value_gets_its_range_at_its_line(
+        name, key, value, reason, tmp_path):
+    # the integer fields go through the config keys' validators
+    make, load = FORMATS[name]
+    lines = make(tmp_path).splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("# %s:" % key))
+    lines[i] = "# %s: %s" % (key, value)
+    with pytest.raises(ValueError) as info:
+        load("\n".join(lines) + "\n", tmp_path)
+    assert str(info.value).startswith(
+        "line %d: bad %s value '%s': %s" % (i + 1, key, value, reason))
+
+
+def test_moments_file_without_rows_is_refused(tmp_path):
+    # save_moments writes no such file
+    lines = _moments_text(tmp_path).splitlines()
+    header = [ln for ln in lines if ln.startswith("#")]
+    with pytest.raises(ValueError, match="^file holds no moments$"):
+        FORMATS["moments"][1]("\n".join(header) + "\n", tmp_path)
+
+
 def test_header_fields_split_at_first_separator():
     art = parse(["# title line", "# a = b: c", "# d: e = f", "#g=h",
                  "1 2", "# a: last", "", "3 4"], "x y")

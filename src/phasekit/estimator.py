@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .kernels import DEFAULT_X0, smear_error_kernel, smearing_sigma, \
-    table_evaluator
+from .kernels import DEFAULT_X0, _check_k, smear_error_kernel, \
+    smearing_sigma, table_evaluator
 from .simulator import _check_n_phases
 from .specfun import psi_matrix
 
@@ -55,14 +55,12 @@ class MomentEstimate:
     eta_assumed: float
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("moment order k must be >= 1")
+        object.__setattr__(self, "k", _check_k(self.k))
+        object.__setattr__(self, "n_phases", _check_n_phases(self.n_phases))
         if not cmath.isfinite(self.value):
             raise ValueError("moment value %r is not finite" % self.value)
         if not (self.var_re >= 0 and self.var_im >= 0):
             raise ValueError("variances must be nonnegative, not NaN")
-        if self.n_phases < 1:
-            raise ValueError("n_phases must be positive")
         if not 0.0 < self.eta_assumed <= 1.0:
             raise ValueError("eta_assumed %r is not in (0, 1]"
                              % self.eta_assumed)
@@ -164,11 +162,11 @@ def estimate_all(ms, k_max, tables):
     time.  The order cap k_max must stay below the number of phases;
     beyond it the discretization bias can dominate the estimate.
 
-    When the tables are KernelTables on one grid with one x0 (checked
-    with np.array_equal, as built by build_kernel_table at one step),
+    When the tables are KernelTables with one x0 and one node count,
+    which fix their grid (as built by build_kernel_table at one step),
     each record's segment index, segment offsets and tail positions are
     computed once and shared by all orders (kernels.table_evaluator);
-    any other table set, such as tables at different grid steps or
+    any other table set, such as tables of different node counts or
     objects with only .spec and .evaluate, is evaluated table by table
     through each table's evaluate, which runs the same lookup code.
     """

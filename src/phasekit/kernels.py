@@ -32,15 +32,17 @@ doubles, completed by Hurwitz-zeta tails from the Euler-Maclaurin
 formula in decimal.  Tables need numpy and the standard library alone,
 and importing phasekit loads no scipy.
 
-Estimation evaluates tabulated kernels (KernelTable): a KernelSpec, its
-nodes and two tail numbers, the edge gap and the offset.  Inside
-|x| <= x0 a table interpolates linearly on a uniform grid; outside, NaN
+Estimation evaluates tabulated kernels (KernelTable): a KernelSpec and
+a grid step, from which the table builds its uniform grid on [-x0, x0],
+its nodes and two tail numbers, the edge gap and the offset.  Inside
+|x| <= x0 a table interpolates linearly between its nodes; outside, NaN
 and +-inf included, it takes _tail_value, the tail quantum_kernel uses.
 A sample's segment is found by direct indexing, j = floor((x - g0) / h)
 with one +-1 correction, not by a binary search; the arithmetic is
 np.interp's, so the values are bit-identical to it.  There is one
 lookup, _lookup_all: table_evaluator finds the segments once per sample
-for tables on one grid, and KernelTable.evaluate is its one-table case.
+for tables of one x0 and node count, and KernelTable.evaluate is its
+one-table case.
 
 Two closed single-integral forms (k = 1, 2), quadratures over
 scipy.special's hyp1f1 and i0 imported on first use, are independent
@@ -131,6 +133,9 @@ class KernelSpec:
     l0           order of the Hermite series inside the window
     x0           switch point to the classical tail
     f_truncation upper limit of the explicit part of the F_k inner sums
+
+    Each field is stored as its validator returns it: the orders and
+    counts as int, eta and x0 as float.
     """
 
     k: int
@@ -140,27 +145,27 @@ class KernelSpec:
     f_truncation: int = DEFAULT_F_TRUNCATION
 
     def __post_init__(self):
-        _check_k(self.k)
-        _check_eta(self.eta)
-        _check_x0(self.x0)
-        _check_l0(self.l0)
-        _check_f_truncation(self.f_truncation)
+        object.__setattr__(self, "k", _check_k(self.k))
+        object.__setattr__(self, "eta", _check_eta(self.eta))
+        object.__setattr__(self, "x0", _check_x0(self.x0))
+        object.__setattr__(self, "l0", _check_l0(self.l0))
+        object.__setattr__(self, "f_truncation",
+                           _check_f_truncation(self.f_truncation))
 
 
 @dataclass(frozen=True, eq=False)
 class KernelTable:
-    """Tabulated kernel: its spec, its nodes and two tail numbers.
+    """Tabulated kernel, built from its spec and its grid step alone.
 
-    Inside |x| <= x0 the table interpolates linearly between its nodes
-    (grid, values); outside, NaN and +-inf included, it takes
-    _tail_value, the classical limit plus edge_gap (x0/|x|)^p with
-    p = _decay_power(k), odd-parity signed.  offset is the constant
-    removed from the even-k series so that it shares the classical
-    asymptote (zero for odd k).
+    The nodes are quantum_kernel on grid = np.linspace(-x0, x0, 2n + 1),
+    n = round(x0 / grid_step), both ends included.  Inside |x| <= x0 the
+    table interpolates linearly between them (grid, values); outside,
+    NaN and +-inf included, it takes _tail_value, the classical limit
+    plus edge_gap (x0/|x|)^p with p = _decay_power(k), odd-parity
+    signed.  offset is the constant removed from the even-k series so
+    that it shares the classical asymptote (zero for odd k).
 
-    The grid must be strictly increasing with every node within a
-    quarter step of the uniform lattice g0 + i h through its end
-    points.  Lookup clamps x into the grid, indexes it directly,
+    Lookup clamps x into the grid, indexes it directly,
     j = floor((x - g0) / h), and one +-1 correction against the stored
     nodes finds the segment grid[j] <= x < grid[j+1]; the value is
     slope[j] (x - grid[j]) + values[j] with slopes cached at
@@ -171,35 +176,21 @@ class KernelTable:
     """
 
     spec: KernelSpec
-    grid: np.ndarray
-    values: np.ndarray
-    edge_gap: float
-    offset: float
+    grid_step: float = DEFAULT_GRID_STEP
+    grid: np.ndarray = field(init=False, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
+    edge_gap: float = field(init=False, repr=False)
+    offset: float = field(init=False, repr=False)
     _lookup: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.size < 2 or values.shape != grid.shape:
-            raise ValueError(
-                "kernel table needs matching 1-d grid and values with at "
-                "least two nodes; got shapes %s and %s"
-                % (grid.shape, values.shape)
-            )
+        object.__setattr__(self, "grid_step", _check_grid_step(self.grid_step))
+        s = self.spec
+        n_half = _half_nodes(s.x0, self.grid_step)
+        grid = np.linspace(-s.x0, s.x0, 2 * n_half + 1)
+        values = quantum_kernel(s.k, grid, s.eta, s.l0, s.x0, s.f_truncation)
         origin = grid[0]
         step = (grid[-1] - origin) / (grid.size - 1)
-        off = np.abs(grid - (origin + step * np.arange(grid.size)))
-        bad = np.flatnonzero(
-            np.concatenate(([False], np.diff(grid) <= 0.0))
-            | ~(off <= 0.25 * step)
-        )
-        if bad.size:
-            i = bad[0]
-            raise ValueError(
-                "kernel table grid node %d (x = %.9g) is not strictly "
-                "increasing within a quarter step of the uniform lattice "
-                "x = %.9g + i * %.9g" % (i, grid[i], origin, step)
-            )
         # Segment p = j + 1 holds bounds[p] = grid[j] <= x < grid[j+1];
         # the padded ends p = 0 and p = size reproduce np.interp's
         # constant extrapolation with a zero slope.
@@ -208,8 +199,11 @@ class KernelTable:
                   np.concatenate(([-np.inf], grid, [np.inf])),
                   np.concatenate(([0.0], slope, [0.0])),
                   np.concatenate(([values[0]], values)))
+        offset, edge_gap = _edge_fit(s)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "edge_gap", edge_gap)
+        object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "_lookup", lookup)
 
     @scalar_in_scalar_out
@@ -228,9 +222,9 @@ def save_table(table, path, header_lines=()):
         "sampling kernel table",
         *header_lines,
         "k = %d" % s.k,
-        "eta = %r" % float(s.eta),
+        "eta = %r" % s.eta,
         "l0 = %d" % s.l0,
-        "x0 = %r" % float(s.x0),
+        "x0 = %r" % s.x0,
         "f_truncation = %d" % s.f_truncation,
         "tail: classical + %r * (x0/|x|)^%d (odd-parity signed)"
         % (table.edge_gap, _decay_power(s.k)),
@@ -249,15 +243,16 @@ def table_evaluator(tables):
     so a caller that reduces each holds one array, not one per table.
 
     When every table is a KernelTable (not a subclass or a stand-in)
-    and all share one grid (np.array_equal) and one x0, _lookup_all
-    finds the segments and tail positions once per x for all tables.
+    and all share one x0 and one node count, which fix the grid,
+    _lookup_all finds the segments and tail positions once per x for
+    all tables.
     Any other table set, such as stand-ins that only offer .spec and
     .evaluate, runs evaluate, the same lookup, table by table.
     """
     tables = list(tables)
     first = tables[0]
     if not all(type(t) is KernelTable and t.spec.x0 == first.spec.x0
-               and np.array_equal(t.grid, first.grid) for t in tables):
+               and t.grid.size == first.grid.size for t in tables):
         return lambda x: (t.evaluate(x) for t in tables)
     return lambda x: _lookup_all(tables, x)
 
@@ -640,16 +635,7 @@ def _half_nodes(x0, grid_step):
 
 
 def build_kernel_table(spec, grid_step=DEFAULT_GRID_STEP):
-    """Tabulate quantum_kernel on [-x0, x0] for fast repeated lookups.
-
-    The grid is symmetric and includes both endpoints; evaluation
-    interpolates linearly inside and takes the tail outside.  The step
-    default keeps the interpolation error far below the series accuracy.
-    """
-    n_half = _half_nodes(spec.x0, grid_step)
-    grid = np.linspace(-spec.x0, spec.x0, 2 * n_half + 1)
-    values = quantum_kernel(spec.k, grid, spec.eta, spec.l0, spec.x0,
-                            spec.f_truncation)
-    offset, edge_gap = _edge_fit(spec)
-    return KernelTable(spec=spec, grid=grid, values=values,
-                       edge_gap=edge_gap, offset=offset)
+    """Tabulate quantum_kernel of spec on [-x0, x0] for fast repeated
+    lookups: KernelTable(spec, grid_step).  The step default keeps the
+    interpolation error far below the series accuracy."""
+    return KernelTable(spec, grid_step)

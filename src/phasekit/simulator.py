@@ -92,17 +92,14 @@ class ExperimentPlan:
     def __post_init__(self):
         counts = []
         for l, n in enumerate(np.atleast_1d(self.events_per_phase).tolist()):
-            if not float(n).is_integer():
-                raise ValueError("phase %d: event count %r is not a whole "
-                                 "number" % (l, n))
-            counts.append(int(n))
-        counts = tuple(counts)
-        if len(counts) == 0:
+            try:
+                counts.append(_check_event_count(n))
+            except ValueError as exc:
+                raise ValueError("phase %d: %s" % (l, exc)) from None
+        if not counts:
             raise ValueError("plan needs at least one phase")
-        if min(counts) < 1:
-            raise ValueError("every phase needs at least one event")
         smearing_sigma(self.eta)  # ValueError unless 0 < eta <= 1
-        object.__setattr__(self, "events_per_phase", counts)
+        object.__setattr__(self, "events_per_phase", tuple(counts))
         object.__setattr__(self, "seed", _check_seed(self.seed))
 
     @property

@@ -63,10 +63,21 @@ def test_moment_estimate_validation():
     with pytest.raises(ValueError):
         MomentEstimate(k=1, value=0j, var_re=-1.0, var_im=0.0, n_phases=4,
                        compensated=False, eta_assumed=1.0)
+    with pytest.raises(ValueError,
+                       match=r"^k must be an integer >= 1, not 1\.5$"):
+        MomentEstimate(k=1.5, value=0j, var_re=0.0, var_im=0.0, n_phases=4,
+                       compensated=False, eta_assumed=1.0)
+    with pytest.raises(ValueError,
+                       match=r"^n_phases must be an integer >= 1, not 2\.5$"):
+        MomentEstimate(k=1, value=0j, var_re=0.0, var_im=0.0, n_phases=2.5,
+                       compensated=False, eta_assumed=1.0)
     est = MomentEstimate(k=1, value=0j, var_re=0.25, var_im=0.04, n_phases=4,
                          compensated=False, eta_assumed=1.0)
     assert est.sigma_re == 0.5
     assert est.sigma_im == 0.2
+    est = MomentEstimate(k=2.0, value=0j, var_re=0.0, var_im=0.0,
+                         n_phases=4.0, compensated=False, eta_assumed=1.0)
+    assert (type(est.k), type(est.n_phases)) == (int, int)
 
 
 def test_estimate_on_constant_records_reduces_to_frame_sum(default_tables):

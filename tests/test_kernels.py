@@ -216,6 +216,24 @@ def test_kernel_spec_validation():
         KernelSpec(k=1, f_truncation=0)
 
 
+@pytest.mark.parametrize("loose, exact", [
+    (dict(k=2.0), dict(k=2)),
+    (dict(k=1, l0=40.0), dict(k=1, l0=40)),
+    (dict(k=3, f_truncation=1000.0), dict(k=3, f_truncation=1000)),
+    (dict(k=1, x0="4"), dict(k=1, x0=4.0)),
+    (dict(k="2", eta=np.float64(0.8)), dict(k=2, eta=0.8)),
+])
+def test_kernel_spec_stores_its_checked_values(loose, exact):
+    spec = KernelSpec(**loose)
+    assert spec == KernelSpec(**exact)
+    assert [type(v) for v in (spec.k, spec.eta, spec.l0, spec.x0,
+                              spec.f_truncation)] == [int, float, int,
+                                                      float, int]
+    got = build_kernel_table(spec, grid_step=0.05)
+    want = build_kernel_table(KernelSpec(**exact), grid_step=0.05)
+    assert got.values.tobytes() == want.values.tobytes()
+
+
 @pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan])
 def test_kernel_spec_rejects_non_finite_x0(x0):
     with pytest.raises(ValueError,
@@ -317,6 +335,20 @@ def test_smear_error_kernel_rejects_bad_efficiency():
         smear_error_kernel(1, 0.5, 1.1)
 
 
+def test_table_is_built_from_its_spec_and_grid_step_alone():
+    spec = KernelSpec(k=2, x0=3.14159265)
+    table = KernelTable(spec, 0.0013)
+    assert (table.spec, table.grid_step) == (spec, 0.0013)
+    assert repr(table) == "KernelTable(spec=%r, grid_step=0.0013)" % (spec,)
+    grid = np.linspace(-spec.x0, spec.x0, 2 * round(spec.x0 / 0.0013) + 1)
+    assert table.grid.tobytes() == grid.tobytes()
+    assert table.values.tobytes() == quantum_kernel(
+        2, grid, x0=spec.x0).tobytes()
+    with pytest.raises(TypeError):
+        KernelTable(spec=spec, grid=table.grid, values=table.values,
+                    edge_gap=table.edge_gap, offset=table.offset)
+
+
 def test_build_table_respects_grid_step():
     table = build_kernel_table(KernelSpec(k=1), grid_step=0.05)
     steps = np.diff(table.grid)
@@ -354,36 +386,6 @@ def test_table_lookup_is_bit_identical_to_interp(k, xs, nodes, default_tables):
                           bits(interp_table_value(table, x)))
 
 
-def test_text_round_trip_of_off_uniform_grid_matches_interp():
-    built = build_kernel_table(KernelSpec(k=2), grid_step=0.0013)
-    # the nodes of a '%.6f' grid column sit off the uniform lattice by up
-    # to 5e-7
-    grid = np.array([float("%.6f" % g) for g in built.grid])
-    clone = KernelTable(spec=built.spec, grid=grid, values=built.values,
-                        edge_gap=built.edge_gap, offset=built.offset)
-    assert np.max(np.abs(clone.grid - built.grid)) > 1e-8
-    rng = np.random.default_rng(5)
-    x = np.concatenate([rng.uniform(-4.5, 4.5, 20000), clone.grid,
-                        np.nextafter(clone.grid, np.inf),
-                        np.nextafter(clone.grid, -np.inf)])
-    assert np.array_equal(bits(clone.evaluate(x)),
-                          bits(interp_table_value(clone, x)))
-
-
-def test_table_rejects_grid_off_the_uniform_lattice(default_tables):
-    table = default_tables[1]
-    grid = table.grid.copy()
-    grid[700] += 0.3 * (grid[1] - grid[0])
-    with pytest.raises(ValueError, match="grid node 700"):
-        KernelTable(spec=table.spec, grid=grid, values=table.values,
-                    edge_gap=table.edge_gap, offset=table.offset)
-    grid = table.grid.copy()
-    grid[3] = grid[2]
-    with pytest.raises(ValueError, match="grid node 3"):
-        KernelTable(spec=table.spec, grid=grid, values=table.values,
-                    edge_gap=table.edge_gap, offset=table.offset)
-
-
 @pytest.mark.parametrize("k", [1, 2])
 def test_table_evaluate_of_non_finite_input(k, default_tables):
     out = default_tables[k].evaluate(np.array([np.nan, np.inf, -np.inf]))
@@ -405,9 +407,7 @@ def test_table_evaluate_of_2d_input_is_the_raveled_result(k,
 
 def test_tables_compare_and_hash_by_identity(default_tables):
     table = default_tables[1]
-    clone = KernelTable(spec=table.spec, grid=table.grid,
-                        values=table.values, edge_gap=table.edge_gap,
-                        offset=table.offset)
+    clone = build_kernel_table(table.spec)
     assert table == table and table != clone
     assert hash(table) == hash(table)
     assert len({table, clone, table}) == 2

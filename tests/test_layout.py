@@ -1,4 +1,5 @@
-"""Layout of src/: every name defined there has a caller outside the tests.
+"""Layout of src/: every name defined there has a caller outside the
+tests, and src/phasekit stays within its line budget.
 
 Every module-level function and class of src/phasekit, and every public
 method of those classes, must occur as an ast.Name or ast.Attribute
@@ -16,6 +17,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "phasekit"
+
+# Ceiling on the lines of src/phasekit/*.py, counted as wc -l does
+# (ROADMAP E: every addition is paid for by a removal).
+SRC_LINE_BUDGET = 2994
 
 # Names kept for the ROADMAP item that gives them their caller.
 AWAITING_CALLER = {
@@ -54,3 +59,10 @@ def test_every_src_name_has_a_caller_outside_the_tests():
     referenced = {name for tree in trees.values()
                   for name in _referenced(tree)}
     assert defined - referenced == set(AWAITING_CALLER)
+
+
+def test_src_stays_within_its_line_budget():
+    lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
+    assert lines <= SRC_LINE_BUDGET, (
+        "src/phasekit/*.py is %d lines, over the budget of %d"
+        % (lines, SRC_LINE_BUDGET))

@@ -59,6 +59,9 @@ def ks_distance(samples, rho, theta, eta=1.0):
 def test_plan_validation():
     with pytest.raises(ValueError):
         ExperimentPlan(state=SQUEEZED, events_per_phase=(100, 0))
+    with pytest.raises(ValueError, match=r"^phase 1: events_per_phase must "
+                       r"be an integer >= 1, not 0$"):
+        ExperimentPlan(state=SQUEEZED, events_per_phase=(5, 0, 3))
     with pytest.raises(ValueError):
         ExperimentPlan(state=SQUEEZED, events_per_phase=(100,), eta=0.0)
     with pytest.raises(ValueError):
@@ -74,7 +77,8 @@ def test_plan_validation():
 ], ids=["both", "second", "uniform"])
 def test_plan_rejects_fractional_event_counts(make, phase, count):
     with pytest.raises(ValueError,
-                       match="phase %d: event count %s " % (phase, count)):
+                       match=r"^phase %d: events_per_phase must be an "
+                             r"integer >= 1, not %s$" % (phase, count)):
         make()
 
 

@@ -8,10 +8,11 @@ finite number of phases (aliasing), and systematic bias from detector
 smearing when no compensated kernel is used.
 
 estimate_all runs one reduction over the records through
-kernels.table_evaluator.  Every kernel integral of the error analysis
-is an entry of one overlap matrix, kernel_overlaps: aliasing_bias sums
-the elements that fold into order k, and smear_bias reads the k-th
-subdiagonal for the smearing-error kernel.
+kernels.table_evaluator, a group of small consecutive phases at a time.
+Every kernel integral of the error analysis is an entry of one overlap
+matrix, kernel_overlaps: aliasing_bias sums the elements that fold into
+order k, and smear_bias reads the k-th subdiagonal for the
+smearing-error kernel.
 """
 
 import cmath
@@ -23,7 +24,7 @@ import numpy as np
 from . import textio
 from .kernels import DEFAULT_X0, _check_k, smear_error_kernel, \
     smearing_sigma, table_evaluator
-from .simulator import _check_n_phases
+from .simulator import _check_n_phases, _phase_groups
 from .specfun import psi_matrix
 
 QUAD_NODES_PER_PANEL = 40
@@ -135,7 +136,10 @@ def _assemble(k, phases, stats, compensated, eta_assumed):
 def _estimate(ms, by_k):
     """Estimates for the orders of by_k (k -> kernel table), in its
     order, from one pass over the records with the tables checked; k
-    may reach N.
+    may reach N.  The tables are evaluated once per group of
+    consecutive phases (simulator._phase_groups) on the group's records
+    as one array, and each phase's statistics are taken over its own
+    slice of the values, so every sum runs over that phase alone.
 
     value  = (2 pi / N) sum_l e^{i k theta_l} mean_r K_k[x_r(theta_l)]
     var_re = (2 pi / N)^2 sum_l cos^2(k theta_l) s_l^2 / n(theta_l)
@@ -145,9 +149,11 @@ def _estimate(ms, by_k):
     flags = {k: _check_table(ms, k, table) for k, table in by_k.items()}
     evaluate_all = table_evaluator(by_k.values())
     stats = {k: [] for k in by_k}
-    for rec in ms.records:
-        for k, values in zip(by_k, evaluate_all(rec)):
-            stats[k].append(_phase_stats(values))
+    for group in _phase_groups(ms.plan.events_per_phase):
+        records = ms.records[group[0][0]:group[-1][0] + 1]
+        x = records[0] if len(records) == 1 else np.concatenate(records)
+        for k, values in zip(by_k, evaluate_all(x)):
+            stats[k].extend(_phase_stats(values[a:b]) for _, a, b in group)
     return [
         _assemble(k, ms.plan.phases, stats[k], flags[k], table.spec.eta)
         for k, table in by_k.items()
@@ -162,13 +168,18 @@ def estimate_all(ms, k_max, tables):
     time.  The order cap k_max must stay below the number of phases;
     beyond it the discretization bias can dominate the estimate.
 
-    When the tables are KernelTables with one x0 and one node count,
-    which fix their grid (as built by build_kernel_table at one step),
-    each record's segment index, segment offsets and tail positions are
-    computed once and shared by all orders (kernels.table_evaluator);
-    any other table set, such as tables of different node counts or
-    objects with only .spec and .evaluate, is evaluated table by table
-    through each table's evaluate, which runs the same lookup code.
+    Runs of small consecutive phases, up to simulator.GROUP_DRAWS
+    samples, are evaluated as one array, so the per-call cost of a
+    lookup is paid once per group rather than once per phase; the
+    estimates are bit for bit those of one phase at a time.  When the
+    tables are KernelTables with one x0 and one node count, which fix
+    their grid (as built by build_kernel_table at one step), the
+    segment index, segment offsets and tail positions of those samples
+    are computed once and shared by all orders
+    (kernels.table_evaluator); any other table set, such as tables of
+    different node counts or objects with only .spec and .evaluate, is
+    evaluated table by table through each table's evaluate, which runs
+    the same lookup code.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

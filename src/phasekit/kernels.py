@@ -241,6 +241,8 @@ def table_evaluator(tables):
     """Function x -> (t.evaluate(x) for t in tables), a generator, for
     1-d x; tables must not be empty.  Values come one table at a time,
     so a caller that reduces each holds one array, not one per table.
+    Every value depends on its own x alone, so estimate_all passes the
+    samples of several phases as one x and slices the values per phase.
 
     When every table is a KernelTable (not a subclass or a stand-in)
     and all share one x0 and one node count, which fix the grid,
@@ -527,9 +529,9 @@ def quantum_kernel(k, x, eta=1.0, l0=DEFAULT_L0, x0=DEFAULT_X0,
     spec = KernelSpec(k=k, eta=eta, l0=l0, x0=x0, f_truncation=f_truncation)
     offset, edge_gap = _edge_fit(spec)
     out = np.empty_like(x)
-    inside = np.abs(x) < x0
+    inside = np.abs(x) < spec.x0
     window = _window_value(spec, np.abs(x[inside])) - offset
-    out[inside] = window * np.sign(x[inside]) if k % 2 else window
+    out[inside] = window * np.sign(x[inside]) if spec.k % 2 else window
     out[~inside] = _tail_value(spec, edge_gap, x[~inside])
     return out
 

@@ -11,7 +11,8 @@ persists measurement records as plain text.
 The sampled law is the piecewise-linear density through p(x, theta) at
 the nodes of a uniform grid of step h, each segment rescaled to its
 Euler-Maclaurin mass h (p_j + p_{j+1}) / 2 - h^2/12 (p'_{j+1} - p'_j),
-with p' from np.gradient and negative masses clamped to zero.  Its CDF
+with p' by np.gradient's rule (central differences, one-sided at the
+two ends) and negative masses clamped to zero.  Its CDF
 is quadratic in each segment and inverts with one stable square root:
 numerical inversion with a stated error (W. Hormann and J. Leydold, ACM
 TOMACS 13, 347 (2003); G. Derflinger, W. Hormann and J. Leydold, ACM
@@ -19,7 +20,10 @@ TOMACS 20, 18 (2010)).  A uniform draw u finds its segment through a
 guide table (indexed search: Chen and Asau, AIIE Trans. 6, 163 (1974);
 Devroye, Non-Uniform Random Variate Generation (1986), sec. III.2),
 built in O(G) per phase on the G-node CDF, instead of a binary search
-per sample.
+per sample.  Set-up work is paid per table, so run_experiment tabulates
+and inverts runs of small consecutive phases as one group (at most
+GROUP_DRAWS draws): one table pass and one guide search over all of the
+group's rows, each draw's bits those of its phase sampled alone.
 
 The grid step follows from a stated error bound (_cdf_bound).  The
 Kolmogorov distance to the exact law is at most
@@ -71,6 +75,10 @@ RECORD_COLUMNS = "x"
 _check_seed = textio.integer_at_least("seed", 0)
 _check_n_phases = textio.integer_at_least("n_phases", 1)
 _check_event_count = textio.integer_at_least("events_per_phase", 1)
+# Draws that run_experiment samples and estimate_all reduces as one
+# array: runs of small phases are grouped up to 128 KiB per float64
+# array, above which each call's temporaries were faulted in afresh.
+GROUP_DRAWS = 16384
 
 
 @dataclass(frozen=True)
@@ -229,67 +237,100 @@ def _sampling_grid(rho):
     return _cdf_grid(rho.n_max, _cdf_step(rho))
 
 
-def _cdf_table(grid, pdf):
-    """Node CDF of the law sampled for the density pdf on the uniform
-    grid, and its nodes (grid, pdf).
+def _cdf_table(grid, pdf, name=None):
+    """Node CDFs of the laws sampled for the densities pdf on the uniform
+    grid, one row per row of pdf (a 1-d pdf is one law), and their
+    nodes (grid, pdf).
 
     Segment j holds the trapezoid mass with the Euler-Maclaurin end
     correction, h (p_j + p_{j+1}) / 2 - h^2/12 (p'_{j+1} - p'_j), p'
-    from np.gradient; a negative mass is clamped to zero.  A state
-    leaking more probability than OUTSIDE_MASS_TOL past the grid edge,
-    or a grid so coarse that more than that is clamped, cannot be
-    sampled faithfully and is rejected.
+    by np.gradient's rule, written out so a one-row table pays no more
+    than a 1-d one; a negative mass is clamped to zero.  All rows are
+    tabulated in one pass, each element as a row of its own would be.
+    A density leaking more probability than OUTSIDE_MASS_TOL past the
+    grid edge, or on a grid so coarse that more than that is clamped,
+    cannot be sampled faithfully and is rejected; name(r), when given,
+    names row r in the error.
     """
     h = (grid[-1] - grid[0]) / (grid.size - 1)
-    mass = (pdf[1:] + pdf[:-1]) * (h / 2.0)
-    mass -= np.diff(np.gradient(pdf, h)) * (h * h / 12.0)
-    clamped = -mass[mass < 0.0].sum()
-    if clamped > OUTSIDE_MASS_TOL:
-        raise ValueError("CDF grid too coarse: %.3e of probability mass "
-                         "in segments of negative mass" % clamped)
+    rows = pdf.reshape(-1, grid.size)
+    slope = np.empty(rows.shape)
+    slope[:, 1:-1] = (rows[:, 2:] - rows[:, :-2]) / (2.0 * h)
+    slope[:, 0] = (rows[:, 1] - rows[:, 0]) / h
+    slope[:, -1] = (rows[:, -1] - rows[:, -2]) / h
+    mass = (rows[:, 1:] + rows[:, :-1]) * (h / 2.0)
+    mass -= (slope[:, 1:] - slope[:, :-1]) * (h * h / 12.0)
+    clamped = -np.minimum(mass, 0.0).sum(axis=1)
     np.maximum(mass, 0.0, out=mass)
-    cdf = np.empty(grid.size)
-    cdf[0] = 0.0
-    np.cumsum(mass, out=cdf[1:])
-    total = cdf[-1]
-    if abs(total - 1.0) > OUTSIDE_MASS_TOL:
-        raise ValueError(
-            "quadrature grid too small: %.3e of the probability mass "
-            "lies outside [-%.2f, %.2f]"
-            % (abs(total - 1.0), grid[-1], grid[-1])
-        )
+    cdf = np.empty(rows.shape)
+    cdf[:, 0] = 0.0
+    np.cumsum(mass, axis=1, out=cdf[:, 1:])
+    total = cdf[:, -1:].copy()
+    leak = np.abs(total[:, 0] - 1.0)
+    bad = (clamped > OUTSIDE_MASS_TOL) | (leak > OUTSIDE_MASS_TOL)
+    if bad.any():
+        r = np.argmax(bad)
+        if clamped[r] > OUTSIDE_MASS_TOL:
+            msg = ("CDF grid too coarse: %.3e of probability mass in "
+                   "segments of negative mass" % clamped[r])
+        else:
+            msg = ("quadrature grid too small: %.3e of the probability "
+                   "mass lies outside [-%.2f, %.2f]"
+                   % (leak[r], grid[-1], grid[-1]))
+        raise ValueError(msg if name is None else name(r) + ": " + msg)
     cdf /= total
-    return cdf, (grid, pdf)
+    return cdf.reshape(pdf.shape), (grid, pdf)
 
 
-def _guide_segments(u, cdf):
-    """Segment j of each u, cdf[j] <= u < cdf[j+1], by indexed search.
+def _guide_segments(u, cdf, counts):
+    """Flat node index j of each u in the rows of cdf, with cdf[j] <= u
+    < cdf[j+1] inside u's row, by indexed search over all rows at once;
+    the first counts[0] draws belong to row 0, the next counts[1] to
+    row 1, and so on.
 
-    Bucket b = floor(u M) of M = len(cdf) equal buckets starts at
-    guide[b], the last node whose own bucket floor(cdf[j] M) lies below
-    b.  Multiplying by M rounds monotonically, so that node lies below
-    every u of the bucket (node 0, cdf = 0, starts bucket 0).  Three +1
-    steps place all but the samples in buckets spanning many nodes (the
-    flat tails, under 1% of samples); those binary-search.  A segment
-    of zero mass, cdf[j] == cdf[j+1], holds no u and is never chosen.
+    Bucket b = floor(u M) of M = m equal buckets of an m-node row starts
+    at guide[b], the last node whose own bucket floor(cdf[j] M) lies
+    below b.  Multiplying by M rounds monotonically, so that node lies
+    below every u of the bucket (node 0, cdf = 0, starts bucket 0).
+    Row r's buckets sit at r (M + 2) in one bincount, whose running
+    count passes the r m nodes of the rows before, so guide holds flat
+    node indices.  Three +1 steps place all but the samples in buckets
+    spanning many nodes (the flat tails, under 1% of samples); those
+    binary-search their row, one search per row that holds any.  No
+    step leaves the row: its last node, cdf = 1, lies above every u.  A
+    segment of zero mass, cdf[j] == cdf[j+1], holds no u and is never
+    chosen.
     """
-    m = cdf.size
-    buckets = np.bincount((cdf * m).astype(np.intp) + 1, minlength=m + 2)
-    guide = np.cumsum(buckets[:-1]) - 1
-    guide[0] = 0
-    j = guide[(u * m).astype(np.intp)]
+    n_rows, m = cdf.shape
+    keys = (cdf * m).astype(np.intp)
+    keys += np.arange(1, n_rows * (m + 2), m + 2)[:, None]
+    guide = np.cumsum(np.bincount(keys.ravel(),
+                                  minlength=n_rows * (m + 2))) - 1
+    guide[::m + 2] += 1
+    cdf = cdf.ravel()
+    b = (u * m).astype(np.intp)
+    if n_rows > 1:
+        b += np.repeat(np.arange(0, n_rows * (m + 2), m + 2), counts)
+    j = guide[b]
+    upper = cdf[1:]
     for _ in range(3):
-        j += cdf[j + 1] <= u
-    unplaced = np.flatnonzero(cdf[j + 1] <= u)
-    if unplaced.size:
-        j[unplaced] = np.searchsorted(cdf, u[unplaced], "right") - 1
+        j += upper[j] <= u
+    unplaced = np.flatnonzero(upper[j] <= u)
+    while unplaced.size:
+        s = j[unplaced[0]] // m * m
+        n = np.count_nonzero(j[unplaced] < s + m)
+        at, unplaced = unplaced[:n], unplaced[n:]
+        j[at] = s - 1 + np.searchsorted(cdf[s:s + m], u[at], "right")
     return j
 
 
-def _quantiles(u, cdf, xs, pdf):
-    """Quantiles at uniform draws u in [0, 1) of the law with node CDF
-    cdf (from 0 to 1) and, in each segment, the linear density through
-    (xs, pdf) rescaled to the segment's mass.
+def _quantiles(u, cdf, xs, pdf, counts=None):
+    """Quantiles at uniform draws u in [0, 1) of the laws with node CDFs
+    cdf (from 0 to 1, one row per law; a 1-d cdf is one law) and, in
+    each segment, the linear density through (xs, pdf) rescaled to the
+    segment's mass.  The first counts[0] draws follow row 0, the next
+    counts[1] row 1, and so on; all follow a single row when counts is
+    None.
 
     With w = (u - c_j) / (c_{j+1} - c_j) in [0, 1] and the linear
     density's area A = h (p_j + p_{j+1}) / 2, the quadratic CDF gives
@@ -298,10 +339,17 @@ def _quantiles(u, cdf, xs, pdf):
     two, so no square underflows.  Where that form is 0/0 (an exact hit
     u == c_j on a node of zero density, or a segment whose density
     vanishes at both nodes) the draw is the uniform one, x_j + w h; no
-    draw is NaN.
+    draw is NaN.  The segment terms are formed over the flat rows, each
+    from its own row's nodes, so every draw has the bits it has when
+    its row is sampled alone.
     """
-    h = (xs[-1] - xs[0]) / (xs.size - 1)
-    j = _guide_segments(u, cdf)
+    m = xs.size
+    h = (xs[-1] - xs[0]) / (m - 1)
+    cdf = cdf.reshape(-1, m)
+    j = _guide_segments(u, cdf, counts)
+    xs = np.tile(xs, cdf.shape[0])
+    cdf = cdf.ravel()
+    pdf = pdf.ravel()
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.maximum(pdf[:-1], pdf[1:])
         a = pdf[:-1] / scale
@@ -310,8 +358,8 @@ def _quantiles(u, cdf, xs, pdf):
         w = (u - cdf[j]) / np.diff(cdf)[j]
         t = (w * (h * (a + b))[j]
              / (a[j] + np.sqrt(a_sq[j] + w * (b * b - a_sq)[j])))
-    bad = ~np.isfinite(t)
-    if bad.any():
+    if not np.isfinite(t).all():
+        bad = ~np.isfinite(t)
         t[bad] = w[bad] * h
     return xs[j] + t
 
@@ -319,13 +367,31 @@ def _quantiles(u, cdf, xs, pdf):
 def _inverse_cdf_table(rho, theta):
     """Node CDF and density nodes of the law sampled for p(x, theta)."""
     grid = _sampling_grid(rho)
-    return _cdf_table(grid, quadrature_pdf(rho, grid, theta))
+    return _cdf_table(grid, quadrature_pdf(rho, grid, theta),
+                      lambda r: "theta = %.6g" % theta)
 
 
 def sample_quadrature(rho, theta, count, rng_stream):
     """Draw count i.i.d. samples of the quadrature at phase theta."""
     cdf, nodes = _inverse_cdf_table(rho, theta)
     return _quantiles(rng_stream.random(int(count)), cdf, *nodes)
+
+
+def _phase_groups(counts, max_phases=GROUP_DRAWS):
+    """Runs of consecutive phases whose event counts sum to at most
+    GROUP_DRAWS and that number at most max_phases (by default no bound
+    beyond the draws'), in phase order; a phase with more events forms
+    a group alone.  Each group is a list of (l, a, b): phase l fills
+    [a, b) of the group's draws.  run_experiment and the estimator
+    group phases alike."""
+    group, size = [], 0
+    for l, n in enumerate(counts):
+        if group and (size + n > GROUP_DRAWS or len(group) >= max_phases):
+            yield group
+            group, size = [], 0
+        group.append((l, size, size + n))
+        size += n
+    yield group
 
 
 def phase_stream(seed, l):
@@ -367,19 +433,37 @@ def run_experiment(plan, capture_tol=CAPTURE_TOL):
     deterministic child stream, so the set is reproducible and phase
     results do not depend on execution order.  With eta < 1 the stream
     also supplies the Gaussian detector noise added to each sample.
+
+    Phases are sampled in groups (_phase_groups): runs of consecutive
+    phases of at most GROUP_DRAWS draws in all and at most
+    GROUP_DRAWS // G phases, so no (phases, G) table outgrows the draw
+    arrays.  A group stacks its phases' densities, one matvec each, and
+    takes one CDF pass and one inverse transform over all its rows, so
+    the table set-up that a 500-draw phase would pay alone is paid once
+    per group; every record is bit for bit the one its phase gives
+    sampled alone, and a failed CDF check names the phase and theta.
     """
     grid, harmonics = _state_sampler(plan.state, capture_tol)
     sigma = smearing_sigma(plan.eta)
+    thetas = plan.phases
     records = []
-    for l, (theta, count) in enumerate(
-        zip(plan.phases, plan.events_per_phase)
-    ):
-        rng = phase_stream(plan.seed, l)
-        cdf, nodes = _cdf_table(grid, harmonic_density(harmonics, theta))
-        samples = _quantiles(rng.random(count), cdf, *nodes)
-        if sigma > 0.0:
-            samples = samples + rng.normal(0.0, sigma, size=count)
-        records.append(samples)
+    for group in _phase_groups(plan.events_per_phase,
+                               GROUP_DRAWS // grid.size):
+        pdf = np.empty((len(group), grid.size))
+        u = np.empty(group[-1][2])
+        streams = []
+        for r, (l, a, b) in enumerate(group):
+            pdf[r] = harmonic_density(harmonics, thetas[l])
+            streams.append(phase_stream(plan.seed, l))
+            streams[-1].random(out=u[a:b])
+        first = group[0][0]
+        cdf, nodes = _cdf_table(grid, pdf, lambda r: "phase %d (theta = %.6g)"
+                                % (first + r, thetas[first + r]))
+        samples = _quantiles(u, cdf, *nodes, [b - a for _, a, b in group])
+        for rng, (l, a, b) in zip(streams, group):
+            if sigma > 0.0:
+                samples[a:b] += rng.normal(0.0, sigma, size=b - a)
+            records.append(samples[a:b])
     return MeasurementSet(plan=plan, records=tuple(records))
 
 

@@ -3,8 +3,10 @@
 Quadrature rules for the estimator and acceptance tests, the direct
 forms the fast library paths are checked against (the loop form of the
 aliasing bias, the quadratic-form quadrature density, a bisection
-inverse of the simulator's sampled law, np.interp kernel lookup, the
-per-row record reader and a dense high-precision least-squares solve),
+inverse of the simulator's sampled law, the one-phase-at-a-time
+simulation and moment reduction that grouped phases must reproduce bit
+for bit, np.interp kernel lookup, the per-row record reader and a dense
+high-precision least-squares solve),
 the paper's higher-moment approximation of the aliasing bias, the
 closed integral kernels K_1 and K_2 in 20-digit mpmath, the Hurwitz
 zeta function by summation and the F_k term expansion, the statistics
@@ -17,10 +19,13 @@ import math
 
 import numpy as np
 
-from phasekit.kernels import _tail_value
-from phasekit.simulator import ExperimentPlan, MeasurementSet
+from phasekit.estimator import _assemble, _check_table, _phase_stats
+from phasekit.kernels import _tail_value, smearing_sigma, table_evaluator
+from phasekit.simulator import (ExperimentPlan, MeasurementSet, _cdf_table,
+                                _quantiles, _state_sampler, phase_stream)
 from phasekit.specfun import psi_rows
-from phasekit.states import StateSpec, exact_moments, quadrature_pdf
+from phasekit.states import (StateSpec, exact_moments, harmonic_density,
+                             quadrature_pdf)
 
 
 def panel_rule(order=40):
@@ -201,6 +206,47 @@ def bisection_quantiles(u, cdf, xs, pdf):
     exact = xs[j] + lo
     x = exact.astype(float)
     return np.where(x > exact, np.nextafter(x, -np.inf), x)
+
+
+# Event counts on which grouped phases are compared with the per-phase
+# oracles: single draws, phases at and above simulator.GROUP_DRAWS, runs
+# of small phases up to the draw bound and runs of single draws up to
+# the simulator's row bound, so group boundaries fall everywhere.
+MIXED_COUNTS = ((1, 16384, 7, 20000, 500, 3, 16383, 2, 9000, 8000, 1, 4)
+                + (300,) * 20 + (1,) * 30)
+
+
+def per_phase_run_experiment(plan, capture_tol):
+    """simulator.run_experiment one phase at a time: each phase's density,
+    CDF table and inverse transform on its own, its uniform draws and
+    then its detector noise from its own stream."""
+    grid, harmonics = _state_sampler(plan.state, capture_tol)
+    sigma = smearing_sigma(plan.eta)
+    records = []
+    for l, (theta, count) in enumerate(zip(plan.phases,
+                                           plan.events_per_phase)):
+        rng = phase_stream(plan.seed, l)
+        cdf, nodes = _cdf_table(grid, harmonic_density(harmonics, theta))
+        samples = _quantiles(rng.random(count), cdf, *nodes)
+        if sigma > 0.0:
+            samples = samples + rng.normal(0.0, sigma, size=count)
+        records.append(samples)
+    return MeasurementSet(plan=plan, records=tuple(records))
+
+
+def per_phase_estimates(ms, by_k):
+    """estimator._estimate one phase at a time: the tables evaluated on
+    each phase's records alone, then that phase's _phase_stats."""
+    flags = {k: _check_table(ms, k, table) for k, table in by_k.items()}
+    evaluate_all = table_evaluator(by_k.values())
+    stats = {k: [] for k in by_k}
+    for rec in ms.records:
+        for k, values in zip(by_k, evaluate_all(rec)):
+            stats[k].append(_phase_stats(values))
+    return [
+        _assemble(k, ms.plan.phases, stats[k], flags[k], table.spec.eta)
+        for k, table in by_k.items()
+    ]
 
 
 def interp_table_value(table, x):

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from _oracles import (aliasing_bias_approx, aliasing_bias_by_loops,
-                      moment_by_phase_quadrature, panel_rule, psi_n)
+from _oracles import (MIXED_COUNTS, aliasing_bias_approx,
+                      aliasing_bias_by_loops, moment_by_phase_quadrature,
+                      panel_rule, per_phase_estimates, psi_n)
 from phasekit.estimator import (
     MomentEstimate,
     _estimate,
@@ -28,6 +29,7 @@ from phasekit.estimator import (
 )
 from phasekit.kernels import KernelSpec, build_kernel_table, classical_kernel
 from phasekit.kernels import KernelTable, table_evaluator
+from phasekit import simulator
 from phasekit.simulator import ExperimentPlan, MeasurementSet, run_experiment
 from phasekit.states import StateSpec, build_state, exact_moments
 
@@ -165,8 +167,9 @@ def test_estimate_all_is_single_pass(default_tables):
     counters = {k: CountingTable(default_tables[k]) for k in (1, 2, 3)}
     estimate_all(ms, 3, counters)
     total_events = sum(plan.events_per_phase)
+    n_groups = len(list(simulator._phase_groups(plan.events_per_phase)))
     for counter in counters.values():
-        assert counter.calls == plan.n_phases
+        assert counter.calls == n_groups
         assert counter.elements == total_events
 
 
@@ -552,10 +555,46 @@ def test_mismatched_grids_fall_back_to_evaluate(monkeypatch,
 
     monkeypatch.setattr(KernelTable, "evaluate", counting)
     assert_same_estimates(estimate_all(ms, 4, tables), want)
-    assert sorted(calls) == sorted(list(range(1, 5)) * ms.plan.n_phases)
+    n_groups = len(list(simulator._phase_groups(ms.plan.events_per_phase)))
+    assert sorted(calls) == sorted(list(range(1, 5)) * n_groups)
     calls.clear()
     estimate_all(ms, 2, tables)
     assert calls == []
+
+
+@pytest.mark.parametrize("stand_in", [False, True])
+@pytest.mark.parametrize("eta", [1.0, 0.8])
+def test_estimate_all_equals_per_phase_oracle(eta, stand_in):
+    plan = ExperimentPlan(state=SQUEEZED, events_per_phase=MIXED_COUNTS,
+                          eta=eta, seed=31)
+    ms = run_experiment(plan, capture_tol=0.05)
+    tables = {k: build_kernel_table(KernelSpec(k=k, eta=eta))
+              for k in range(1, 5)}
+    if stand_in:
+        tables = {k: CountingTable(t) for k, t in tables.items()}
+    assert_same_estimates(estimate_all(ms, 4, tables),
+                          per_phase_estimates(ms, tables))
+
+
+def test_small_phases_take_one_inverse_transform_and_one_evaluate(
+        monkeypatch, default_tables):
+    # the replications benchmark's state and plan, on a 421-node grid
+    plan = ExperimentPlan.uniform(
+        StateSpec(kind="coherent", alpha=1.0, n_max=25), n_phases=24,
+        events=500, seed=6)
+    draws = []
+    real = simulator._quantiles
+
+    def counting(u, *args):
+        draws.append(u.size)
+        return real(u, *args)
+
+    monkeypatch.setattr(simulator, "_quantiles", counting)
+    ms = run_experiment(plan)
+    assert draws == [24 * 500]
+    counters = {k: CountingTable(default_tables[k]) for k in range(1, 5)}
+    estimate_all(ms, 4, counters)
+    assert [c.calls for c in counters.values()] == [1] * 4
 
 
 # Stays exact until perfbench stops passing TracedTable wrappers (ROADMAP C).

@@ -155,12 +155,18 @@ def test_run_experiment_draws_match_bisection(monkeypatch, events, eta):
                                   eta=eta, seed=23)
     sizes = []
 
-    def checked(u, cdf, xs, pdf):
-        got = _quantiles(u, cdf, xs, pdf)
-        assert_near_oracle(got, u, cdf, xs, pdf)
-        sizes.append(got.size)
+    def checked(u, cdf, xs, pdf, counts):
+        got = _quantiles(u, cdf, xs, pdf, counts)
+        ends = np.cumsum((0, *counts))
+        for r, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
+            assert_near_oracle(got[a:b], u[a:b], cdf[r], xs, pdf[r])
+        sizes.append(list(counts))
         return got
 
     monkeypatch.setattr(sim, "_quantiles", checked)
     run_experiment(plan, capture_tol=0.05)
-    assert sizes == [events] * plan.n_phases
+    grid, _ = sim._state_sampler(SQUEEZED, 0.05)
+    groups = list(sim._phase_groups(plan.events_per_phase,
+                                    sim.GROUP_DRAWS // grid.size))
+    assert len(sizes) == len(groups) == (3 if events == 3000 else 1)
+    assert sum(sizes, []) == [events] * plan.n_phases

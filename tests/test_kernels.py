@@ -234,6 +234,17 @@ def test_kernel_spec_stores_its_checked_values(loose, exact):
     assert got.values.tobytes() == want.values.tobytes()
 
 
+@pytest.mark.parametrize("loose, exact", [
+    (dict(k=1, x0="4"), dict(k=1, x0=4.0)),
+    (dict(k=2.0, x0=np.float64(3.5)), dict(k=2, x0=3.5)),
+])
+def test_quantum_kernel_computes_with_its_checked_spec(loose, exact):
+    x = np.array([-5.0, -4.0, -0.5, 0.0, 0.5, 3.49, 4.0, 6.0])
+    got = quantum_kernel(loose.pop("k"), x, **loose)
+    want = quantum_kernel(exact.pop("k"), x, **exact)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan])
 def test_kernel_spec_rejects_non_finite_x0(x0):
     with pytest.raises(ValueError,

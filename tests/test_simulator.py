@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import quadratic_form_pdf
+from _oracles import (MIXED_COUNTS, per_phase_run_experiment,
+                      quadratic_form_pdf)
 from phasekit import simulator
 from phasekit.simulator import (
     ExperimentPlan,
@@ -362,6 +363,63 @@ def test_sample_quadrature_is_one_phase_of_run_experiment(spec):
         samples = sample_quadrature(rho, theta, count,
                                     phase_stream(plan.seed, l))
         assert samples.tobytes() == ms.records[l].tobytes()
+
+
+def test_phase_groups_bound_draws_and_phases():
+    groups = list(simulator._phase_groups((1, 16384, 7, 20000, 500)))
+    assert groups == [[(0, 0, 1)], [(1, 0, 16384)], [(2, 0, 7)],
+                      [(3, 0, 20000)], [(4, 0, 500)]]
+    groups = list(simulator._phase_groups((300,) * 60))
+    assert [len(g) for g in groups] == [54, 6]
+    assert groups[1] == [(54 + r, 300 * r, 300 * (r + 1)) for r in range(6)]
+    groups = list(simulator._phase_groups((1,) * 30, max_phases=12))
+    assert [len(g) for g in groups] == [12, 12, 6]
+    assert [len(g) for g in simulator._phase_groups((1,) * 3, 0)] == [1] * 3
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.8])
+@pytest.mark.parametrize("spec", [
+    SQUEEZED,
+    StateSpec(kind="coherent", alpha=1.0, n_max=25),
+])
+def test_run_experiment_equals_per_phase_oracle(spec, eta):
+    plan = ExperimentPlan(state=spec, events_per_phase=MIXED_COUNTS,
+                          eta=eta, seed=29)
+    got = run_experiment(plan, capture_tol=0.05)
+    want = per_phase_run_experiment(plan, 0.05)
+    assert [r.tobytes() for r in got.records] == \
+        [r.tobytes() for r in want.records]
+    grid, _ = simulator._state_sampler(spec, 0.05)
+    sizes = [len(g) for g in simulator._phase_groups(
+        MIXED_COUNTS, simulator.GROUP_DRAWS // grid.size)]
+    assert max(sizes) >= 12 and 1 in sizes
+
+
+def _kinked(p):
+    """A triangle density over the grid's middle third, whose kinks the
+    end corrections turn into segments of negative mass."""
+    return np.maximum(1.0 - np.abs(np.linspace(-3.0, 3.0, p.size)), 0.0)
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda p: 0.999 * p, "quadrature grid too small: 1.000e-03 "),
+    (_kinked, "CDF grid too coarse: "),
+])
+def test_cdf_errors_name_the_phase_and_theta(monkeypatch, damage, message):
+    plan = ExperimentPlan.uniform(StateSpec(kind="vacuum", n_max=2),
+                                  n_phases=8, events=10)
+    real = simulator.harmonic_density
+
+    def one_bad_phase(harmonics, theta):
+        p = real(harmonics, theta)
+        # the grid's error terms take every phase at once
+        return damage(p) if np.ndim(theta) == 0 and \
+            theta == plan.phases[3] else p
+
+    monkeypatch.setattr(simulator, "harmonic_density", one_bad_phase)
+    with pytest.raises(ValueError, match=r"^phase 3 \(theta = 2\.35619\): "
+                       + message.replace(".", r"\.")):
+        run_experiment(plan)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

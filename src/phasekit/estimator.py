@@ -7,7 +7,7 @@ variance of the sample average, systematic bias from measuring at a
 finite number of phases (aliasing), and systematic bias from detector
 smearing when no compensated kernel is used.
 
-estimate_all runs one reduction over the records through
+estimate_all runs one reduction over the run's one sample array through
 kernels.table_evaluator, a group of small consecutive phases at a time.
 Every kernel integral of the error analysis is an entry of one overlap
 matrix, kernel_overlaps: aliasing_bias sums the elements that fold into
@@ -137,9 +137,9 @@ def _estimate(ms, by_k):
     """Estimates for the orders of by_k (k -> kernel table), in its
     order, from one pass over the records with the tables checked; k
     may reach N.  The tables are evaluated once per group of
-    consecutive phases (simulator._phase_groups) on the group's records
-    as one array, and each phase's statistics are taken over its own
-    slice of the values, so every sum runs over that phase alone.
+    consecutive phases (simulator._phase_groups) on the group's slice
+    of ms.samples, with no copy, and each phase's statistics are taken
+    over its own slice of the values, so every sum runs over it alone.
 
     value  = (2 pi / N) sum_l e^{i k theta_l} mean_r K_k[x_r(theta_l)]
     var_re = (2 pi / N)^2 sum_l cos^2(k theta_l) s_l^2 / n(theta_l)
@@ -149,9 +149,9 @@ def _estimate(ms, by_k):
     flags = {k: _check_table(ms, k, table) for k, table in by_k.items()}
     evaluate_all = table_evaluator(by_k.values())
     stats = {k: [] for k in by_k}
+    rest = ms.samples
     for group in _phase_groups(ms.plan.events_per_phase):
-        records = ms.records[group[0][0]:group[-1][0] + 1]
-        x = records[0] if len(records) == 1 else np.concatenate(records)
+        x, rest = rest[:group[-1][2]], rest[group[-1][2]:]
         for k, values in zip(by_k, evaluate_all(x)):
             stats[k].extend(_phase_stats(values[a:b]) for _, a, b in group)
     return [
@@ -169,17 +169,11 @@ def estimate_all(ms, k_max, tables):
     beyond it the discretization bias can dominate the estimate.
 
     Runs of small consecutive phases, up to simulator.GROUP_DRAWS
-    samples, are evaluated as one array, so the per-call cost of a
-    lookup is paid once per group rather than once per phase; the
-    estimates are bit for bit those of one phase at a time.  When the
-    tables are KernelTables with one x0 and one node count, which fix
-    their grid (as built by build_kernel_table at one step), the
-    segment index, segment offsets and tail positions of those samples
-    are computed once and shared by all orders
-    (kernels.table_evaluator); any other table set, such as tables of
-    different node counts or objects with only .spec and .evaluate, is
-    evaluated table by table through each table's evaluate, which runs
-    the same lookup code.
+    samples, are evaluated as one slice of the run's array, so the
+    per-call cost of a lookup is paid once per group rather than once
+    per phase; the estimates are bit for bit those of one phase at a
+    time.  KernelTables on one grid share one lookup of those samples
+    across all orders (kernels.table_evaluator).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

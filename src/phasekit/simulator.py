@@ -6,7 +6,7 @@ truncated state (decomposed once per state into phase harmonics, so each
 phase's density is a single matvec), models detector efficiency
 eta < 1 as additive Gaussian noise of width kernels.smearing_sigma(eta)
 on the ideal samples (the convolution picture of a lossy detector), and
-persists measurement records as plain text.
+persists measurement records as plain text, a run's samples as one array.
 
 The sampled law is the piecewise-linear density through p(x, theta) at
 the nodes of a uniform grid of step h, each segment rescaled to its
@@ -42,6 +42,7 @@ xi = -1.31, n_max = 20) samples at 18 GRID_STEP on 1269 nodes, against
 """
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -126,36 +127,40 @@ class ExperimentPlan:
                    eta=eta, seed=seed)
 
 
-@dataclass(frozen=True)
+def _first_non_finite(x):
+    """Index of the first non-finite value of x, or None.  A clean x
+    costs a min and a max (NaN and +-inf carry through both) and no
+    full-size mask."""
+    if np.isfinite(x.min(initial=0.0)) and np.isfinite(x.max(initial=0.0)):
+        return None
+    return int(np.argmax(~np.isfinite(x)))
+
+
+@dataclass(frozen=True, eq=False)
 class MeasurementSet:
-    """Records of one simulated run: one sample array per phase."""
+    """Records of one run: all samples in phase order as one read-only
+    1-d array, and records, a read-only view of it per phase.  Sets
+    compare and hash by identity."""
 
     plan: ExperimentPlan
-    records: tuple = field(repr=False)
+    samples: np.ndarray = field(repr=False)
+    records: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.records) != self.plan.n_phases:
-            raise ValueError("%d record groups for a plan of %d phases"
-                             % (len(self.records), self.plan.n_phases))
-        records = []
-        for l, (samples, expected) in enumerate(
-            zip(self.records, self.plan.events_per_phase)
-        ):
-            arr = np.asarray(samples, dtype=float)
-            if arr.size != expected:
-                raise ValueError(
-                    "phase %d holds %d records, plan says %d"
-                    % (l, arr.size, expected)
-                )
-            bad = np.flatnonzero(~np.isfinite(arr))
-            if bad.size:
-                raise ValueError(
-                    "phase %d, record %d: non-finite sample %r"
-                    % (l, bad[0], float(arr[bad[0]]))
-                )
-            arr.flags.writeable = False
-            records.append(arr)
-        object.__setattr__(self, "records", tuple(records))
+        x = np.asarray(self.samples, dtype=float)
+        starts = np.cumsum((0, *self.plan.events_per_phase)).tolist()
+        if x.shape != (starts[-1],):
+            raise ValueError("samples of shape %s, events_per_phase sums "
+                             "to %d" % (x.shape, starts[-1]))
+        bad = _first_non_finite(x)
+        if bad is not None:
+            l = np.searchsorted(starts, bad, "right") - 1
+            raise ValueError("phase %d, record %d: non-finite sample %r"
+                             % (l, bad - starts[l], float(x[bad])))
+        x.flags.writeable = False
+        object.__setattr__(self, "samples", x)
+        object.__setattr__(self, "records", tuple(
+            x[a:b] for a, b in zip(starts[:-1], starts[1:])))
 
 
 def _cdf_grid(n_max, step=GRID_STEP):
@@ -248,9 +253,9 @@ def _cdf_table(grid, pdf, name=None):
     than a 1-d one; a negative mass is clamped to zero.  All rows are
     tabulated in one pass, each element as a row of its own would be.
     A density leaking more probability than OUTSIDE_MASS_TOL past the
-    grid edge, or on a grid so coarse that more than that is clamped,
-    cannot be sampled faithfully and is rejected; name(r), when given,
-    names row r in the error.
+    grid edge, on a grid so coarse that more than that is clamped, or
+    not finite cannot be sampled faithfully and is rejected; name(r),
+    when given, names row r in the error.
     """
     h = (grid[-1] - grid[0]) / (grid.size - 1)
     rows = pdf.reshape(-1, grid.size)
@@ -267,10 +272,13 @@ def _cdf_table(grid, pdf, name=None):
     np.cumsum(mass, axis=1, out=cdf[:, 1:])
     total = cdf[:, -1:].copy()
     leak = np.abs(total[:, 0] - 1.0)
-    bad = (clamped > OUTSIDE_MASS_TOL) | (leak > OUTSIDE_MASS_TOL)
+    # NaN fails every comparison, so a row is bad unless both hold
+    bad = ~((clamped <= OUTSIDE_MASS_TOL) & (leak <= OUTSIDE_MASS_TOL))
     if bad.any():
         r = np.argmax(bad)
-        if clamped[r] > OUTSIDE_MASS_TOL:
+        if not np.isfinite(leak[r] + clamped[r]):
+            msg = "density is not finite"
+        elif clamped[r] > OUTSIDE_MASS_TOL:
             msg = ("CDF grid too coarse: %.3e of probability mass in "
                    "segments of negative mass" % clamped[r])
         else:
@@ -324,13 +332,13 @@ def _guide_segments(u, cdf, counts):
     return j
 
 
-def _quantiles(u, cdf, xs, pdf, counts=None):
+def _quantiles(u, cdf, xs, pdf, counts=None, out=None):
     """Quantiles at uniform draws u in [0, 1) of the laws with node CDFs
     cdf (from 0 to 1, one row per law; a 1-d cdf is one law) and, in
     each segment, the linear density through (xs, pdf) rescaled to the
     segment's mass.  The first counts[0] draws follow row 0, the next
     counts[1] row 1, and so on; all follow a single row when counts is
-    None.
+    None.  They go to out when given, which may be u itself.
 
     With w = (u - c_j) / (c_{j+1} - c_j) in [0, 1] and the linear
     density's area A = h (p_j + p_{j+1}) / 2, the quadratic CDF gives
@@ -361,7 +369,7 @@ def _quantiles(u, cdf, xs, pdf, counts=None):
     if not np.isfinite(t).all():
         bad = ~np.isfinite(t)
         t[bad] = w[bad] * h
-    return xs[j] + t
+    return np.add(xs[j], t, out=out)
 
 
 def _inverse_cdf_table(rho, theta):
@@ -420,37 +428,35 @@ def run_experiment(plan, capture_tol=CAPTURE_TOL):
     CDF grid), so each phase's density costs one O(n_max G) matvec
     before it goes through the same CDF table and inverse transform as
     sample_quadrature: a guide table built in O(G) places each draw in
-    O(1), and one square root inverts the segment's quadratic CDF.
-    Each draw follows the piecewise-linear density through the nodes,
-    rescaled to each segment's Euler-Maclaurin mass.  The CDF grid, the
-    same one sample_quadrature uses, has the largest step m GRID_STEP
-    whose Kolmogorov-distance bound C3(h) h^3 + C4 h^4 (plus the mass
-    the checks admit) stays within CDF_TOL (m = 1 when none does; see
-    the module docstring).  The grid, its bound's C3 and C4, and the
-    harmonics depend on the state alone, not on the plan's phases or
-    seed; _state_sampler keeps the last state's, so consecutive runs on
-    one state build them once.  Each phase draws from its own
+    O(1), and one square root inverts the segment's quadratic CDF (see
+    the module docstring for the law and its grid step).  The grid and
+    the harmonics depend on the state alone, not on the plan's phases
+    or seed; _state_sampler keeps the last state's, so consecutive runs
+    on one state build them once.  Each phase draws from its own
     deterministic child stream, so the set is reproducible and phase
     results do not depend on execution order.  With eta < 1 the stream
     also supplies the Gaussian detector noise added to each sample.
 
-    Phases are sampled in groups (_phase_groups): runs of consecutive
-    phases of at most GROUP_DRAWS draws in all and at most
-    GROUP_DRAWS // G phases, so no (phases, G) table outgrows the draw
-    arrays.  A group stacks its phases' densities, one matvec each, and
-    takes one CDF pass and one inverse transform over all its rows, so
-    the table set-up that a 500-draw phase would pay alone is paid once
-    per group; every record is bit for bit the one its phase gives
-    sampled alone, and a failed CDF check names the phase and theta.
+    Phases are sampled in groups (_phase_groups), of at most
+    GROUP_DRAWS // G phases so that no (phases, G) table outgrows the
+    draw arrays: one CDF pass and one inverse transform over all of a
+    group's rows, in place in its slice of the run's one array.  Every
+    record is bit for bit the one its phase gives sampled alone, and a
+    failed CDF check names the phase and theta.
     """
     grid, harmonics = _state_sampler(plan.state, capture_tol)
     sigma = smearing_sigma(plan.eta)
     thetas = plan.phases
-    records = []
+    # A large run gets a mapping of its own, returned whole when freed:
+    # on the malloc heap, a stream of them left holes that small arrays
+    # split, and the heap grew by a run.  A small one reuses the heap.
+    n = sum(plan.events_per_phase)
+    samples = rest = np.empty(n) if n <= GROUP_DRAWS else np.frombuffer(
+        mmap.mmap(-1, 8 * n, access=mmap.ACCESS_COPY))
     for group in _phase_groups(plan.events_per_phase,
                                GROUP_DRAWS // grid.size):
         pdf = np.empty((len(group), grid.size))
-        u = np.empty(group[-1][2])
+        u, rest = rest[:group[-1][2]], rest[group[-1][2]:]
         streams = []
         for r, (l, a, b) in enumerate(group):
             pdf[r] = harmonic_density(harmonics, thetas[l])
@@ -459,12 +465,11 @@ def run_experiment(plan, capture_tol=CAPTURE_TOL):
         first = group[0][0]
         cdf, nodes = _cdf_table(grid, pdf, lambda r: "phase %d (theta = %.6g)"
                                 % (first + r, thetas[first + r]))
-        samples = _quantiles(u, cdf, *nodes, [b - a for _, a, b in group])
-        for rng, (l, a, b) in zip(streams, group):
-            if sigma > 0.0:
-                samples[a:b] += rng.normal(0.0, sigma, size=b - a)
-            records.append(samples[a:b])
-    return MeasurementSet(plan=plan, records=tuple(records))
+        _quantiles(u, cdf, *nodes, [b - a for _, a, b in group], out=u)
+        if sigma > 0.0:
+            for rng, (l, a, b) in zip(streams, group):
+                u[a:b] += rng.normal(0.0, sigma, size=b - a)
+    return MeasurementSet(plan, samples)
 
 
 def _format_complex(z):
@@ -531,14 +536,14 @@ def load_records(path):
     art = textio.load(path, RECORD_COLUMNS)
     plan = _record_plan(art)
     x = art.rows[:, 0]
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise art.error(bad[0], "non-finite sample %r" % float(x[bad[0]]))
-    ends = np.cumsum(plan.events_per_phase)
-    if x.size != ends[-1]:
+    bad = _first_non_finite(x)
+    if bad is not None:
+        raise art.error(bad, "non-finite sample %r" % float(x[bad]))
+    total = sum(plan.events_per_phase)
+    if x.size != total:
         raise ValueError("file holds %d records, events_per_phase sums "
-                         "to %d" % (x.size, ends[-1]))
-    return MeasurementSet(plan=plan, records=tuple(np.split(x, ends[:-1])))
+                         "to %d" % (x.size, total))
+    return MeasurementSet(plan, x)
 
 
 def _record_plan(art):

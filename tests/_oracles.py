@@ -231,7 +231,7 @@ def per_phase_run_experiment(plan, capture_tol):
         if sigma > 0.0:
             samples = samples + rng.normal(0.0, sigma, size=count)
         records.append(samples)
-    return MeasurementSet(plan=plan, records=tuple(records))
+    return MeasurementSet(plan, np.concatenate(records))
 
 
 def per_phase_estimates(ms, by_k):
@@ -323,7 +323,7 @@ def per_row_load_records(path):
     Every row goes through float() first, then the header gives the
     plan, then each sample must be finite, then the row count must be
     the sum of the header's event counts: the order load_records
-    follows with whole columns.  The rows are split into phases in file
+    follows with whole columns.  The samples form one array in file
     order.
     """
     header = []
@@ -349,11 +349,7 @@ def per_row_load_records(path):
     if len(samples) != total:
         raise ValueError("file holds %d records, events_per_phase sums "
                          "to %d" % (len(samples), total))
-    records = []
-    for count in plan.events_per_phase:
-        records.append(np.array([x for _, x in samples[:count]]))
-        del samples[:count]
-    return MeasurementSet(plan=plan, records=tuple(records))
+    return MeasurementSet(plan, np.array([x for _, x in samples]))
 
 
 def mpmath_alt_sum(k, l):

@@ -51,10 +51,12 @@ class CountingTable:
         self.spec = table.spec
         self.calls = 0
         self.elements = 0
+        self.inputs = []
 
     def evaluate(self, x):
         self.calls += 1
         self.elements += np.size(x)
+        self.inputs.append(x)
         return self._table.evaluate(x)
 
 
@@ -88,8 +90,7 @@ def test_estimate_on_constant_records_reduces_to_frame_sum(default_tables):
     table = default_tables[1]
     plan = ExperimentPlan(state=VACUUM, events_per_phase=(3, 3, 3, 3), seed=0)
     values = [0.4, -1.2, 2.0, 0.9]
-    records = tuple(np.full(3, v) for v in values)
-    ms = MeasurementSet(plan=plan, records=records)
+    ms = MeasurementSet(plan, np.repeat(values, 3))
     est = _estimate(ms, {1: table})[0]
     direct = (2.0 * math.pi / 4.0) * sum(
         np.exp(1j * th) * table.evaluate(v)
@@ -102,8 +103,7 @@ def test_estimate_on_constant_records_reduces_to_frame_sum(default_tables):
 
 def test_single_event_phases_flag_infinite_variance(default_tables):
     plan = ExperimentPlan(state=VACUUM, events_per_phase=(1, 1, 1), seed=0)
-    records = (np.array([0.3]), np.array([-0.5]), np.array([1.7]))
-    ms = MeasurementSet(plan=plan, records=records)
+    ms = MeasurementSet(plan, np.array([0.3, -0.5, 1.7]))
     est = _estimate(ms, {1: default_tables[1]})[0]
     assert math.isinf(est.var_re)
     assert math.isinf(est.var_im)
@@ -513,8 +513,7 @@ def lookup_probe_set(x0, step, eta, n_phases=9):
     draws = rng.permutation(np.resize(draws, n_phases * 1000))
     plan = ExperimentPlan(state=SQUEEZED, events_per_phase=(1000,) * n_phases,
                           eta=eta)
-    return MeasurementSet(plan=plan, records=tuple(draws.reshape(n_phases,
-                                                                 1000)))
+    return MeasurementSet(plan, draws)
 
 
 def assert_same_estimates(got, want):
@@ -585,9 +584,9 @@ def test_small_phases_take_one_inverse_transform_and_one_evaluate(
     draws = []
     real = simulator._quantiles
 
-    def counting(u, *args):
+    def counting(u, *args, **kwargs):
         draws.append(u.size)
-        return real(u, *args)
+        return real(u, *args, **kwargs)
 
     monkeypatch.setattr(simulator, "_quantiles", counting)
     ms = run_experiment(plan)
@@ -595,6 +594,10 @@ def test_small_phases_take_one_inverse_transform_and_one_evaluate(
     counters = {k: CountingTable(default_tables[k]) for k in range(1, 5)}
     estimate_all(ms, 4, counters)
     assert [c.calls for c in counters.values()] == [1] * 4
+    # each evaluate reads the group straight out of the run's array
+    assert all(x.ctypes.data == ms.samples.ctypes.data
+               and x.size == ms.samples.size
+               for c in counters.values() for x in c.inputs)
 
 
 # Stays exact until perfbench stops passing TracedTable wrappers (ROADMAP C).

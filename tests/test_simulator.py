@@ -230,18 +230,46 @@ def test_run_experiment_propagates_truncation_check():
 
 def test_measurement_set_requires_matching_counts():
     plan = ExperimentPlan(state=SQUEEZED, events_per_phase=(3, 4), seed=0)
-    records = (np.zeros(3), np.zeros(5))
-    with pytest.raises(ValueError, match="phase 1"):
-        MeasurementSet(plan=plan, records=records)
+    for samples, shape in ((np.zeros(8), r"\(8,\)"),
+                           (np.zeros((1, 7)), r"\(1, 7\)")):
+        with pytest.raises(ValueError, match="^samples of shape %s, "
+                           "events_per_phase sums to 7$" % shape):
+            MeasurementSet(plan, samples)
 
 
-@pytest.mark.parametrize("groups", [1, 3])
-def test_measurement_set_refuses_another_record_group_count(groups):
-    plan = ExperimentPlan.uniform(SQUEEZED, n_phases=2, events=3)
-    records = (np.zeros(3),) * groups
-    with pytest.raises(ValueError, match="^%d record groups for a plan of 2 "
-                                         "phases$" % groups):
-        MeasurementSet(plan=plan, records=records)
+def _assert_one_array(ms):
+    x = ms.samples
+    assert (x.ndim, x.dtype, x.flags.c_contiguous, x.flags.writeable) == \
+        (1, np.float64, True, False)
+    start = 0
+    for rec, n in zip(ms.records, ms.plan.events_per_phase, strict=True):
+        assert rec.size == n and not rec.flags.writeable
+        assert rec.ctypes.data == x.ctypes.data + start * x.itemsize
+        start += n
+    assert start == x.size
+
+
+# a run of more than simulator.GROUP_DRAWS samples is allocated apart
+@pytest.mark.parametrize("counts", [(5, 1, 300, 2), (5, 16384, 2)])
+def test_a_run_and_its_file_hold_one_array_that_records_view(tmp_path,
+                                                             counts):
+    plan = ExperimentPlan(state=SQUEEZED, events_per_phase=counts,
+                          eta=0.8, seed=3)
+    ms = run_experiment(plan, capture_tol=0.05)
+    _assert_one_array(ms)
+    save_records(ms, tmp_path / "records.txt")
+    loaded = load_records(tmp_path / "records.txt")
+    _assert_one_array(loaded)
+    assert loaded.samples.tobytes() == ms.samples.tobytes()
+
+
+def test_measurement_sets_compare_and_hash_by_identity():
+    ms = run_experiment(ExperimentPlan.uniform(SQUEEZED, n_phases=2,
+                                               events=3), capture_tol=0.05)
+    twin = MeasurementSet(ms.plan, ms.samples)
+    assert ms == ms and ms != twin
+    assert hash(ms) == hash(ms)
+    assert len({ms, twin, ms}) == 2
 
 
 def test_record_file_round_trip(tmp_path):
@@ -401,9 +429,14 @@ def _kinked(p):
     return np.maximum(1.0 - np.abs(np.linspace(-3.0, 3.0, p.size)), 0.0)
 
 
+def _nan_at_peak(p):
+    return np.where(p == p.max(), math.nan, p)
+
+
 @pytest.mark.parametrize("damage, message", [
     (lambda p: 0.999 * p, "quadrature grid too small: 1.000e-03 "),
     (_kinked, "CDF grid too coarse: "),
+    (_nan_at_peak, "density is not finite"),
 ])
 def test_cdf_errors_name_the_phase_and_theta(monkeypatch, damage, message):
     plan = ExperimentPlan.uniform(StateSpec(kind="vacuum", n_max=2),
@@ -425,9 +458,37 @@ def test_cdf_errors_name_the_phase_and_theta(monkeypatch, damage, message):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_measurement_set_rejects_non_finite_samples(bad):
     plan = ExperimentPlan.uniform(SQUEEZED, n_phases=2, events=3)
-    records = (np.zeros(3), np.array([0.1, bad, 0.2]))
+    samples = np.array([0.0, 0.0, 0.0, 0.1, bad, 0.2])
     with pytest.raises(ValueError, match="phase 1, record 1: non-finite"):
-        MeasurementSet(plan=plan, records=records)
+        MeasurementSet(plan, samples)
+
+
+# Phase 1 starts the run's second sampling group, and phase 2, record 4
+# is the run's last sample.
+@pytest.mark.parametrize("phase, record, bad", [
+    (0, 0, math.nan), (1, 0, math.inf), (2, 4, -math.inf)])
+def test_non_finite_sample_is_named_at_run_and_group_edges(
+        tmp_path, phase, record, bad):
+    plan = ExperimentPlan(state=StateSpec(kind="vacuum", n_max=2),
+                          events_per_phase=(3, simulator.GROUP_DRAWS, 5))
+    assert [g[0][0] for g in simulator._phase_groups(
+        plan.events_per_phase)] == [0, 1, 2]
+    ms = run_experiment(plan)
+    at = sum(plan.events_per_phase[:phase]) + record
+    samples = ms.samples.copy()
+    samples[at] = bad
+    with pytest.raises(ValueError, match="^phase %d, record %d: non-finite "
+                       "sample %r$" % (phase, record, bad)):
+        MeasurementSet(plan, samples)
+    path = tmp_path / "records.txt"
+    save_records(ms, path)
+    lines = path.read_text().splitlines()
+    row = [i for i, ln in enumerate(lines) if not ln.startswith("#")][at]
+    lines[row] = repr(bad)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^line %d: non-finite sample %r$"
+                                         % (row + 1, bad)):
+        load_records(path)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -252,9 +252,8 @@ def _exact_records(counts, data):
     return MeasurementSet(
         plan=ExperimentPlan(state=StateSpec(kind="vacuum"),
                             events_per_phase=tuple(counts)),
-        records=tuple(np.array(data.draw(st.lists(exact, min_size=n,
-                                                  max_size=n)))
-                      for n in counts))
+        samples=np.concatenate([np.array(data.draw(st.lists(
+            exact, min_size=n, max_size=n))) for n in counts]))
 
 
 @FUZZ
@@ -366,9 +365,9 @@ def test_records_save_load_save_is_byte_identical(
         state=StateSpec(kind=kind, alpha=complex(alpha, -alpha),
                         n_max=n_max),
         events_per_phase=tuple(counts), eta=eta, seed=seed)
-    ms = MeasurementSet(plan=plan, records=tuple(
+    ms = MeasurementSet(plan, np.concatenate([
         np.array(data.draw(st.lists(finite, min_size=n, max_size=n)))
-        for n in counts))
+        for n in counts]))
     first, second = _fresh(tmp_path / "a.txt"), _fresh(tmp_path / "b.txt")
     save_records(ms, first, header_lines=("config: x",))
     loaded = load_records(first)

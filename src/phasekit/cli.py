@@ -12,14 +12,15 @@ inspected, and rerun independently:
 
 All experiment parameters live in a flat key-value config file with
 dotted sections, each key listed once in _CONFIG_KEYS, which both
-RunConfig.to_text and parse_config follow; every command but verify
+RunConfig.to_text and parse_config follow; its state.* rows are
+states.STATE_FIELDS, the text form of the records' state line, so a
+state reads and writes alike in both files.  Every command but verify
 reads it, and command-line flags override file values.  Each output
 embeds a short hash of the effective config, so artifacts can always
 be traced back to the exact settings that produced them.
 """
 
 import argparse
-import cmath
 import hashlib
 import math
 import os
@@ -38,10 +39,9 @@ from .reconstruct import _check_K, _check_M, _check_method, \
     _check_reg_lambda, check_grid, fourier_reconstruct, \
     least_squares_reconstruct, save_distribution
 from .simulator import ExperimentPlan, run_experiment, save_records, \
-    load_records, _check_event_count, _check_n_phases, _check_seed, \
-    _efficiency, _format_complex
-from .states import CAPTURE_TOL, StateSpec, _check_capture_tol, \
-    _check_fock_n, _check_n_max
+    load_records, _check_n_phases, _check_seed, _COUNTS, _efficiency
+from .states import CAPTURE_TOL, STATE_FIELDS, StateSpec, \
+    _check_capture_tol
 
 OUTPUT_DIR_ENV = "PHASEKIT_OUTPUT_DIR"
 
@@ -63,23 +63,9 @@ def _parse_bool(text):
     raise ValueError("not a boolean: %r" % text)
 
 
-def _complex(text):
-    value = complex(text)
-    if not cmath.isfinite(value):
-        raise ValueError("%r is not finite" % text)
-    return value
-
-
-def _counts(text):
-    values = tuple(map(_check_event_count, text.split()))
-    if not values:
-        raise ValueError("no counts")
-    return values
-
-
 # Kinds of the integer and real keys whose values check reads.
 def _int(check):
-    return (check, lambda v: "%d" % v)
+    return (check, "%d".__mod__)
 
 
 def _real(check):
@@ -91,19 +77,15 @@ def _real(check):
 # range and message its consumer states: the state, the plan, the
 # kernel module, the estimate stage or the reconstruction.
 _TEXT = (str, str)
-_COUNTS = (_counts, lambda v: " ".join(str(n) for n in v))
-_COMPLEX = (_complex, _format_complex)
 _BOOL = (_parse_bool, lambda v: "true" if v else "false")
 
 # Every config key, in listing order: key -> (owner, attribute, kind).
-# The owner "state" is the RunConfig's StateSpec, "run" the RunConfig;
-# "output" is a RunConfig field that config_hash leaves out.
+# The owner "state" is the RunConfig's StateSpec, whose fields are read
+# and written as the records' state line does (STATE_FIELDS); "run" is
+# the RunConfig; "output" is a RunConfig field config_hash leaves out.
 _CONFIG_KEYS = {
-    "state.kind": ("state", "kind", _TEXT),
-    "state.alpha": ("state", "alpha", _COMPLEX),
-    "state.squeeze": ("state", "squeeze", _COMPLEX),
-    "state.fock_n": ("state", "fock_n", _int(_check_fock_n)),
-    "state.n_max": ("state", "n_max", _int(_check_n_max)),
+    **{"state." + name: ("state", name, kind)
+       for name, kind in STATE_FIELDS.items()},
     "state.capture_tol": ("run", "capture_tol", _real(_check_capture_tol)),
     "plan.n_phases": ("run", "n_phases", _int(_check_n_phases)),
     "plan.events_per_phase": ("run", "events_per_phase", _COUNTS),

@@ -52,9 +52,8 @@ from . import textio
 from .kernels import smearing_sigma
 from .states import (
     CAPTURE_TOL,
+    STATE_FIELDS,
     StateSpec,
-    _check_fock_n,
-    _check_n_max,
     build_state,
     harmonic_density,
     quadrature_harmonics,
@@ -76,6 +75,19 @@ RECORD_COLUMNS = "x"
 _check_seed = textio.integer_at_least("seed", 0)
 _check_n_phases = textio.integer_at_least("n_phases", 1)
 _check_event_count = textio.integer_at_least("events_per_phase", 1)
+
+
+def _counts(text):
+    """Event counts of a whitespace-separated list, at least one."""
+    values = tuple(map(_check_event_count, text.split()))
+    if not values:
+        raise ValueError("no counts")
+    return values
+
+
+# (parse, format) of the config's and the records' event-count lists
+_COUNTS = (_counts, lambda v: " ".join(map(str, v)))
+
 # Draws that run_experiment samples and estimate_all reduces as one
 # array: runs of small phases are grouped up to 128 KiB per float64
 # array, above which each call's temporaries were faulted in afresh.
@@ -472,27 +484,20 @@ def run_experiment(plan, capture_tol=CAPTURE_TOL):
     return MeasurementSet(plan, samples)
 
 
-def _format_complex(z):
-    z = complex(z)
-    return "%.17g%+.17gj" % (z.real, z.imag)
-
-
 def save_records(ms, path, header_lines=()):
-    """Write a MeasurementSet as text: '#' headers, then the samples in
-    phase order, one per row, events_per_phase[l] rows for phase l.
-    Each sample is written as its repr, the shortest text that reads
-    back as the same double."""
+    """Write a MeasurementSet as text: '#' headers, the state as one
+    key=value per field of STATE_FIELDS, then the samples in phase
+    order, one per row, events_per_phase[l] rows for phase l.  Each
+    sample is written as its repr, the shortest text that reads back as
+    the same double."""
     plan = ms.plan
-    state = plan.state
     header = [
         "homodyne measurement records",
         *header_lines,
-        "state: kind=%s alpha=%s squeeze=%s fock_n=%d n_max=%d"
-        % (state.kind, _format_complex(state.alpha),
-           _format_complex(state.squeeze), state.fock_n, state.n_max),
+        "state: " + " ".join("%s=%s" % (key, fmt(getattr(plan.state, key)))
+                             for key, (_, fmt) in STATE_FIELDS.items()),
         "n_phases: %d" % plan.n_phases,
-        "events_per_phase: %s"
-        % " ".join(str(n) for n in plan.events_per_phase),
+        "events_per_phase: " + _COUNTS[1](plan.events_per_phase),
         "eta: %.17g" % plan.eta,
         "seed: %d" % plan.seed,
         "columns: " + RECORD_COLUMNS,
@@ -507,18 +512,15 @@ def _efficiency(text):
     return float(text)
 
 
-_STATE_FIELDS = {"kind": str, "alpha": complex, "squeeze": complex,
-                 "fock_n": _check_fock_n, "n_max": _check_n_max}
-
-
 def _parse_state(text):
-    """StateSpec from the 'kind=... alpha=... ...' record header."""
+    """StateSpec from the 'kind=... alpha=... ...' record header, each
+    value read as the config's state.* key is (STATE_FIELDS)."""
     kwargs = {}
     for token in text.split():
         key, _, value = token.partition("=")
-        if key not in _STATE_FIELDS:
+        if key not in STATE_FIELDS:
             raise ValueError("unknown state field %r" % key)
-        kwargs[key] = _STATE_FIELDS[key](value)
+        kwargs[key] = STATE_FIELDS[key][0](value)
     if "kind" not in kwargs:
         raise ValueError("no state kind")
     return StateSpec(**kwargs)
@@ -529,8 +531,8 @@ def load_records(path):
 
     Raises ValueError naming the line of the first row that does not
     parse (or of a 'columns' header other than 'x', which refuses the
-    older 'l, theta_l, x' layout), then of the first non-finite sample,
-    and raises ValueError when the row count is not the sum of the
+    older 'l, theta_l, x' layout), then of the first non-finite sample;
+    MeasurementSet refuses a row count other than the sum of the
     header's events_per_phase.
     """
     art = textio.load(path, RECORD_COLUMNS)
@@ -539,10 +541,6 @@ def load_records(path):
     bad = _first_non_finite(x)
     if bad is not None:
         raise art.error(bad, "non-finite sample %r" % float(x[bad]))
-    total = sum(plan.events_per_phase)
-    if x.size != total:
-        raise ValueError("file holds %d records, events_per_phase sums "
-                         "to %d" % (x.size, total))
     return MeasurementSet(plan, x)
 
 
@@ -551,7 +549,7 @@ def _record_plan(art):
     n_phases = art.field("n_phases:", _check_n_phases)
 
     def counts(text):
-        values = tuple(map(_check_event_count, text.split()))
+        values = _counts(text)
         if len(values) != n_phases:
             raise ValueError(
                 "%d event counts for %d phases" % (len(values), n_phases)

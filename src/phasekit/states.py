@@ -13,6 +13,7 @@ costs O(n_max^2 G) on G points once, after which the density at any
 phase is an O(n_max G) matvec (harmonic_density).
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -35,6 +36,30 @@ STATE_KINDS = ("vacuum", "fock", "coherent", "squeezed_vacuum",
 
 _check_n_max = textio.integer_at_least("n_max", 0)
 _check_fock_n = textio.integer_at_least("fock_n", 0)
+
+
+def _complex(text):
+    value = complex(text)
+    if not cmath.isfinite(value):
+        raise ValueError("%r is not finite" % text)
+    return value
+
+
+def _format_complex(z):
+    z = complex(z)
+    return "%.17g%+.17gj" % (z.real, z.imag)
+
+
+# Text form of each StateSpec field: name -> (parse, format), lossless
+# as a pair.  The config's state.* keys and the records' state line
+# both read and write a state through it.
+STATE_FIELDS = {
+    "kind": (str, str),
+    "alpha": (_complex, _format_complex),
+    "squeeze": (_complex, _format_complex),
+    "fock_n": (_check_fock_n, "%d".__mod__),
+    "n_max": (_check_n_max, "%d".__mod__),
+}
 
 
 def _check_capture_tol(value):

@@ -11,21 +11,16 @@ still name the offending line.  integer_at_least is the one integer
 rule that header fields, config values and in-memory specs share.
 
 parse reads one line at a time and is the reader that defines the
-format.  load, the file reader, parses only the leading header lines
-that way and streams the rows after them through numpy's C reader
-(np.loadtxt).  Whenever the C reader does not take the rows cleanly,
-load parses the whole file line by line instead: when it raises or
-warns (a non-number, a '#' line among the rows, an empty body) and when
-it does not return one row of the expected width per line (a wrong
-column count, or a blank line it skipped, which would shift the line
-numbers of the rows after it).  So every value, message and line number
-is parse's own.
+format.  load, the file reader, parses the leading header lines that
+way.  A one-column body, such as the records', then streams through
+float, one line a row, so the rows' line numbers are consecutive after
+the header.  Whenever a line is not one number (a blank line, a '#' line
+among the rows, a second cell, an empty body), load parses the whole
+file line by line instead, so every value, message and line number is
+parse's own.  Rows of more columns always go through parse.
 """
 
-import itertools
-import operator
 import re
-import warnings
 from array import array
 from dataclasses import dataclass
 
@@ -131,40 +126,25 @@ def parse(lines, columns):
 
 
 def load(path, columns):
-    """parse of the file at path, its rows read by numpy's C reader
-    when it takes them cleanly (see the module docstring)."""
+    """parse of the file at path, a one-column body streamed through
+    float when each of its lines is one number (module docstring)."""
     with open(path) as fh:
         header = []
+        line = ""
         for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
+            if line.strip() and not line.lstrip().startswith("#"):
                 break
             header.append(line)
         fields = parse(header, columns).fields
-        fh.seek(0)
-        rows = _c_rows(fh, len(header), len(columns.split()))
-        if rows is not None:
-            start = len(header) + 1
-            return Artifact(fields, rows, np.arange(start, start + len(rows)))
+        if len(columns.split()) == 1:
+            try:
+                rows = array("d", [float(line)])
+                rows.extend(map(float, fh))
+            except ValueError:
+                pass
+            else:
+                start = len(header) + 1
+                return Artifact(fields, np.frombuffer(rows).reshape(-1, 1),
+                                np.arange(start, start + len(rows)))
         fh.seek(0)
         return parse(fh, columns)
-
-
-def _c_rows(lines, skip, width):
-    """np.loadtxt matrix of lines after the first skip, or None unless
-    it read every one of them as a row of width floats without a
-    warning."""
-    # zip draws a count after each line, so the next count is the
-    # number of lines np.loadtxt took, skipped and blank ones included
-    counter = itertools.count()
-    counted = map(operator.itemgetter(0), zip(lines, counter))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(counted, comments=None, ndmin=2,
-                              skiprows=skip)
-    except (ValueError, Warning):
-        return None
-    if rows.shape != (next(counter) - skip, width):
-        return None
-    return rows

@@ -347,7 +347,7 @@ def per_row_load_records(path):
             raise ValueError("line %d: non-finite sample %r" % (idx, x))
     total = sum(plan.events_per_phase)
     if len(samples) != total:
-        raise ValueError("file holds %d records, events_per_phase sums "
+        raise ValueError("samples of shape (%d,), events_per_phase sums "
                          "to %d" % (len(samples), total))
     return MeasurementSet(plan, np.array([x for _, x in samples]))
 

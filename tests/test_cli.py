@@ -36,7 +36,8 @@ from phasekit.kernels import (
 from phasekit.estimator import estimate_all, load_moments
 from phasekit.reconstruct import METHODS, fourier_reconstruct, \
     least_squares_reconstruct, load_distribution
-from phasekit.simulator import load_records, run_experiment
+from phasekit.simulator import ExperimentPlan, MeasurementSet, \
+    load_records, run_experiment, save_records
 from phasekit.states import STATE_KINDS, DensityMatrix, StateSpec
 
 
@@ -75,6 +76,18 @@ def test_config_round_trip_is_lossless():
         output_dir="elsewhere",
     )
     assert parse_config(cfg.to_text()) == cfg
+
+
+@pytest.mark.parametrize("state", [
+    StateSpec(kind="displaced_fock", alpha=1 / 3 - 1.7j, fock_n=3, n_max=17),
+    StateSpec(kind="squeezed_vacuum", squeeze=-0.1 + 2j / 3, n_max=9),
+])
+def test_state_round_trips_through_config_and_records(tmp_path, state):
+    # both files read and write a state through states.STATE_FIELDS
+    assert parse_config(small_config(state=state).to_text()).state == state
+    plan = ExperimentPlan.uniform(state, n_phases=2, events=3)
+    save_records(MeasurementSet(plan, np.zeros(6)), tmp_path / "records.txt")
+    assert load_records(tmp_path / "records.txt").plan.state == state
 
 
 def test_default_config_round_trip():

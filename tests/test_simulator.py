@@ -306,7 +306,7 @@ def test_load_rejects_count_mismatch(tmp_path, extra):
     else:
         lines.append("0.5")
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="^file holds %d records, "
+    with pytest.raises(ValueError, match=r"^samples of shape \(%d,\), "
                        "events_per_phase sums to 10$" % (10 + extra)):
         load_records(path)
 

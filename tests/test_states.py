@@ -7,6 +7,7 @@ the phase distribution and the exponential moments.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from scipy import integrate, special
 
 from _oracles import mean_photon_number, quadratic_form_pdf
 from phasekit.states import (
+    STATE_FIELDS,
     DensityMatrix,
     StateSpec,
     build_state,
@@ -61,6 +63,18 @@ def test_state_spec_rejects_non_integral_sizes(field, value):
 def test_state_spec_rejects_non_finite_amplitudes(field, value):
     with pytest.raises(ValueError, match="^non-finite alpha or squeeze in "):
         StateSpec(kind="coherent", **{field: value})
+
+
+@pytest.mark.parametrize("name, text", [
+    ("alpha", "nan+1j"), ("alpha", "1e999"), ("squeeze", "inf"),
+    ("squeeze", "0.5-infj"),
+])
+def test_complex_state_field_names_its_non_finite_text(name, text):
+    # the config's state.* keys and the records' state line read it
+    parse, _ = STATE_FIELDS[name]
+    with pytest.raises(ValueError, match=r"^'%s' is not finite$"
+                       % re.escape(text)):
+        parse(text)
 
 
 def test_state_spec_stores_integral_sizes_as_int():

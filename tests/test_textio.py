@@ -162,6 +162,8 @@ def test_corrupted_line_is_named(name, tmp_path, data):
     ("records", "seed", "-7"),
     ("records", "state",
      "kind=coherent alpha=nan+0j squeeze=0+0j fock_n=0 n_max=8"),
+    ("records", "state",
+     "kind=squeezed_vacuum alpha=0+0j squeeze=inf fock_n=0 n_max=8"),
 ])
 def test_out_of_range_header_value_is_named(name, key, value, tmp_path):
     make, load = FORMATS[name]
@@ -203,6 +205,19 @@ def test_integer_header_value_gets_its_range_at_its_line(
         load("\n".join(lines) + "\n", tmp_path)
     assert str(info.value).startswith(
         "line %d: bad %s value '%s': %s" % (i + 1, key, value, reason))
+
+
+@pytest.mark.parametrize("counts", ["4 4", "4 4 4 4"])
+def test_records_list_one_event_count_per_phase(counts, tmp_path):
+    make, load = FORMATS["records"]
+    lines = make(tmp_path).splitlines()
+    i = next(i for i, ln in enumerate(lines)
+             if ln.startswith("# events_per_phase:"))
+    lines[i] = "# events_per_phase: " + counts
+    with pytest.raises(ValueError, match="^line %d: bad events_per_phase "
+                       "value '%s': %d event counts for 3 phases$"
+                       % (i + 1, counts, len(counts.split()))):
+        load("\n".join(lines) + "\n", tmp_path)
 
 
 def test_moments_file_without_rows_is_refused(tmp_path):
@@ -555,12 +570,21 @@ def test_clean_records_go_through_the_c_reader(tmp_path, monkeypatch):
     path = _fresh(tmp_path / "records.txt")
     path.write_text("\n".join(lines) + "\n")
     assert _rows_parsed_per_line(monkeypatch, path) == 0
-    # a blank line would shift the C reader's line numbers of the rows
-    # after it, so parse reads all 12 rows instead
+    # a blank line is not a number, so the streamed pass stops there
+    # and parse reads all 12 rows instead
     lines.insert(-1, "")
     path = _fresh(path)
     path.write_text("\n".join(lines) + "\n")
     assert _rows_parsed_per_line(monkeypatch, path) == 12
+
+
+def test_lone_numbers_of_a_two_column_body_are_refused(tmp_path):
+    # only a one-column body is streamed through float
+    path = tmp_path / "distribution.txt"
+    path.write_text("# columns: phi P\n0.5\n0.25\n")
+    with pytest.raises(ValueError,
+                       match="^line 2: expected 'phi P', got '0.5'$"):
+        textio.load(path, "phi P")
 
 
 def _with_first_row_cell(text, column, token):

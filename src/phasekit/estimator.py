@@ -7,12 +7,12 @@ variance of the sample average, systematic bias from measuring at a
 finite number of phases (aliasing), and systematic bias from detector
 smearing when no compensated kernel is used.
 
-estimate_all runs one reduction over the run's one sample array through
-kernels.table_evaluator, a group of small consecutive phases at a time.
-Every kernel integral of the error analysis is an entry of one overlap
-matrix, kernel_overlaps: aliasing_bias sums the elements that fold into
-order k, and smear_bias reads the k-th subdiagonal for the
-smearing-error kernel.
+estimate_all reduces the run's one sample array to each phase's kernel
+mean and variance: from per-segment sums on large phases, else from
+per-sample values.  Every kernel integral of the error analysis is an
+entry of one overlap matrix, kernel_overlaps: aliasing_bias sums the
+elements that fold into order k, and smear_bias reads the k-th
+subdiagonal for the smearing-error kernel.
 """
 
 import cmath
@@ -22,15 +22,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .kernels import DEFAULT_X0, _check_k, smear_error_kernel, \
-    smearing_sigma, table_evaluator
-from .simulator import _check_n_phases, _phase_groups
+from .kernels import DEFAULT_X0, KernelTable, _check_k, _segments, \
+    _tail_value, smear_error_kernel, smearing_sigma, table_evaluator
+from .simulator import GROUP_DRAWS, _check_n_phases, _phase_groups
 from .specfun import psi_matrix
 
 QUAD_NODES_PER_PANEL = 40
 INNER_PANELS = 16
 OUTER_PANELS_PER_UNIT = 2.0
 MOMENT_COLUMNS = "k re im sigma_re sigma_im compensated eta"
+
+# Draws and sums of a run of phases in _segment_stats: 6 phases of 10^4.
+RUN_SIZE = 4 * GROUP_DRAWS
+# Per phase, the sums cost about what 2 samples per segment cost evaluated.
+SUMS_PER_SEGMENT = 2
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,7 @@ def _check_table(ms, k, table):
 def _phase_stats(kernel_values):
     """Sample mean and (unbiased) sample variance of kernel values at
     one phase; a single event cannot estimate a spread, so its variance
-    is flagged as infinite rather than dropped.
+    is flagged as infinite rather than dropped (per-sample path only).
 
     One pass for the sum, the same arithmetic as mean() and var(ddof=1)
     (which would sum twice): the results are bit-identical.  No BLAS
@@ -136,10 +141,10 @@ def _assemble(k, phases, stats, compensated, eta_assumed):
 def _estimate(ms, by_k):
     """Estimates for the orders of by_k (k -> kernel table), in its
     order, from one pass over the records with the tables checked; k
-    may reach N.  The tables are evaluated once per group of
-    consecutive phases (simulator._phase_groups) on the group's slice
-    of ms.samples, with no copy, and each phase's statistics are taken
-    over its own slice of the values, so every sum runs over it alone.
+    may reach N.  KernelTables (no stand-in) on phases of at least
+    SUMS_PER_SEGMENT samples per segment take _segment_stats, one pass
+    per grid; the others are evaluated per group of phases
+    (simulator._phase_groups), then _phase_stats on each phase's slice.
 
     value  = (2 pi / N) sum_l e^{i k theta_l} mean_r K_k[x_r(theta_l)]
     var_re = (2 pi / N)^2 sum_l cos^2(k theta_l) s_l^2 / n(theta_l)
@@ -147,17 +152,83 @@ def _estimate(ms, by_k):
     of the kernel values.
     """
     flags = {k: _check_table(ms, k, table) for k, table in by_k.items()}
-    evaluate_all = table_evaluator(by_k.values())
-    stats = {k: [] for k in by_k}
-    rest = ms.samples
-    for group in _phase_groups(ms.plan.events_per_phase):
-        x, rest = rest[:group[-1][2]], rest[group[-1][2]:]
-        for k, values in zip(by_k, evaluate_all(x)):
-            stats[k].extend(_phase_stats(values[a:b]) for _, a, b in group)
+    grids, stats = {}, {}  # (x0, node count) -> orders summed on that grid
+    for k, t in by_k.items():
+        if type(t) is KernelTable and ms.samples.size >= (
+                SUMS_PER_SEGMENT * (t.grid.size + 1) * ms.plan.n_phases):
+            grids.setdefault((t.spec.x0, t.grid.size), []).append(k)
+    for ks in grids.values():
+        stats.update(zip(ks, _segment_stats([by_k[k] for k in ks], ms)))
+    rest, x_rest = {k: [] for k in by_k if k not in stats}, ms.samples
+    if rest:
+        evaluate_all = table_evaluator(by_k[k] for k in rest)
+        for group in _phase_groups(ms.plan.events_per_phase):
+            x, x_rest = x_rest[:group[-1][2]], x_rest[group[-1][2]:]
+            for out, values in zip(rest.values(), evaluate_all(x)):
+                out.extend(_phase_stats(values[a:b]) for _, a, b in group)
+    stats.update(rest)
     return [
         _assemble(k, ms.plan.phases, stats[k], flags[k], table.spec.eta)
         for k, table in by_k.items()
     ]
+
+
+def _segment_stats(tables, ms):
+    """Per table, the (mean, var, n) of every phase for KernelTables on
+    one grid, each v_j + s_j dx in padded segment j.  A run of phases
+    bins its samples, a group at a time, into each phase and segment's
+    n_j, sum dx and sum dx^2; tail samples go to segment 0, which no
+    clamped sample reaches, and their _tail_value is summed apart.  Per
+    table, a phase's mean m is a matrix-vector product with [v | s] and
+    its squares are centred on m (Chan, Golub and LeVeque 1983):
+
+        sum (K - m)^2 = sum_j w_j (n_j w_j + 2 s_j sum dx) + s_j^2 sum dx^2
+
+    with w_j = v_j - m.  No product or sum spans two tables.  A phase of
+    equal samples keeps a variance of exactly 0, a single event inf."""
+    bins = tables[0].grid.size + 1  # the padded segments (see KernelTable)
+    specs, gaps = [t.spec for t in tables], [t.edge_gap for t in tables]
+    stats = [[] for _ in tables]
+    rest = ms.samples
+    for run in _phase_groups(ms.plan.events_per_phase,
+                             max(1, RUN_SIZE // (3 * bins)), RUN_SIZE):
+        x, rest = rest[:run[-1][2]], rest[run[-1][2]:]
+        n = np.array([b - a for _, a, b in run])
+        sums, tail = np.empty((n.size, 3, bins)), []
+        for group in _phase_groups(n.tolist()):
+            r0, r1 = group[0][0], group[-1][0] + 1
+            a, b = run[r0][1], run[r1 - 1][2]
+            p, dx, beyond = _segments(tables[0], x[a:b])
+            p[beyond] = 0
+            if r1 - r0 > 1:
+                p += np.repeat(np.arange(0, (r1 - r0) * bins, bins), n[r0:r1])
+            for part, weights in enumerate((None, dx, dx * dx)):
+                sums[r0:r1, part] = np.bincount(
+                    p, weights, (r1 - r0) * bins).reshape(-1, bins)
+            tail.append(a + beyond)
+        del p, dx, beyond  # freed before the tails are evaluated
+        tail = np.concatenate(tail)
+        sums[:, :, 0] = 0.0
+        count, dx_sum, dx2_sum = sums[:, 0], sums[:, 1], sums[:, 2]
+        equal = [r for r in np.flatnonzero(np.count_nonzero(count, 1) <= 1)
+                 if np.ptp(x[run[r][1]:run[r][2]]) == 0.0]
+        at = np.searchsorted(n.cumsum(), tail, side="right")  # tail phases
+        for t, v, out in zip(tables, _tail_value(specs, gaps, x[tail]),
+                             stats):
+            line, slope = t._lookup[3], t._lookup[3][bins:]
+            mean = (sums[:, :2].reshape(n.size, -1) @ line
+                    + np.bincount(at, v, n.size)) / n
+            w = line[:bins] - mean[:, None]
+            cross = dx_sum * (2.0 * slope)
+            cross += count * w
+            m2 = (np.einsum("ij,ij->i", w, cross) + dx2_sum @ (slope * slope)
+                  + np.bincount(at, (v - mean[at]) ** 2, n.size))
+            var = np.maximum(m2, 0.0) / np.maximum(n - 1, 1)
+            var[equal] = 0.0
+            var[n < 2] = math.inf
+            out.extend(zip(mean.tolist(), var.tolist(), n.tolist()))
+        del sums, count, dx_sum, dx2_sum, v, w, cross  # before the next run
+    return stats
 
 
 def estimate_all(ms, k_max, tables):
@@ -165,16 +236,15 @@ def estimate_all(ms, k_max, tables):
 
     tables may be a dict keyed by k or any iterable of kernel tables.
     Results are identical to those of _estimate for one order at a
-    time.  The order cap k_max must stay below the number of phases;
-    beyond it the discretization bias can dominate the estimate.
+    time, however many BLAS threads run.  The order cap k_max must stay
+    below the number of phases; beyond it the discretization bias can
+    dominate the estimate.
 
-    Runs of small consecutive phases, up to simulator.GROUP_DRAWS
-    samples, are evaluated as one slice of the run's array, so the
-    per-call cost of a lookup is paid once per group rather than once
-    per phase; the estimates are bit for bit those of one phase at a
-    time.  KernelTables on one grid share one lookup of those samples
-    across all orders (kernels.table_evaluator).
-    """
+    KernelTables on phases of SUMS_PER_SEGMENT samples per segment or
+    more give the moments from per-segment sums (_segment_stats): those
+    of the tables' unrounded values to 1e-14 absolute in value and 1e-13
+    relative in variance.  Other tables and smaller phases take the
+    per-sample values, bit for bit those of one phase at a time."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     n_phases = ms.plan.n_phases

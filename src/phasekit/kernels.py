@@ -40,9 +40,9 @@ and +-inf included, it takes _tail_value, the tail quantum_kernel uses.
 A sample's segment is found by direct indexing, j = floor((x - g0) / h)
 with one +-1 correction, not by a binary search; the arithmetic is
 np.interp's, so the values are bit-identical to it.  There is one
-lookup, _lookup_all: table_evaluator finds the segments once per sample
-for tables of one x0 and node count, and KernelTable.evaluate is its
-one-table case.
+lookup, _segments: table_evaluator's _lookup_all reads it once per
+sample for tables of one x0 and node count, KernelTable.evaluate is its
+one-table case, and the estimator's per-segment sums read it too.
 
 Two closed single-integral forms (k = 1, 2), quadratures over
 scipy.special's hyp1f1 and i0 imported on first use, are independent
@@ -192,13 +192,12 @@ class KernelTable:
         origin = grid[0]
         step = (grid[-1] - origin) / (grid.size - 1)
         # Segment p = j + 1 holds bounds[p] = grid[j] <= x < grid[j+1];
-        # the padded ends p = 0 and p = size reproduce np.interp's
-        # constant extrapolation with a zero slope.
+        # the padded ends p = 0 and p = size reproduce np.interp's constant
+        # extrapolation with a zero slope.  One array: values, then slopes.
         slope = np.diff(values) / np.diff(grid)
         lookup = (origin - step, 1.0 / step,
                   np.concatenate(([-np.inf], grid, [np.inf])),
-                  np.concatenate(([0.0], slope, [0.0])),
-                  np.concatenate(([values[0]], values)))
+                  np.concatenate(([values[0]], values, [0.0], slope, [0.0])))
         offset, edge_gap = _edge_fit(s)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
@@ -259,25 +258,28 @@ def table_evaluator(tables):
     return lambda x: _lookup_all(tables, x)
 
 
-def _lookup_all(tables, x):
-    """Values at 1-d x of KernelTables on one grid with one x0, one table
-    at a time.  x, clamped into the grid (NaN to grid[0]), finds its
-    padded segment p once (see KernelTable); each table then costs two
-    gathers and a multiply-add, plus its tail where |x| <= x0 fails."""
-    first = tables[0]
-    base, inv_step, bounds = first._lookup[:3]
-    clamped = np.fmin(np.fmax(x, first.grid[0]), first.grid[-1])
+def _segments(table, x):
+    """Padded segments p and offsets dx of 1-d x in table's grid (see
+    KernelTable), and the tail: where the clamp to [-x0, x0] (NaN to
+    -x0) moves x, so where |x| <= x0 fails."""
+    base, inv_step, bounds = table._lookup[:3]
+    clamped = np.fmin(np.fmax(x, table.grid[0]), table.grid[-1])
     p = ((clamped - base) * inv_step).astype(np.intp)
     p -= clamped < bounds[p]
     p += clamped >= bounds[p + 1]
-    dx = clamped - bounds[p]
-    tail = np.flatnonzero(~(np.abs(x) <= first.spec.x0))
-    x_tail = x[tail]
-    for t in tables:
-        slope, values = t._lookup[3:]
-        out = slope[p] * dx + values[p]
-        if tail.size:
-            out[tail] = _tail_value(t.spec, t.edge_gap, x_tail)
+    return p, clamped - bounds[p], np.flatnonzero(clamped != x)
+
+
+def _lookup_all(tables, x):
+    """Values at 1-d x of KernelTables on one grid, one table at a time:
+    _segments once, then two gathers and a multiply-add, and the tail."""
+    p, dx, tail = _segments(tables[0], x)
+    n = tables[0].grid.size + 1
+    tails = _tail_value([t.spec for t in tables],
+                        [t.edge_gap for t in tables], x[tail])
+    for t, tail_values in zip(tables, tails):
+        out = t._lookup[3][n:][p] * dx + t._lookup[3][p]
+        out[tail] = tail_values
         yield out
 
 
@@ -295,15 +297,18 @@ def classical_kernel(k, x):
     as zero: any constant is wiped out by the phase average over
     e^{ik theta} for k != 0.
     """
-    _check_k(k)
-    m, odd = divmod(k, 2)
-    if odd:
-        return 0.25 * (-1.0) ** m * k * np.sign(x)
-    if np.any(x == 0):
+    k = _check_k(k)
+    if k % 2 == 0 and np.any(x == 0):
         raise ValueError(
             "classical kernel for even k is logarithmic and singular at x = 0"
         )
-    return (-1.0) ** (m + 1) * m / np.pi * np.log(np.abs(x))
+    return _classical_factor(k) * (np.sign(x) if k % 2 else np.log(np.abs(x)))
+
+
+def _classical_factor(k):
+    """classical_kernel(k, x) over sign(x) for odd k, over ln|x| even."""
+    m, odd = divmod(k, 2)
+    return 0.25 * (-1.0) ** m * k if odd else (-1.0) ** (m + 1) * m / np.pi
 
 
 @lru_cache(maxsize=None)
@@ -505,14 +510,18 @@ def _edge_fit(spec):
     return float(offset), float(edge)
 
 
-def _tail_value(spec, edge_gap, x):
-    """Kernel of spec at x with |x| >= x0: the classical limit plus the
-    matched algebraic correction, odd in x for odd k and even for even
-    k.  Tables and quantum_kernel both take their tail from here."""
-    ax = np.abs(x)
-    tail = (classical_kernel(spec.k, ax)
-            + edge_gap * (spec.x0 / ax) ** _decay_power(spec.k))
-    return tail * np.sign(x) if spec.k % 2 else tail
+def _tail_value(specs, edge_gaps, x):
+    """Kernels of specs at 1-d x with |x| >= x0, one row per spec: the
+    classical limit plus the matched algebraic correction, odd in x for
+    odd k and even for even k.  Tables and quantum_kernel both take
+    their tail from here; the rows share the sign and logarithm of x."""
+    ax, sign, log = np.abs(x), np.sign(x), np.log(np.abs(x))
+    out = np.empty((len(specs), x.size))
+    for row, spec, gap in zip(out, specs, edge_gaps):
+        c = gap * (spec.x0 / ax) ** _decay_power(spec.k)
+        f = _classical_factor(spec.k)
+        row[:] = (f + c) * sign if spec.k % 2 else f * log + c
+    return out
 
 
 @scalar_in_scalar_out
@@ -532,7 +541,7 @@ def quantum_kernel(k, x, eta=1.0, l0=DEFAULT_L0, x0=DEFAULT_X0,
     inside = np.abs(x) < spec.x0
     window = _window_value(spec, np.abs(x[inside])) - offset
     out[inside] = window * np.sign(x[inside]) if spec.k % 2 else window
-    out[~inside] = _tail_value(spec, edge_gap, x[~inside])
+    out[~inside] = _tail_value([spec], [edge_gap], x[~inside])[0]
     return out
 
 

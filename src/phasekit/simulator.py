@@ -397,16 +397,16 @@ def sample_quadrature(rho, theta, count, rng_stream):
     return _quantiles(rng_stream.random(int(count)), cdf, *nodes)
 
 
-def _phase_groups(counts, max_phases=GROUP_DRAWS):
+def _phase_groups(counts, max_phases=GROUP_DRAWS, max_draws=GROUP_DRAWS):
     """Runs of consecutive phases whose event counts sum to at most
-    GROUP_DRAWS and that number at most max_phases (by default no bound
-    beyond the draws'), in phase order; a phase with more events forms
-    a group alone.  Each group is a list of (l, a, b): phase l fills
-    [a, b) of the group's draws.  run_experiment and the estimator
-    group phases alike."""
+    max_draws and that number at most max_phases (by default no bound
+    beyond GROUP_DRAWS draws), in phase order; a phase with more events
+    forms a group alone.  Each group is a list of (l, a, b): phase l
+    fills [a, b) of the group's draws.  run_experiment and the
+    estimator group phases alike."""
     group, size = [], 0
     for l, n in enumerate(counts):
-        if group and (size + n > GROUP_DRAWS or len(group) >= max_phases):
+        if group and (size + n > max_draws or len(group) >= max_phases):
             yield group
             group, size = [], 0
         group.append((l, size, size + n))
@@ -471,7 +471,7 @@ def run_experiment(plan, capture_tol=CAPTURE_TOL):
         u, rest = rest[:group[-1][2]], rest[group[-1][2]:]
         streams = []
         for r, (l, a, b) in enumerate(group):
-            pdf[r] = harmonic_density(harmonics, thetas[l])
+            harmonic_density(harmonics, thetas[l], out=pdf[r])
             streams.append(phase_stream(plan.seed, l))
             streams[-1].random(out=u[a:b])
         first = group[0][0]

@@ -245,8 +245,8 @@ def quadrature_harmonics(rho, x):
     return harmonics
 
 
-def harmonic_density(harmonics, theta):
-    """p(x, theta) from the matrix W of quadrature_harmonics.
+def harmonic_density(harmonics, theta, out=None):
+    """p(x, theta) from the matrix W of quadrature_harmonics (into out).
 
     A scalar theta gives one density row; an array of phases gives one
     row per phase, from one matrix product.  p is nonnegative for any
@@ -257,7 +257,7 @@ def harmonic_density(harmonics, theta):
                                 np.arange(1, harmonics.shape[0] // 2 + 1))
     t = np.concatenate((np.ones(d_theta.shape[:-1] + (1,)),
                         np.cos(d_theta), np.sin(d_theta)), axis=-1)
-    out = t @ harmonics
+    out = np.matmul(t, harmonics, out=out)
     out[(out < 0) & (out > -1.0e-12)] = 0.0
     return out
 

@@ -5,8 +5,11 @@ forms the fast library paths are checked against (the loop form of the
 aliasing bias, the quadratic-form quadrature density, a bisection
 inverse of the simulator's sampled law, the one-phase-at-a-time
 simulation and moment reduction that grouped phases must reproduce bit
-for bit, np.interp kernel lookup, the per-row record reader and a dense
-high-precision least-squares solve),
+for bit, the moments from exactly rounded sums of per-sample kernel
+values and from exact rational sums of the tables' unrounded values,
+which the per-segment sums must match, np.interp kernel lookup,
+the per-row record reader and a dense high-precision least-squares
+solve),
 the paper's higher-moment approximation of the aliasing bias, the
 closed integral kernels K_1 and K_2 in 20-digit mpmath, the Hurwitz
 zeta function by summation and the F_k term expansion, the statistics
@@ -16,11 +19,13 @@ use: psi_n, log_factorial, log_rising and the angular weight omega.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from phasekit.estimator import _assemble, _check_table, _phase_stats
-from phasekit.kernels import _tail_value, smearing_sigma, table_evaluator
+from phasekit.kernels import (_segments, _tail_value, smearing_sigma,
+                              table_evaluator)
 from phasekit.simulator import (ExperimentPlan, MeasurementSet, _cdf_table,
                                 _quantiles, _state_sampler, phase_stream)
 from phasekit.specfun import psi_rows
@@ -249,6 +254,56 @@ def per_phase_estimates(ms, by_k):
     ]
 
 
+def fsum_estimates(ms, by_k):
+    """estimator._estimate from every table's per-sample values with
+    exactly rounded sums: each phase's mean is math.fsum / n and its
+    variance the fsum of squared deviations / (n - 1)."""
+    def stats(table, rec):
+        values = table.evaluate(rec).tolist()
+        n = len(values)
+        mean = math.fsum(values) / n
+        var = (math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+               if n > 1 else math.inf)
+        return mean, var, n
+
+    return _oracle_estimates(ms, by_k, stats)
+
+
+def exact_segment_estimates(ms, by_k):
+    """estimator._estimate from the KernelTables' unrounded values
+    v_p + s_p dx on each sample's segment (kernels._segments) and the
+    tail values, in rational arithmetic: each phase's mean and variance
+    are rounded once, at the end.  These are what the per-segment sums
+    compute, free of the rounding of each per-sample value."""
+    def stats(table, rec):
+        p, dx, tail = _segments(table, rec)
+        line, bins = table._lookup[3], table.grid.size + 1
+        values = [Fraction(line[q]) + Fraction(line[bins + q]) * Fraction(d)
+                  for q, d in zip(p.tolist(), dx.tolist())]
+        tails = _tail_value([table.spec], [table.edge_gap], rec[tail])[0]
+        for i, v in zip(tail.tolist(), tails.tolist()):
+            values[i] = Fraction(v)
+        n = len(values)
+        mean = sum(values) / n
+        var = (float(sum((v - mean) ** 2 for v in values) / (n - 1))
+               if n > 1 else math.inf)
+        return float(mean), var, n
+
+    return _oracle_estimates(ms, by_k, stats)
+
+
+def _oracle_estimates(ms, by_k, phase_stats):
+    """_estimate's assembly over phase_stats(table, record) -> (mean,
+    var, n), one record at a time."""
+    flags = {k: _check_table(ms, k, table) for k, table in by_k.items()}
+    return [
+        _assemble(k, ms.plan.phases,
+                  [phase_stats(table, rec) for rec in ms.records],
+                  flags[k], table.spec.eta)
+        for k, table in by_k.items()
+    ]
+
+
 def interp_table_value(table, x):
     """Kernel table lookup through np.interp inside |x| <= x0 and the
     classical tail rule outside."""
@@ -256,7 +311,8 @@ def interp_table_value(table, x):
     out = np.empty_like(x)
     inside = np.abs(x) <= table.spec.x0
     out[inside] = np.interp(x[inside], table.grid, table.values)
-    tail = _tail_value(table.spec, table.edge_gap, np.abs(x[~inside]))
+    tail = _tail_value([table.spec], [table.edge_gap],
+                       np.abs(x[~inside]))[0]
     if table.spec.k % 2:
         tail = tail * np.sign(x[~inside])
     out[~inside] = tail

@@ -73,6 +73,28 @@ MUTANTS = [
            "tests/test_simulator.py::"
            "test_measurement_set_requires_matching_counts",
            "tests/test_simulator.py::test_load_rejects_count_mismatch"),
+    Mutant("tail samples also binned into the edge segments",
+           "estimator.py", "            p[beyond] = 0\n", "",
+           "tests/test_estimator.py::test_segment_sums_match_the_fsum_oracle"),
+    Mutant("sum dx in place of sum dx^2", "estimator.py",
+           "(None, dx, dx * dx)", "(None, dx, dx)",
+           "tests/test_estimator.py::test_segment_sums_match_the_fsum_oracle"),
+    Mutant("phase mean's shift dropped from the tail squares",
+           "estimator.py", "(v - mean[at]) ** 2", "v ** 2",
+           "tests/test_estimator.py::test_segment_sums_match_the_fsum_oracle"),
+    Mutant("n in place of n - 1", "estimator.py",
+           "np.maximum(n - 1, 1)", "np.maximum(n, 1)",
+           "tests/test_estimator.py::test_segment_sums_match_the_fsum_oracle"),
+    Mutant("upward segment correction skipped", "kernels.py",
+           "    p += clamped >= bounds[p + 1]\n", "",
+           "tests/test_kernels.py::"
+           "test_table_lookup_is_bit_identical_to_interp",
+           "tests/test_estimator.py::"
+           "test_shared_lookup_equals_per_table_evaluate"),
+    Mutant("phase sign flipped in _assemble", "estimator.py",
+           "complex(c, s) * mean", "complex(c, -s) * mean",
+           "tests/test_estimator.py::"
+           "test_estimate_on_constant_records_reduces_to_frame_sum"),
 ]
 
 

@@ -14,7 +14,8 @@ import pytest
 from scipy import integrate
 
 from _oracles import (MIXED_COUNTS, aliasing_bias_approx,
-                      aliasing_bias_by_loops, moment_by_phase_quadrature,
+                      aliasing_bias_by_loops, exact_segment_estimates,
+                      fsum_estimates, moment_by_phase_quadrature,
                       panel_rule, per_phase_estimates, psi_n)
 from phasekit.estimator import (
     MomentEstimate,
@@ -28,8 +29,8 @@ from phasekit.estimator import (
     smear_bias,
 )
 from phasekit.kernels import KernelSpec, build_kernel_table, classical_kernel
-from phasekit.kernels import KernelTable, table_evaluator
-from phasekit import simulator
+from phasekit.kernels import KernelTable, _tail_value, table_evaluator
+from phasekit import estimator, simulator
 from phasekit.simulator import ExperimentPlan, MeasurementSet, run_experiment
 from phasekit.states import StateSpec, build_state, exact_moments
 
@@ -523,6 +524,18 @@ def assert_same_estimates(got, want):
          for e in want]
 
 
+def assert_close_estimates(got, want):
+    """The per-segment sums' tolerance: 1e-14 absolute in value and
+    1e-13 relative in variance."""
+    assert [(e.k, e.compensated, e.eta_assumed) for e in got] == \
+        [(e.k, e.compensated, e.eta_assumed) for e in want]
+    for g, w in zip(got, want):
+        assert abs(g.value.real - w.value.real) <= 1e-14
+        assert abs(g.value.imag - w.value.imag) <= 1e-14
+        for a, b in ((g.var_re, w.var_re), (g.var_im, w.var_im)):
+            assert a == b or abs(a - b) <= 1e-13 * b
+
+
 @pytest.mark.parametrize("eta", [1.0, 0.8])
 def test_shared_lookup_equals_per_table_evaluate(eta):
     tables = [build_kernel_table(KernelSpec(k=k, eta=eta))
@@ -600,7 +613,7 @@ def test_small_phases_take_one_inverse_transform_and_one_evaluate(
                for c in counters.values() for x in c.inputs)
 
 
-# Stays exact until perfbench stops passing TracedTable wrappers (ROADMAP C).
+# Exact: phases this small take the per-sample values (SUMS_PER_SEGMENT).
 def test_tables_with_only_spec_and_evaluate_are_accepted(default_tables):
     class SpecAndEvaluate:
         __slots__ = ("spec", "evaluate")
@@ -615,3 +628,136 @@ def test_tables_with_only_spec_and_evaluate_are_accepted(default_tables):
     wrapped = {k: SpecAndEvaluate(t) for k, t in plain.items()}
     assert_same_estimates(estimate_all(ms, 4, wrapped),
                           estimate_all(ms, 4, plain))
+
+
+@pytest.fixture
+def summed(monkeypatch):
+    """Every KernelTable through the per-segment sums, however few
+    samples its phases hold."""
+    monkeypatch.setattr(estimator, "SUMS_PER_SEGMENT", 0)
+
+
+def _two_valued(rng, counts):
+    pairs = rng.uniform(-3.9, 3.9, (len(counts), 2))
+    return np.concatenate([rng.choice(pair, n) for pair, n in zip(pairs,
+                                                                   counts)])
+
+
+def _tail_heavy(rng, counts):
+    # nine in ten samples beyond x0 = 4, out to 1e6, either sign
+    size = sum(counts)
+    beyond = 4.0 + rng.exponential(3.0, size) * 10.0 ** rng.integers(0, 6,
+                                                                      size)
+    x = np.where(rng.random(size) < 0.9, beyond, rng.uniform(-4, 4, size))
+    return x * rng.choice([-1.0, 1.0], size)
+
+
+def _simulated(rng, counts):
+    plan = ExperimentPlan(state=SQUEEZED, events_per_phase=counts, seed=37)
+    return run_experiment(plan, capture_tol=0.05).samples
+
+
+def _tight_clusters(rng, counts):
+    # each phase within +-0.01 of 3.9, the next within +-0.01 of -3.9
+    centre = np.repeat(np.where(np.arange(len(counts)) % 2, -3.9, 3.9),
+                       counts)
+    return centre + rng.uniform(-0.01, 0.01, centre.size)
+
+
+def _summed_case(records, counts, eta):
+    tables = {k: build_kernel_table(KernelSpec(k=k, eta=eta))
+              for k in range(1, 9)}
+    plan = ExperimentPlan(state=SQUEEZED, events_per_phase=counts, eta=eta)
+    return MeasurementSet(plan, records(np.random.default_rng(23), counts)), \
+        tables
+
+
+@pytest.mark.parametrize("records, counts", [
+    (_two_valued, (40,) * 12), (_tail_heavy, (40,) * 12),
+    (_two_valued, (1,) * 12), (_simulated, MIXED_COUNTS),
+])
+@pytest.mark.parametrize("eta", [1.0, 0.8])
+def test_segment_sums_match_the_fsum_oracle(summed, records, counts, eta):
+    # two-valued, tail-heavy and single-event records, and a plan whose
+    # group and run boundaries fall everywhere
+    ms, tables = _summed_case(records, counts, eta)
+    assert_close_estimates(_estimate(ms, tables), fsum_estimates(ms, tables))
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.8])
+def test_segment_sums_centre_each_phase_on_its_own_mean(summed, eta):
+    # Kernel values that barely spread about means far apart: squares
+    # about one mean of the whole run lose every digit of the variance.
+    # Per-sample values carry their own rounding, which is as large here,
+    # so the reference is the tables' unrounded values.
+    ms, tables = _summed_case(_tight_clusters, (40,) * 12, eta)
+    assert_close_estimates(_estimate(ms, tables),
+                           exact_segment_estimates(ms, tables))
+
+
+def test_large_phases_take_the_segment_sums_on_each_grid(monkeypatch,
+                                                         default_tables):
+    # two samples per segment on average: the sums, for the tables of
+    # each grid apart, so an order's numbers are those it gets alone
+    tables = {k: default_tables[k] for k in range(1, 5)}
+    tables[3] = build_kernel_table(KernelSpec(k=3), grid_step=0.01)
+    plan = ExperimentPlan.uniform(SQUEEZED, n_phases=6,
+                                  events=2 * (tables[1].grid.size + 1),
+                                  seed=8)
+    ms = run_experiment(plan, capture_tol=0.05)
+    monkeypatch.setattr(KernelTable, "evaluate", None)
+    got = estimate_all(ms, 4, tables)
+    assert_same_estimates(got, [_estimate(ms, {k: tables[k]})[0]
+                                for k in range(1, 5)])
+    monkeypatch.undo()
+    assert_close_estimates(got, fsum_estimates(ms, tables))
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.8])
+def test_stacked_tail_rows_equal_their_spec_alone(eta):
+    tables = [build_kernel_table(KernelSpec(k=k, eta=eta))
+              for k in range(1, 9)]
+    rng = np.random.default_rng(29)
+    x = np.concatenate((4.0 + rng.exponential(2.0, 3000), [4.0, 1e300,
+                                                          np.inf]))
+    x = np.concatenate((x, -x, [np.nan]))
+    stacked = _tail_value([t.spec for t in tables],
+                          [t.edge_gap for t in tables], x)
+    for t, row in zip(tables, stacked):
+        alone = _tail_value([t.spec], [t.edge_gap], x)[0]
+        assert row.tobytes() == alone.tobytes()
+
+
+# A small estimate_all on the per-segment sums (two samples per segment
+# of the 1602-segment grid), run in a child process per BLAS thread count.
+BLAS_CHILD = """
+from phasekit import (ExperimentPlan, KernelSpec, StateSpec,
+                      build_kernel_table, estimate_all, run_experiment)
+tables = [build_kernel_table(KernelSpec(k=k)) for k in (1, 2, 3)]
+plan = ExperimentPlan.uniform(
+    StateSpec(kind="squeezed_vacuum", squeeze=-1.31, n_max=20),
+    n_phases=12, events=3204, seed=11)
+ms = run_experiment(plan, capture_tol=0.05)
+for e in estimate_all(ms, 3, tables):
+    print(repr((e.value, e.var_re, e.var_im)))
+"""
+
+
+def test_moments_do_not_depend_on_the_blas_thread_count():
+    import os
+    import subprocess
+    import sys
+
+    import phasekit
+
+    src = os.path.dirname(os.path.dirname(phasekit.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", BLAS_CHILD], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") == 3

@@ -441,7 +441,8 @@ def test_table_text_ends_on_its_tail_rule(k, eta, tmp_path):
         assert np.array_equal(art.rows, np.column_stack([table.grid,
                                                          table.values]))
         x, value = art.rows[-1]
-        edge = kernels._tail_value(spec, table.edge_gap, x0)
+        edge = kernels._tail_value([spec], [table.edge_gap],
+                                   np.array([x0]))[0, 0]
         assert table.grid[-1] == x0 and x == x0
         assert abs(value - edge) <= 1e-9 * abs(edge)
 

@@ -443,11 +443,13 @@ def test_cdf_errors_name_the_phase_and_theta(monkeypatch, damage, message):
                                   n_phases=8, events=10)
     real = simulator.harmonic_density
 
-    def one_bad_phase(harmonics, theta):
-        p = real(harmonics, theta)
-        # the grid's error terms take every phase at once
-        return damage(p) if np.ndim(theta) == 0 and \
-            theta == plan.phases[3] else p
+    def one_bad_phase(harmonics, theta, out=None):
+        p = real(harmonics, theta, out=out)
+        # the grid's error terms take every phase at once, and each
+        # phase's density is written in place into its group's array
+        if np.ndim(theta) == 0 and theta == plan.phases[3]:
+            p[:] = damage(p)
+        return p
 
     monkeypatch.setattr(simulator, "harmonic_density", one_bad_phase)
     with pytest.raises(ValueError, match=r"^phase 3 \(theta = 2\.35619\): "

@@ -7,10 +7,11 @@ variance of the sample average, systematic bias from measuring at a
 finite number of phases (aliasing), and systematic bias from detector
 smearing when no compensated kernel is used.
 
-estimate_all reduces the run's one sample array to each phase's kernel
-mean and variance: from per-segment sums on large phases, else from
-per-sample values.  Every kernel integral of the error analysis is an
-entry of one overlap matrix, kernel_overlaps: aliasing_bias sums the
+estimate_all reduces the run's one sample array to arrays of every
+phase's kernel mean and variance, from per-segment sums on large phases,
+else from rows of per-sample values, and assembles each order from them
+in one vectorised pass.  Every kernel integral of the error analysis is
+an entry of one overlap matrix, kernel_overlaps: aliasing_bias sums the
 elements that fold into order k, and smear_bias reads the k-th
 subdiagonal for the smearing-error kernel.
 """
@@ -18,12 +19,13 @@ subdiagonal for the smearing-error kernel.
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from . import textio
-from .kernels import DEFAULT_X0, KernelTable, _check_k, _segments, \
-    _tail_value, smear_error_kernel, smearing_sigma, table_evaluator
+from .kernels import DEFAULT_X0, KernelTable, _check_k, _lookup_all, \
+    _segments, _tail_value, smear_error_kernel, smearing_sigma
 from .simulator import GROUP_DRAWS, _check_n_phases, _phase_groups
 from .specfun import psi_matrix
 
@@ -95,87 +97,89 @@ def _check_table(ms, k, table):
     return compensated
 
 
-def _phase_stats(kernel_values):
-    """Sample mean and (unbiased) sample variance of kernel values at
-    one phase; a single event cannot estimate a spread, so its variance
-    is flagged as infinite rather than dropped (per-sample path only).
-
-    One pass for the sum, the same arithmetic as mean() and var(ddof=1)
-    (which would sum twice): the results are bit-identical.  No BLAS
-    dot: a threaded one would make the bits depend on the thread count.
-    """
-    n = kernel_values.size
-    mean = float(kernel_values.sum() / n)
+def _row_stats(rows):
+    """Means and (unbiased) variances of the rows of a C-contiguous
+    (phases, n) array of kernel values, inf for a single event: each
+    row's own mean() and var(ddof=1), bit for bit, since a C-contiguous
+    row sum equals that row's 1-d sum().  No BLAS dot: a threaded one
+    would make the bits depend on the thread count."""
+    n = rows.shape[1]
+    mean = rows.sum(axis=1) / n
     if n < 2:
-        return mean, math.inf, n
-    dev = kernel_values - mean
+        return mean, np.full(mean.size, math.inf)
+    dev = rows - mean[:, None]
     np.multiply(dev, dev, out=dev)
-    return mean, float(dev.sum() / (n - 1)), n
+    return mean, dev.sum(axis=1) / (n - 1)
 
 
-def _assemble(k, phases, stats, compensated, eta_assumed):
-    n_phases = len(phases)
-    value = 0.0j
-    var_re = 0.0
-    var_im = 0.0
-    for theta, (mean, var, n) in zip(phases, stats):
-        c = math.cos(k * theta)
-        s = math.sin(k * theta)
-        value += complex(c, s) * mean
-        if c != 0.0:
-            var_re += c * c * var / n
-        if s != 0.0:
-            var_im += s * s * var / n
-    scale = 2.0 * math.pi / n_phases
+def _assemble(k, phases, mean, var, n, compensated, eta_assumed):
+    """Order k's estimate from each phase's kernel mean, variance and
+    count, the terms summed in phase order (cumsum; + 0.0 makes a zero
+    sum +0); a zero cos or sin drops its variance term, so 0 inf gives
+    no NaN."""
+    cs = np.array([np.cos(k * phases), np.sin(k * phases)])
+    terms = np.concatenate([cs * mean,
+                            cs * cs * np.where(cs != 0.0, var, 0.0) / n])
+    re, im, var_re, var_im = (np.cumsum(terms, axis=1)[:, -1] + 0.0).tolist()
+    scale = 2.0 * math.pi / len(phases)
     return MomentEstimate(
-        k=k,
-        value=value * scale,
-        var_re=var_re * scale * scale,
-        var_im=var_im * scale * scale,
-        n_phases=n_phases,
-        compensated=compensated,
-        eta_assumed=float(eta_assumed),
-    )
+        k=k, value=complex(re * scale, im * scale),
+        var_re=var_re * scale * scale, var_im=var_im * scale * scale,
+        n_phases=len(phases), compensated=compensated,
+        eta_assumed=float(eta_assumed))
 
 
 def _estimate(ms, by_k):
     """Estimates for the orders of by_k (k -> kernel table), in its
     order, from one pass over the records with the tables checked; k
-    may reach N.  KernelTables (no stand-in) on phases of at least
-    SUMS_PER_SEGMENT samples per segment take _segment_stats, one pass
-    per grid; the others are evaluated per group of phases
-    (simulator._phase_groups), then _phase_stats on each phase's slice.
+    may reach N.  The tables form sets: KernelTables by grid (x0 and
+    node count), any other table a set of its own.  KernelTables on
+    phases of at least SUMS_PER_SEGMENT samples per segment take
+    _segment_stats, one pass per grid; the other sets _sample_stats.
+    Each gives a (tables, phases) array of means and one of variances.
 
     value  = (2 pi / N) sum_l e^{i k theta_l} mean_r K_k[x_r(theta_l)]
     var_re = (2 pi / N)^2 sum_l cos^2(k theta_l) s_l^2 / n(theta_l)
     and var_im with sin^2, where s_l^2 is the per-phase sample variance
-    of the kernel values.
-    """
+    of the kernel values."""
     flags = {k: _check_table(ms, k, table) for k, table in by_k.items()}
-    grids, stats = {}, {}  # (x0, node count) -> orders summed on that grid
+    sets, stats = {}, {}  # (x0, node count) or a stand-in's k -> orders
     for k, t in by_k.items():
-        if type(t) is KernelTable and ms.samples.size >= (
-                SUMS_PER_SEGMENT * (t.grid.size + 1) * ms.plan.n_phases):
-            grids.setdefault((t.spec.x0, t.grid.size), []).append(k)
-    for ks in grids.values():
-        stats.update(zip(ks, _segment_stats([by_k[k] for k in ks], ms)))
-    rest, x_rest = {k: [] for k in by_k if k not in stats}, ms.samples
-    if rest:
-        evaluate_all = table_evaluator(by_k[k] for k in rest)
-        for group in _phase_groups(ms.plan.events_per_phase):
-            x, x_rest = x_rest[:group[-1][2]], x_rest[group[-1][2]:]
-            for out, values in zip(rest.values(), evaluate_all(x)):
-                out.extend(_phase_stats(values[a:b]) for _, a, b in group)
-    stats.update(rest)
-    return [
-        _assemble(k, ms.plan.phases, stats[k], flags[k], table.spec.eta)
-        for k, table in by_k.items()
-    ]
+        key = (t.spec.x0, t.grid.size) if type(t) is KernelTable else k
+        sets.setdefault(key, []).append(k)
+    for ks in sets.values():
+        tables = [by_k[k] for k in ks]
+        summed = type(tables[0]) is KernelTable and ms.samples.size >= (
+            SUMS_PER_SEGMENT * (tables[0].grid.size + 1) * ms.plan.n_phases)
+        reduce = _segment_stats if summed else _sample_stats
+        stats.update(zip(ks, zip(*reduce(tables, ms))))
+    return [_assemble(k, ms.plan.phases, *stats[k], ms.plan.events_per_phase,
+                      flags[k], table.spec.eta) for k, table in by_k.items()]
+
+
+def _sample_stats(tables, ms):
+    """Per table, every phase's mean and variance from per-sample values
+    (_lookup_all, or a stand-in's evaluate) a group of phases at a time
+    (simulator._phase_groups), each run of equal counts in the group
+    reduced as rows (_row_stats): bit for bit one phase at a time."""
+    lookup = type(tables[0]) is KernelTable
+    stats = np.empty((2, len(tables), ms.plan.n_phases))  # means, variances
+    rest = ms.samples
+    for group in _phase_groups(ms.plan.events_per_phase):
+        x, rest = rest[:group[-1][2]], rest[group[-1][2]:]
+        runs = [list(run) for _, run in groupby(group, lambda p: p[2] - p[1])]
+        for i, v in enumerate(_lookup_all(tables, x) if lookup
+                              else [tables[0].evaluate(x)]):
+            for run in runs:
+                (l0, a, _), (l1, _, b) = run[0], run[-1]
+                stats[:, i, l0:l1 + 1] = _row_stats(
+                    v[a:b].reshape(len(run), -1))
+    return stats
 
 
 def _segment_stats(tables, ms):
-    """Per table, the (mean, var, n) of every phase for KernelTables on
-    one grid, each v_j + s_j dx in padded segment j.  A run of phases
+    """Per table, the mean and variance of every phase for KernelTables
+    on one grid, each v_j + s_j dx in padded segment j.  A run of phases
     bins its samples, a group at a time, into each phase and segment's
     n_j, sum dx and sum dx^2; tail samples go to segment 0, which no
     clamped sample reaches, and their _tail_value is summed apart.  Per
@@ -188,7 +192,7 @@ def _segment_stats(tables, ms):
     equal samples keeps a variance of exactly 0, a single event inf."""
     bins = tables[0].grid.size + 1  # the padded segments (see KernelTable)
     specs, gaps = [t.spec for t in tables], [t.edge_gap for t in tables]
-    stats = [[] for _ in tables]
+    stats = np.empty((2, len(tables), ms.plan.n_phases))  # means, variances
     rest = ms.samples
     for run in _phase_groups(ms.plan.events_per_phase,
                              max(1, RUN_SIZE // (3 * bins)), RUN_SIZE):
@@ -213,8 +217,8 @@ def _segment_stats(tables, ms):
         equal = [r for r in np.flatnonzero(np.count_nonzero(count, 1) <= 1)
                  if np.ptp(x[run[r][1]:run[r][2]]) == 0.0]
         at = np.searchsorted(n.cumsum(), tail, side="right")  # tail phases
-        for t, v, out in zip(tables, _tail_value(specs, gaps, x[tail]),
-                             stats):
+        for i, (t, v) in enumerate(zip(tables,
+                                       _tail_value(specs, gaps, x[tail]))):
             line, slope = t._lookup[3], t._lookup[3][bins:]
             mean = (sums[:, :2].reshape(n.size, -1) @ line
                     + np.bincount(at, v, n.size)) / n
@@ -226,7 +230,7 @@ def _segment_stats(tables, ms):
             var = np.maximum(m2, 0.0) / np.maximum(n - 1, 1)
             var[equal] = 0.0
             var[n < 2] = math.inf
-            out.extend(zip(mean.tolist(), var.tolist(), n.tolist()))
+            stats[:, i, run[0][0]:run[-1][0] + 1] = mean, var
         del sums, count, dx_sum, dx2_sum, v, w, cross  # before the next run
     return stats
 
@@ -234,11 +238,11 @@ def _segment_stats(tables, ms):
 def estimate_all(ms, k_max, tables):
     """Estimates for k = 1..k_max in one pass over the records.
 
-    tables may be a dict keyed by k or any iterable of kernel tables.
-    Results are identical to those of _estimate for one order at a
-    time, however many BLAS threads run.  The order cap k_max must stay
-    below the number of phases; beyond it the discretization bias can
-    dominate the estimate.
+    tables may be a dict keyed by k or any iterable of kernel tables,
+    two of one order refused.  Results are identical to those of
+    _estimate for one order at a time, however many BLAS threads run.
+    The order cap k_max must stay below the number of phases; beyond it
+    the discretization bias can dominate the estimate.
 
     KernelTables on phases of SUMS_PER_SEGMENT samples per segment or
     more give the moments from per-segment sums (_segment_stats): those
@@ -254,7 +258,10 @@ def estimate_all(ms, k_max, tables):
             % (k_max, n_phases)
         )
     if not isinstance(tables, dict):
-        tables = {t.spec.k: t for t in tables}
+        listed, tables = tables, {}
+        for t in listed:
+            if tables.setdefault(t.spec.k, t) is not t:
+                raise ValueError("two kernel tables for k = %d" % t.spec.k)
     missing = [k for k in range(1, k_max + 1) if k not in tables]
     if missing:
         raise ValueError(

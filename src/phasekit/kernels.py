@@ -40,9 +40,9 @@ and +-inf included, it takes _tail_value, the tail quantum_kernel uses.
 A sample's segment is found by direct indexing, j = floor((x - g0) / h)
 with one +-1 correction, not by a binary search; the arithmetic is
 np.interp's, so the values are bit-identical to it.  There is one
-lookup, _segments: table_evaluator's _lookup_all reads it once per
-sample for tables of one x0 and node count, KernelTable.evaluate is its
-one-table case, and the estimator's per-segment sums read it too.
+lookup, _segments: _lookup_all reads it once per sample for tables of
+one x0 and node count, KernelTable.evaluate is its one-table case, and
+the estimator's per-segment sums read it too.
 
 Two closed single-integral forms (k = 1, 2), quadratures over
 scipy.special's hyp1f1 and i0 imported on first use, are independent
@@ -208,7 +208,7 @@ class KernelTable:
     @scalar_in_scalar_out
     def evaluate(self, x):
         """Kernel value at x (scalar or array of any shape, NaN and inf
-        included): the shared lookup of table_evaluator for this table."""
+        included): _lookup_all for this table alone."""
         return next(_lookup_all([self], x.ravel())).reshape(x.shape)
 
 
@@ -236,28 +236,6 @@ def save_table(table, path, header_lines=()):
     ))
 
 
-def table_evaluator(tables):
-    """Function x -> (t.evaluate(x) for t in tables), a generator, for
-    1-d x; tables must not be empty.  Values come one table at a time,
-    so a caller that reduces each holds one array, not one per table.
-    Every value depends on its own x alone, so estimate_all passes the
-    samples of several phases as one x and slices the values per phase.
-
-    When every table is a KernelTable (not a subclass or a stand-in)
-    and all share one x0 and one node count, which fix the grid,
-    _lookup_all finds the segments and tail positions once per x for
-    all tables.
-    Any other table set, such as stand-ins that only offer .spec and
-    .evaluate, runs evaluate, the same lookup, table by table.
-    """
-    tables = list(tables)
-    first = tables[0]
-    if not all(type(t) is KernelTable and t.spec.x0 == first.spec.x0
-               and t.grid.size == first.grid.size for t in tables):
-        return lambda x: (t.evaluate(x) for t in tables)
-    return lambda x: _lookup_all(tables, x)
-
-
 def _segments(table, x):
     """Padded segments p and offsets dx of 1-d x in table's grid (see
     KernelTable), and the tail: where the clamp to [-x0, x0] (NaN to
@@ -271,8 +249,9 @@ def _segments(table, x):
 
 
 def _lookup_all(tables, x):
-    """Values at 1-d x of KernelTables on one grid, one table at a time:
-    _segments once, then two gathers and a multiply-add, and the tail."""
+    """Values at 1-d x of KernelTables on one grid, yielded a table at a
+    time (a reducing caller holds one array): _segments once, then two
+    gathers and a multiply-add, and the tail."""
     p, dx, tail = _segments(tables[0], x)
     n = tables[0].grid.size + 1
     tails = _tail_value([t.spec for t in tables],

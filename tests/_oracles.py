@@ -5,7 +5,8 @@ forms the fast library paths are checked against (the loop form of the
 aliasing bias, the quadratic-form quadrature density, a bisection
 inverse of the simulator's sampled law, the one-phase-at-a-time
 simulation and moment reduction that grouped phases must reproduce bit
-for bit, the moments from exactly rounded sums of per-sample kernel
+for bit, the loop over phases that the moment assembly replaces, the
+moments from exactly rounded sums of per-sample kernel
 values and from exact rational sums of the tables' unrounded values,
 which the per-segment sums must match, np.interp kernel lookup,
 the per-row record reader and a dense high-precision least-squares
@@ -23,9 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from phasekit.estimator import _assemble, _check_table, _phase_stats
-from phasekit.kernels import (_segments, _tail_value, smearing_sigma,
-                              table_evaluator)
+from phasekit.estimator import (MomentEstimate, _assemble, _check_table,
+                                 _row_stats)
+from phasekit.kernels import _segments, _tail_value, smearing_sigma
 from phasekit.simulator import (ExperimentPlan, MeasurementSet, _cdf_table,
                                 _quantiles, _state_sampler, phase_stream)
 from phasekit.specfun import psi_rows
@@ -240,18 +241,13 @@ def per_phase_run_experiment(plan, capture_tol):
 
 
 def per_phase_estimates(ms, by_k):
-    """estimator._estimate one phase at a time: the tables evaluated on
-    each phase's records alone, then that phase's _phase_stats."""
-    flags = {k: _check_table(ms, k, table) for k, table in by_k.items()}
-    evaluate_all = table_evaluator(by_k.values())
-    stats = {k: [] for k in by_k}
-    for rec in ms.records:
-        for k, values in zip(by_k, evaluate_all(rec)):
-            stats[k].append(_phase_stats(values))
-    return [
-        _assemble(k, ms.plan.phases, stats[k], flags[k], table.spec.eta)
-        for k, table in by_k.items()
-    ]
+    """estimator._estimate one phase at a time: each table evaluated on
+    each phase's records alone, then _row_stats on that one row."""
+    def stats(table, rec):
+        mean, var = _row_stats(table.evaluate(rec)[None, :])
+        return mean[0], var[0], rec.size
+
+    return _oracle_estimates(ms, by_k, stats)
 
 
 def fsum_estimates(ms, by_k):
@@ -296,12 +292,33 @@ def _oracle_estimates(ms, by_k, phase_stats):
     """_estimate's assembly over phase_stats(table, record) -> (mean,
     var, n), one record at a time."""
     flags = {k: _check_table(ms, k, table) for k, table in by_k.items()}
-    return [
-        _assemble(k, ms.plan.phases,
-                  [phase_stats(table, rec) for rec in ms.records],
-                  flags[k], table.spec.eta)
-        for k, table in by_k.items()
-    ]
+    estimates = []
+    for k, table in by_k.items():
+        mean, var, n = (np.array(column) for column in zip(
+            *(phase_stats(table, rec) for rec in ms.records)))
+        estimates.append(_assemble(k, ms.plan.phases, mean, var, n,
+                                   flags[k], table.spec.eta))
+    return estimates
+
+
+def assemble_by_loop(k, phases, mean, var, n, compensated, eta_assumed):
+    """estimator._assemble as a loop over the phases: math.cos and
+    math.sin per phase, complex sums started at 0, and a variance term
+    skipped where its cos or sin is 0."""
+    value, var_re, var_im = 0.0j, 0.0, 0.0
+    for theta, m, v, count in zip(*(np.asarray(a).tolist()
+                                    for a in (phases, mean, var, n))):
+        c, s = math.cos(k * theta), math.sin(k * theta)
+        value += complex(c, s) * m
+        if c != 0.0:
+            var_re += c * c * v / count
+        if s != 0.0:
+            var_im += s * s * v / count
+    scale = 2.0 * math.pi / len(phases)
+    return MomentEstimate(
+        k=k, value=value * scale, var_re=var_re * scale * scale,
+        var_im=var_im * scale * scale, n_phases=len(phases),
+        compensated=compensated, eta_assumed=float(eta_assumed))
 
 
 def interp_table_value(table, x):

@@ -82,7 +82,7 @@ MUTANTS = [
     Mutant("phase mean's shift dropped from the tail squares",
            "estimator.py", "(v - mean[at]) ** 2", "v ** 2",
            "tests/test_estimator.py::test_segment_sums_match_the_fsum_oracle"),
-    Mutant("n in place of n - 1", "estimator.py",
+    Mutant("n in place of n - 1 in _segment_stats", "estimator.py",
            "np.maximum(n - 1, 1)", "np.maximum(n, 1)",
            "tests/test_estimator.py::test_segment_sums_match_the_fsum_oracle"),
     Mutant("upward segment correction skipped", "kernels.py",
@@ -92,9 +92,27 @@ MUTANTS = [
            "tests/test_estimator.py::"
            "test_shared_lookup_equals_per_table_evaluate"),
     Mutant("phase sign flipped in _assemble", "estimator.py",
-           "complex(c, s) * mean", "complex(c, -s) * mean",
+           "np.sin(k * phases)])", "-np.sin(k * phases)])",
            "tests/test_estimator.py::"
            "test_estimate_on_constant_records_reduces_to_frame_sum"),
+    Mutant("n in place of n - 1 in _row_stats", "estimator.py",
+           "dev.sum(axis=1) / (n - 1)", "dev.sum(axis=1) / n",
+           "tests/test_estimator.py::"
+           "test_row_stats_equal_each_rows_own_mean_and_variance"),
+    Mutant("runs not split at a count change", "estimator.py",
+           "groupby(group, lambda p: p[2] - p[1])",
+           "groupby(group, lambda p: 0)",
+           "tests/test_estimator.py::"
+           "test_estimate_all_equals_per_phase_oracle"),
+    Mutant("zero cos and sin mask dropped in _assemble", "estimator.py",
+           "np.where(cs != 0.0, var, 0.0)", "var",
+           "tests/test_estimator.py::"
+           "test_single_event_phases_flag_infinite_variance"),
+    Mutant("a zero sum of _assemble left as -0", "estimator.py",
+           "(np.cumsum(terms, axis=1)[:, -1] + 0.0)",
+           "(np.cumsum(terms, axis=1)[:, -1])",
+           "tests/test_estimator.py::"
+           "test_assemble_equals_the_loop_over_phases"),
 ]
 
 

@@ -14,13 +14,15 @@ import pytest
 from scipy import integrate
 
 from _oracles import (MIXED_COUNTS, aliasing_bias_approx,
-                      aliasing_bias_by_loops, exact_segment_estimates,
+                      aliasing_bias_by_loops, assemble_by_loop,
+                      exact_segment_estimates,
                       fsum_estimates, moment_by_phase_quadrature,
                       panel_rule, per_phase_estimates, psi_n)
 from phasekit.estimator import (
     MomentEstimate,
     _estimate,
     _panel_rule,
+    _row_stats,
     aliasing_bias,
     estimate_all,
     kernel_overlaps,
@@ -29,8 +31,8 @@ from phasekit.estimator import (
     smear_bias,
 )
 from phasekit.kernels import KernelSpec, build_kernel_table, classical_kernel
-from phasekit.kernels import KernelTable, _tail_value, table_evaluator
-from phasekit import estimator, simulator
+from phasekit.kernels import KernelTable, _lookup_all, _tail_value
+from phasekit import estimator, kernels, simulator
 from phasekit.simulator import ExperimentPlan, MeasurementSet, run_experiment
 from phasekit.states import StateSpec, build_state, exact_moments
 
@@ -541,9 +543,8 @@ def test_shared_lookup_equals_per_table_evaluate(eta):
     tables = [build_kernel_table(KernelSpec(k=k, eta=eta))
               for k in range(1, 9)]
     ms = lookup_probe_set(tables[0].spec.x0, 0.005, eta)
-    evaluate_all = table_evaluator(tables)
     for rec in ms.records:
-        for table, values in zip(tables, evaluate_all(rec)):
+        for table, values in zip(tables, _lookup_all(tables, rec)):
             want = table.evaluate(rec)
             assert values.tobytes() == want.tobytes()
     assert_same_estimates(
@@ -552,26 +553,93 @@ def test_shared_lookup_equals_per_table_evaluate(eta):
     )
 
 
-def test_mismatched_grids_fall_back_to_evaluate(monkeypatch,
-                                                default_tables):
+def count_segments(monkeypatch):
+    """The k of the first table of each kernels._segments call, which
+    _lookup_all makes once per group for all its tables."""
+    calls = []
+    real = kernels._segments
+
+    def counting(table, x):
+        calls.append(table.spec.k)
+        return real(table, x)
+
+    monkeypatch.setattr(kernels, "_segments", counting)
+    return calls
+
+
+def test_mismatched_grids_share_one_lookup_per_grid(monkeypatch,
+                                                    default_tables):
+    # below the sums' threshold: the per-sample values, one lookup per
+    # grid and group, and never a table's own evaluate
     tables = {k: default_tables[k] for k in range(1, 5)}
     tables[3] = build_kernel_table(KernelSpec(k=3), grid_step=0.01)
     ms = lookup_probe_set(4.0, 0.005, 1.0)
     want = [_estimate(ms, {k: tables[k]})[0] for k in range(1, 5)]
-    calls = []
-    real = KernelTable.evaluate
-
-    def counting(self, x):
-        calls.append(self.spec.k)
-        return real(self, x)
-
-    monkeypatch.setattr(KernelTable, "evaluate", counting)
+    calls = count_segments(monkeypatch)
+    monkeypatch.setattr(KernelTable, "evaluate", None)
     assert_same_estimates(estimate_all(ms, 4, tables), want)
     n_groups = len(list(simulator._phase_groups(ms.plan.events_per_phase)))
-    assert sorted(calls) == sorted(list(range(1, 5)) * n_groups)
+    assert sorted(calls) == [1] * n_groups + [3] * n_groups
     calls.clear()
     estimate_all(ms, 2, tables)
-    assert calls == []
+    assert calls == [1] * n_groups
+
+
+def test_stand_in_leaves_the_kernel_tables_one_lookup_per_group(
+        monkeypatch, default_tables):
+    tables = {k: default_tables[k] for k in range(1, 5)}
+    tables[2] = CountingTable(tables[2])
+    ms = lookup_probe_set(4.0, 0.005, 1.0)
+    want = [_estimate(ms, {k: tables[k]})[0] for k in range(1, 5)]
+    tables[2].calls = 0
+    calls = count_segments(monkeypatch)
+    assert_same_estimates(estimate_all(ms, 4, tables), want)
+    # the stand-in's own evaluate runs the lookup of the table it wraps
+    n_groups = len(list(simulator._phase_groups(ms.plan.events_per_phase)))
+    assert tables[2].calls == n_groups
+    assert sorted(calls) == [1] * n_groups + [2] * n_groups
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 500, 2000,
+                               16384])
+def test_row_stats_equal_each_rows_own_mean_and_variance(n):
+    rows = np.random.default_rng(n).normal(0.3, 2.0, (3, n))
+    mean, var = _row_stats(rows)
+    for row, m, v in zip(rows, mean, var):
+        assert m.tobytes() == row.mean().tobytes()
+        if n == 1:
+            assert v == math.inf
+        else:
+            assert v.tobytes() == row.var(ddof=1).tobytes()
+
+
+@pytest.mark.parametrize("n_phases", [1, 3, 4, 12, 24, 120])
+def test_assemble_equals_the_loop_over_phases(n_phases):
+    # signed and exact zeros, single events (inf) and zero variances
+    rng = np.random.default_rng(n_phases)
+    phases = ExperimentPlan.uniform(VACUUM, n_phases, 1).phases
+    n = rng.integers(1, 50, n_phases)
+    var = np.where(n == 1, math.inf, rng.exponential(1.0, n_phases))
+    var[rng.random(n_phases) < 0.2] = 0.0
+    for mean in (rng.normal(0.0, 1.0, n_phases) * (rng.random(n_phases)
+                                                   < 0.8),
+                 np.full(n_phases, -0.0), np.zeros(n_phases)):
+        for k in range(1, 9):
+            got = estimator._assemble(k, phases, mean, var, n, True, 0.8)
+            want = assemble_by_loop(k, phases, mean, var, n, True, 0.8)
+            assert repr(got) == repr(want)
+
+
+def test_estimate_all_refuses_two_tables_of_one_order():
+    plan = ExperimentPlan.uniform(VACUUM, n_phases=4, events=100, seed=2)
+    ms = run_experiment(plan)
+    t1, t2 = (build_kernel_table(KernelSpec(k=k)) for k in (1, 2))
+    t1_coarse = build_kernel_table(KernelSpec(k=1), grid_step=0.05)
+    for tables in ([t1, t1_coarse, t2], [t1_coarse, t1, t2]):
+        with pytest.raises(ValueError, match=r"^two kernel tables for k = 1$"):
+            estimate_all(ms, 2, tables)
+    assert estimate_all(ms, 2, [t2, t1]) == estimate_all(ms, 2, {1: t1,
+                                                                 2: t2})
 
 
 @pytest.mark.parametrize("stand_in", [False, True])

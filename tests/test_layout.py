@@ -20,7 +20,7 @@ SRC = ROOT / "src" / "phasekit"
 
 # Ceiling on the lines of src/phasekit/*.py, counted as wc -l does
 # (ROADMAP E: every addition is paid for by a removal).
-SRC_LINE_BUDGET = 2994
+SRC_LINE_BUDGET = 2980
 
 # Names kept for the ROADMAP item that gives them their caller.
 AWAITING_CALLER = {
